@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -238,7 +239,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "crosscheck" and not args.random and not args.diagram:
         parser.error("crosscheck needs a diagram file or --random N")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except json.JSONDecodeError as exc:
+        print(f"error: malformed JSON: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -12,12 +12,15 @@ crossing's subword acts on each slot, the slots are reordered from alpha
 order to beta order with Koszul signs, multiplied along each beta curve from
 its basepoint and fed to the integral.  Crossings with arcs appear inside the
 subwords only.  All arithmetic is exact over the base ring.
+
+Over the supercommutative exterior algebra every map above is an even
+superalgebra morphism, so the evaluator multiplies d*n degree-one forms, one
+per generator of each closed curve, into a sparse state of at most 2^{dn}
+exterior monomials instead of summing the prod_i L_i^n coproduct terms.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .abelian import abelianize
@@ -41,7 +44,6 @@ from .hopf import (
     _mat_inv_field,
     _mat_mul,
     _minor_det,
-    super_permutation_sign,
 )
 from .laurent import LaurentRing
 from .numberfield import QQ
@@ -58,7 +60,7 @@ class EvaluationOptions:
     twisted: bool = False
     reference_multipoint: Multipoint | None = None
     debug: bool = False
-    threads: int = 1
+    threads: int = 1  # accepted for compatibility; has no effect
 
     def flipped(self) -> "EvaluationOptions":
         return EvaluationOptions(
@@ -232,11 +234,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     if opts.homology_orientation_sign not in (1, -1):
         raise EvaluationError("homology orientation sign must be +1 or -1")
 
-    d = D.d
-    if d == 0:
-        out = ring.one
-        return -out if sign_factor < 0 else out
-
     # tensor slots: crossings on closed curves, in traversal order
     alpha_slots = []
     slot_pos = {}
@@ -253,86 +250,66 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     if sorted(perm) != list(range(len(alpha_slots))):
         raise EvaluationError("slot bookkeeping mismatch between curve families")
 
-    # composite slot maps rho(subword_x) o S^{eps_x}, cached per basis label
-    slot_maps = []
-    for cid in alpha_slots:
-        cr = D.crossings[cid]
-        auto = rep.automorphism(beta_subword(D, cid), H)
-        slot_maps.append(_SlotMap(H, auto, cr.epsilon))
-
-    # Delta expansion per closed curve
-    c = H.cointegral()
-    per_alpha = []
+    # Every map in the contraction is an even superalgebra morphism of the
+    # supercommutative Lambda(V), and c^{(x)d} is the ordered product of the
+    # generators X_k^{(i)}.  So Z is the top coefficient, in Lambda(V^{+d}),
+    # of the ordered product of the degree-one forms
+    #   Phi(X_k^{(i)}) = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k
+    # placed on beta(x); X_r on beta j is the bit j*n + r.
+    n = H.n
+    autos = {cid: rep.automorphism(beta_subword(D, cid), H) for cid in alpha_slots}
+    forms = []
     for curve in D.alphas:
-        expansion = H.iterated_coproduct(c, len(curve))
-        items = sorted(expansion.terms.items())
-        per_alpha.append(items)
+        for k in range(n):
+            form = {}
+            expansion = H.iterated_coproduct(H.basis_element(1 << k), len(curve))
+            for labels, sign in expansion.terms.items():
+                # a primitive lands in exactly one slot
+                s = next(t for t, label in enumerate(labels) if label)
+                cr = D.crossings[curve[s]]
+                if cr.epsilon:
+                    sign = -sign
+                shift = cr.beta_index * n
+                for label, c in autos[curve[s]].apply_label(labels[s]).terms.items():
+                    _accumulate(form, label << shift, sign * c)
+            forms.append(form)
 
-    group_sizes = [len(g) for g in beta_order]
-
-    def eval_term(combo):
-        coeff = ring.one
-        labels = []
-        for part, cf in combo:
-            labels.extend(part)
-            coeff = coeff * cf
-        degrees = [H.degree(l) for l in labels]
-        if opts.debug and sum(degrees) != d * H.n:
+    # multiply the forms on the right into a sparse {mask: coeff} state; a
+    # state bit missing from every later form can no longer be filled
+    full = (1 << D.d * n) - 1
+    pending = [0] * (len(forms) + 1)
+    for t in range(len(forms) - 1, -1, -1):
+        pending[t] = pending[t + 1]
+        for bit in forms[t]:
+            pending[t] |= bit
+    state = {0: ring.one}
+    for t, form in enumerate(forms):
+        # X_A X_b = (-1)^{#(A above b)} X_{A+b}
+        factors = [(bit, full ^ ((bit << 1) - 1), f, -f) for bit, f in form.items()]
+        unreachable = full & ~pending[t + 1]
+        nxt = {}
+        for mask, c in state.items():
+            for bit, above, f, neg_f in factors:
+                key = mask | bit
+                if mask & bit or ~key & unreachable:
+                    continue
+                _accumulate(nxt, key, c * (neg_f if (mask & above).bit_count() & 1 else f))
+        state = nxt
+        if not state:
+            return ring.zero
+        if opts.debug and any(mask.bit_count() != t + 1 for mask in state):
             raise AssertionError("degree conservation violated in contraction")
-        sign = super_permutation_sign(degrees, perm)
-        total = coeff if sign > 0 else -coeff
-        pos = 0
-        for j in range(d):
-            value = H.unit_element()
-            for t in range(pos, pos + group_sizes[j]):
-                s = perm[t]
-                value = value * slot_maps[s].image(labels[s])
-                if value.is_zero():
-                    break
-            pos += group_sizes[j]
-            scalar = H.integral_of(value)
-            if scalar.is_zero():
-                return ring.zero
-            total = total * scalar
-        return total
-
-    def sum_chunk(chunk):
-        acc = ring.zero
-        for combo in chunk:
-            acc = acc + eval_term(combo)
-        return acc
-
-    combos = list(itertools.product(*per_alpha))
-    if opts.threads > 1 and len(combos) > 1:
-        size = (len(combos) + opts.threads - 1) // opts.threads
-        chunks = [combos[i:i + size] for i in range(0, len(combos), size)]
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            partials = list(pool.map(sum_chunk, chunks))
-        total = ring.zero
-        for p in partials:  # fixed chunk order keeps output identical
-            total = total + p
-    else:
-        total = sum_chunk(combos)
+    total = state.get(full, ring.zero)
     return -total if sign_factor < 0 else total
 
 
-class _SlotMap:
-    __slots__ = ("algebra", "auto", "eps", "_cache")
-
-    def __init__(self, algebra, auto, eps):
-        self.algebra = algebra
-        self.auto = auto
-        self.eps = eps
-        self._cache = {}
-
-    def image(self, label):
-        img = self._cache.get(label)
-        if img is None:
-            img = self.auto.apply_label(label)
-            if self.eps and self.algebra.degree(label) % 2:
-                img = -img
-            self._cache[label] = img
-        return img
+def _accumulate(terms, key, value):
+    acc = terms.get(key)
+    s = value if acc is None else acc + value
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 def evaluate_z_twisted(D: HeegaardDatum, n: int, rho_matrices=None,

@@ -97,6 +97,25 @@ def test_cmd_validate_rejects_bad_diagram(tmp_path):
     assert "error" in out
 
 
+def test_missing_file_is_one_line_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert main(["kuperberg", missing, "--hopf", "exterior:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_malformed_json_is_one_line_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text("{bad")
+    assert main(["validate", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON")
+    assert captured.err.count("\n") == 1
+
+
 def test_cmd_kuperberg_trefoil_exact_output():
     code, out = run_cli(
         "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1", "--twisted")
