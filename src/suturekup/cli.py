@@ -1,4 +1,9 @@
-"""Command-line front end; deterministic text output, exit code 0 on success."""
+"""Command-line front end; deterministic text output, exit code 0 on success.
+
+Unreadable or invalid input (a missing file, malformed JSON, a singular
+representation matrix, a reducible min_poly, ...) ends in one ``error: ...``
+line on stderr and exit code 2.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .abelian import abelianize
 from .diagram import presentation, random_datum, validate
@@ -16,7 +22,13 @@ from .files import (
     load_representation,
 )
 from .hopf import ExteriorAlgebra, verify_axioms
-from .kuperberg import EvaluationOptions, Representation, evaluate_z, evaluate_z_twisted
+from .kuperberg import (
+    EvaluationOptions,
+    Representation,
+    SingularRepresentationError,
+    evaluate_z,
+    evaluate_z_twisted,
+)
 from .laurent import normalize_unit
 from .numberfield import QQ
 from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
@@ -30,6 +42,16 @@ def _parse_hopf(spec: str) -> int:
     if kind != "exterior" or not dim.isdigit():
         raise SystemExit(f"unsupported Hopf algebra {spec!r}; use exterior:N")
     return int(dim)
+
+
+@contextmanager
+def _naming_generators(names):
+    """Let a singular-matrix error raised inside the block name its generator."""
+    try:
+        yield
+    except SingularRepresentationError as exc:
+        exc.name = names[exc.generator]
+        raise
 
 
 def _load_presentation_any(path):
@@ -90,8 +112,9 @@ def cmd_twisted_alexander(args) -> int:
     names = pres.generator_names()
     matrices = rep_file.matrices_for(names)
     meridian = parse_word(rep_file.meridian, names)
-    result = twisted_alexander_knot(pres, matrices, meridian,
-                                    rep_file.dimension, rep_file.field)
+    with _naming_generators(names):
+        result = twisted_alexander_knot(pres, matrices, meridian,
+                                        rep_file.dimension, rep_file.field)
     print(f"torsion: {normalize_unit(result.torsion)}")
     print(f"boundary_factor: {normalize_unit(result.boundary_factor)}")
     if result.exact:
@@ -120,15 +143,16 @@ def cmd_kuperberg(args) -> int:
     pres = presentation(D)
     n, field, matrices = _representation_args(args, pres)
     opts = EvaluationOptions(homology_orientation_sign=args.sign, threads=args.threads)
-    if args.twisted:
-        value = evaluate_z_twisted(D, n, matrices, opts, field)
-    else:
-        if matrices is None:
-            rep = Representation.trivial(pres.num_generators, n, field)
+    with _naming_generators(pres.generator_names()):
+        if args.twisted:
+            value = evaluate_z_twisted(D, n, matrices, opts, field)
         else:
-            rep = Representation(field, n, matrices)
-        H = ExteriorAlgebra(n, field)
-        value = evaluate_z(D, H, rep, opts)
+            if matrices is None:
+                rep = Representation.trivial(pres.num_generators, n, field)
+            else:
+                rep = Representation(field, n, matrices)
+            H = ExteriorAlgebra(n, field)
+            value = evaluate_z(D, H, rep, opts)
     print(value)
     return 0
 
@@ -160,8 +184,9 @@ def cmd_crosscheck(args) -> int:
             raise SystemExit("representation dimension does not match --hopf")
         field = rep_file.field
         matrices = rep_file.matrices_for(pres.generator_names())
-    report = crosscheck(D, n, matrices, twisted=bool(args.twisted),
-                        field=field, opts=opts)
+    with _naming_generators(pres.generator_names()):
+        report = crosscheck(D, n, matrices, twisted=bool(args.twisted),
+                            field=field, opts=opts)
     print("PASS" if report.passed else "FAIL")
     print(f"Z = {report.z_value}")
     print(f"det = {report.det_value}")
@@ -245,6 +270,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     return 2
 
 

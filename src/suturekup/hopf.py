@@ -633,22 +633,26 @@ def _mat_identity(n, ring):
 
 
 def _mat_inv_field(A, field):
-    """Gauss-Jordan inverse over a field; raises on singular input."""
+    """Gauss-Jordan inverse and determinant over a field; raises on singular input."""
     n = len(A)
     M = [list(row) + [field.one if i == j else field.zero for j in range(n)]
          for i, row in enumerate(A)]
+    det = field.one
     for col in range(n):
         pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
         if pivot is None:
             raise ValueError("singular matrix")
-        M[col], M[pivot] = M[pivot], M[col]
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det = det * M[col][col]
         inv = M[col][col].inv()
         M[col] = [x * inv for x in M[col]]
         for r in range(n):
             if r != col and not M[r][col].is_zero():
                 f = M[r][col]
                 M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+    return [row[n:] for row in M], det
 
 
 def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:

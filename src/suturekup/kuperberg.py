@@ -41,6 +41,7 @@ from .diagram import (
 from .hopf import (
     ExteriorAlgebra,
     HopfAutomorphism,
+    _mat_identity,
     _mat_inv_field,
     _mat_mul,
     _minor_det,
@@ -52,6 +53,25 @@ from .words import Word
 
 class EvaluationError(ValueError):
     pass
+
+
+class SingularRepresentationError(EvaluationError):
+    """A generator's matrix is not invertible over the representation's ring.
+
+    ``generator`` is the generator's index; a caller that knows the
+    generator names sets ``name`` to have the message use it.
+    """
+
+    def __init__(self, generator, determinant):
+        super().__init__(generator, determinant)
+        self.generator = generator
+        self.determinant = determinant
+        self.name = None
+
+    def __str__(self):
+        label = repr(self.name) if self.name is not None else str(self.generator)
+        return (f"representation matrix of generator {label} is not invertible "
+                f"(determinant {self.determinant})")
 
 
 @dataclass
@@ -72,11 +92,12 @@ class EvaluationOptions:
         )
 
 
-def _mat_inv(matrix, ring):
+def _mat_inv(matrix, ring, det=None):
     if isinstance(ring, LaurentRing):
         # adjugate divided by the (unit) determinant; avoids ring division
         n = len(matrix)
-        det = _minor_det(matrix, list(range(n)), list(range(n)), ring)
+        if det is None:
+            det = _minor_det(matrix, list(range(n)), list(range(n)), ring)
         det_inv = det.inv_unit()
         rows = list(range(n))
         cols = list(range(n))
@@ -90,25 +111,58 @@ def _mat_inv(matrix, ring):
                     cof = -cof
                 out[i][j] = cof * det_inv
         return out
-    return _mat_inv_field(matrix, ring)
+    return _mat_inv_field(matrix, ring)[0]
+
+
+def _inverse_and_det(matrix, ring, generator):
+    """Inverse and determinant of a generator's matrix; raises when it has none.
+
+    Over a field both come from one Gauss-Jordan pass; over a Laurent ring
+    the determinant must be a unit and the inverse is the adjugate.
+    """
+    if isinstance(ring, LaurentRing):
+        n = len(matrix)
+        det = _minor_det(matrix, list(range(n)), list(range(n)), ring)
+        if not det.is_monomial():
+            raise SingularRepresentationError(generator, det)
+        return _mat_inv(matrix, ring, det), det
+    try:
+        return _mat_inv_field(matrix, ring)
+    except ValueError:
+        raise SingularRepresentationError(generator, ring.zero) from None
+
+
+def _check_shape(matrix, n):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise EvaluationError("representation matrix has the wrong size")
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
 
 
 class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
-    exterior algebra) to every presentation generator."""
+    exterior algebra) to every presentation generator.
 
-    def __init__(self, ring, n, matrices, verified_relators=False):
+    Callers that already know the inverses and determinants pass both in;
+    otherwise they are computed.
+    """
+
+    def __init__(self, ring, n, matrices, verified_relators=False,
+                 inverses=None, dets=None):
         self.ring = ring
         self.n = n
         self.matrices = [[list(row) for row in m] for m in matrices]
         self.verified_relators = verified_relators
         for m in self.matrices:
-            if len(m) != n or any(len(row) != n for row in m):
-                raise EvaluationError("representation matrix has the wrong size")
-        self.inverses = [_mat_inv(m, ring) for m in self.matrices]
-        self.dets = [
-            _minor_det(m, list(range(n)), list(range(n)), ring) for m in self.matrices
-        ]
+            _check_shape(m, n)
+        if inverses is None:
+            pairs = [_inverse_and_det(m, ring, g) for g, m in enumerate(self.matrices)]
+            inverses = [inv for inv, _ in pairs]
+            dets = [det for _, det in pairs]
+        self.inverses = list(inverses)
+        self.dets = list(dets)
         self.det_inverses = [
             d.inv_unit() if isinstance(ring, LaurentRing) else d.inv()
             for d in self.dets
@@ -126,19 +180,23 @@ class Representation:
 
         Generator g maps to t^{h(g)} * M_g over the Laurent ring on
         abelianization.rank variables; trivial matrices when None is given.
+        Its inverse t^{-h(g)} * M_g^{-1} and determinant t^{n h(g)} * det M_g
+        are taken over the field.
         """
         field = field if field is not None else QQ
         ring = LaurentRing(field, abelianization.rank)
-        mats = []
+        ident = _mat_identity(n, field)
+        mats, inverses, dets = [], [], []
         for g in range(abelianization.num_generators):
+            m = ident if field_matrices is None else field_matrices[g]
+            _check_shape(m, n)
+            inv, det = _inverse_and_det(m, field, g)
             exps = abelianization.gen_images[g]
-            mono = ring.monomial(exps)
-            if field_matrices is None:
-                m = [[mono if i == j else ring.zero for j in range(n)] for i in range(n)]
-            else:
-                m = [[mono * ring.from_field(c) for c in row] for row in field_matrices[g]]
-            mats.append(m)
-        return cls(ring, n, mats)
+            neg = tuple(-e for e in exps)
+            mats.append([[ring.monomial(exps, c) for c in row] for row in m])
+            inverses.append([[ring.monomial(neg, c) for c in row] for row in inv])
+            dets.append(ring.monomial(tuple(n * e for e in exps), det))
+        return cls(ring, n, mats, inverses=inverses, dets=dets)
 
     @property
     def num_generators(self):
@@ -196,22 +254,23 @@ class Representation:
         return Representation(self.ring, self.n, mats)
 
     def with_generator_inverted(self, g):
-        mats = [list(map(list, m)) for m in self.matrices]
-        mats[g] = self.inverses[g]
-        return Representation(self.ring, self.n, mats)
+        mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
+        mats[g], inverses[g] = self.inverses[g], self.matrices[g]
+        dets[g] = self.det_inverses[g]
+        return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
 
     def with_swapped(self, i, k):
-        mats = [list(map(list, m)) for m in self.matrices]
-        mats[i], mats[k] = mats[k], mats[i]
-        return Representation(self.ring, self.n, mats)
+        mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
+        for seq in (mats, inverses, dets):
+            seq[i], seq[k] = seq[k], seq[i]
+        return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
 
     def inverse_transpose(self):
         """The representation g -> (rho(g)^-1)^T used by the torsion convention."""
-        mats = [
-            [[inv[j][i] for j in range(self.n)] for i in range(self.n)]
-            for inv in self.inverses
-        ]
-        return Representation(self.ring, self.n, mats)
+        return Representation(
+            self.ring, self.n, [_transpose(inv) for inv in self.inverses],
+            inverses=[_transpose(m) for m in self.matrices], dets=self.det_inverses,
+        )
 
 
 def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,

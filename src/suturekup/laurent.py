@@ -241,7 +241,7 @@ def _poly_divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     # both have nonnegative exponents; greedy lex-leading-term elimination
     ring = p.ring
     q_lead = max(q.terms.keys())
-    q_lead_c = q.terms[q_lead]
+    q_lead_inv = q.terms[q_lead].inv()
     quot = ring.zero
     rem = p
     while not rem.is_zero():
@@ -249,7 +249,7 @@ def _poly_divide_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         diff = tuple(a - b for a, b in zip(r_lead, q_lead))
         if any(d < 0 for d in diff):
             raise InexactDivision("leading monomial does not divide")
-        t = ring.monomial(diff, rem.terms[r_lead] / q_lead_c)
+        t = ring.monomial(diff, rem.terms[r_lead] * q_lead_inv)
         quot = quot + t
         rem = rem - t * q
     return quot

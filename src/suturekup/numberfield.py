@@ -1,8 +1,10 @@
 """Exact number field arithmetic Q[x]/(m(x)).
 
-A field is described by a monic integer minimal polynomial m of degree D >= 1;
-irreducibility is the caller's responsibility.  Elements are stored as tuples
-of D Fractions (coefficients of 1, x, ..., x^{D-1}).  D = 1 recovers the
+A field is described by a monic integer minimal polynomial m of degree D >= 1.
+An m of degree >= 2 with a rational root (by the rational-root test, an
+integer root) is rejected, which settles irreducibility for D <= 3; beyond
+that it is the caller's responsibility.  Elements are stored as tuples of D
+Fractions (coefficients of 1, x, ..., x^{D-1}).  D = 1 recovers the
 rationals.  Elements serialize as "a0 + a1*x + a2*x^2" with rational
 coefficients "p/q".
 """
@@ -24,8 +26,11 @@ class NumberField:
             raise ValueError("min_poly must have degree >= 1")
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic with integer coefficients")
-        self.min_poly = tuple(coeffs)
         self.degree = len(coeffs) - 1
+        root = _integer_root(coeffs) if self.degree >= 2 else None
+        if root is not None:
+            raise ValueError(f"min_poly {coeffs} is reducible: x = {root} is a root")
+        self.min_poly = tuple(coeffs)
         # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1})
         self._reduction = tuple(Fraction(-c) for c in coeffs[:-1])
 
@@ -224,6 +229,57 @@ class FieldElement:
 
 
 QQ = NumberField([0, 1])
+
+
+def _integer_root(coeffs):
+    """An integer root of the integer polynomial (constant term first), or None."""
+    for m in _root_brackets(coeffs):
+        for r in (m, m + 1):
+            if _evaluate(coeffs, r) == 0:
+                return r
+    return None
+
+
+def _root_brackets(coeffs):
+    """Integers m such that every real root of the polynomial lies in some [m, m + 1].
+
+    Between the brackets of the derivative's roots the polynomial is
+    monotone, so one integer bisection per such stretch finds its root; the
+    recursion runs in time polynomial in the coefficients' bit length.
+    """
+    if len(coeffs) < 2:
+        return []
+    # every real root r has |r| < bound (Cauchy)
+    bound = 2 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
+    cuts = {-bound, bound}
+    for m in _root_brackets([k * c for k, c in enumerate(coeffs)][1:]):
+        cuts.update(c for c in (m, m + 1) if -bound < c < bound)
+    cuts = sorted(cuts)
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        s_lo, s_hi = _sign(_evaluate(coeffs, lo)), _sign(_evaluate(coeffs, hi))
+        if hi - lo == 1 or s_lo == 0:
+            out.append(lo)
+        elif s_lo != s_hi:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _sign(_evaluate(coeffs, mid)) == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(lo)
+    return out
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _evaluate(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _polydeg(p):

@@ -58,7 +58,8 @@ def bareiss_det(matrix, ring):
     """Exact fraction-free determinant over a field or Laurent ring.
 
     Laurent entries are cleared to polynomial form by a tracked monomial shift
-    per row; Bareiss elimination then divides exactly at every step.
+    per row; Bareiss elimination then divides exactly at every step, by a
+    division prepared once per step for that step's divisor.
     """
     n = len(matrix)
     if n == 0:
@@ -79,16 +80,26 @@ def bareiss_det(matrix, ring):
             mins = tuple(min(x, 0) for x in mins)
             shift = [a + b for a, b in zip(shift, mins)]
             rows.append([e.scale_monomial(tuple(-x for x in mins)) for e in row])
-        det = _bareiss(rows, ring, _laurent_exact_div)
+        det = _bareiss(rows, ring, _laurent_divider)
         return det.scale_monomial(tuple(shift))
-    return _bareiss([list(row) for row in matrix], ring, lambda a, b: a / b)
+    return _bareiss([list(row) for row in matrix], ring, _field_divider)
 
 
-def _laurent_exact_div(a, b):
-    return divide_exact(a, b)
+def _field_divider(pivot):
+    inv = pivot.inv()
+    return lambda a: a * inv
 
 
-def _bareiss(M, ring, div):
+def _laurent_divider(pivot):
+    # a monomial pivot is a unit, so multiplying by its inverse is exact
+    if pivot.is_monomial():
+        inv = pivot.inv_unit()
+        return lambda a: a * inv
+    return lambda a: divide_exact(a, pivot)
+
+
+def _bareiss(M, ring, divider):
+    """Bareiss elimination; divider(p) returns the exact division by p."""
     n = len(M)
     sign = 1
     prev = ring.one
@@ -101,10 +112,10 @@ def _bareiss(M, ring, div):
                 return ring.zero
             M[k], M[pivot_row] = M[pivot_row], M[k]
             sign = -sign
+        divide = divider(prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = div(num, prev)
+                M[i][j] = divide(M[k][k] * M[i][j] - M[i][k] * M[k][j])
             M[i][k] = ring.zero
         prev = M[k][k]
     det = M[n - 1][n - 1]
@@ -118,19 +129,22 @@ class TorsionResult:
 
 
 def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
-                    n=None, field=None) -> TorsionResult:
+                    n=None, field=None, rep=None) -> TorsionResult:
     """det((rho (x) h)(sigma(A))) over the Laurent ring of the free abelianization.
 
     A is the square closed-generator Fox block in the (generator, relator)
-    convention; the result is returned raw and normalized up to units.
+    convention; the result is returned raw and normalized up to units.  A
+    twisted representation already built from the same data can be passed
+    as rep, which then replaces rho_matrices, amap, n and field.
     """
-    field = field if field is not None else QQ
-    if n is None:
-        n = len(rho_matrices[0]) if rho_matrices else 1
-    if amap is None:
-        amap = abelianize(pres.num_generators, pres.relators)
-    rep = Representation.twisted(rho_matrices, amap, n, field)
-    fm = fox_matrix(pres, field)
+    if rep is None:
+        field = field if field is not None else QQ
+        if n is None:
+            n = len(rho_matrices[0]) if rho_matrices else 1
+        if amap is None:
+            amap = abelianize(pres.num_generators, pres.relators)
+        rep = Representation.twisted(rho_matrices, amap, n, field)
+    fm = fox_matrix(pres, rep.ring.field)
     square = fm.closed_square()
     d = len(square)
     # A_{i,j} = d(rel_j)/d(gen_i), entries inverted by sigma, then evaluated
@@ -138,7 +152,7 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
         [rep.apply_to_groupring(sigma(square[j][i])) for j in range(d)]
         for i in range(d)
     ]
-    big = _assemble_blocks(blocks, n, rep.ring)
+    big = _assemble_blocks(blocks, rep.n, rep.ring)
     det = bareiss_det(big, rep.ring)
     return TorsionResult(det, normalize_unit(det))
 
@@ -174,8 +188,8 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
     if n is None:
         n = len(rho_matrices[0]) if rho_matrices else 1
     amap = abelianize(pres.num_generators, pres.relators)
-    tor = twisted_torsion(pres, rho_matrices, amap, n, field)
     rep = Representation.twisted(rho_matrices, amap, n, field)
+    tor = twisted_torsion(pres, rep=rep)
     ring = rep.ring
     m = rep.word_matrix(meridian)
     factor = [

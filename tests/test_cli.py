@@ -256,3 +256,42 @@ def test_byte_identical_across_processes():
         outs.append(subprocess.run(cmd, capture_output=True, env=env).stdout)
     assert outs[0] == outs[1]
     assert outs[0].endswith(b"\n")
+
+
+def write_figure8_rep(tmp_path, alpha, min_poly=(1, 1, 1)):
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps({
+        "dimension": 2,
+        "generators": {"a": [["1", "0"], ["0", "1"]], "alpha": alpha},
+        "meridian": "a",
+        "min_poly": list(min_poly),
+    }))
+    return str(p)
+
+
+def assert_one_line_error(capsys, argv, *phrases):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for phrase in phrases:
+        assert phrase in captured.err
+
+
+def test_twisted_alexander_singular_matrix_is_one_line_error(tmp_path, capsys):
+    rep = write_figure8_rep(tmp_path, [["1", "1"], ["1", "1"]])
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
+                          "generator 'alpha'", "not invertible")
+
+
+def test_kuperberg_singular_matrix_is_one_line_error(tmp_path, capsys):
+    rep = write_figure8_rep(tmp_path, [["1", "1"], ["1", "1"]])
+    assert_one_line_error(capsys, ["kuperberg", data_path("figure8.json"),
+                                   "--hopf", "exterior:2", "--rep", rep, "--twisted"],
+                          "generator 'alpha'", "not invertible")
+
+
+def test_reducible_min_poly_is_one_line_error(tmp_path, capsys):
+    rep = write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]], min_poly=(-1, 0, 1))
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
+                          "min_poly", "reducible")

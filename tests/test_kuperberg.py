@@ -12,8 +12,10 @@ from suturekup import (
     EvaluationOptions,
     ExteriorAlgebra,
     LaurentRing,
+    NumberField,
     QQ,
     Representation,
+    Word,
     abelianize,
     basepoints_from_multipoint,
     check_covariance_suite,
@@ -27,6 +29,8 @@ from suturekup import (
 )
 from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
 from suturekup.fixtures import figure_eight, trefoil
+from suturekup.hopf import _mat_mul, _minor_det
+from suturekup.kuperberg import SingularRepresentationError
 
 
 def laurent(ring, terms):
@@ -329,3 +333,64 @@ def test_twisted_ring_has_free_rank_variables():
     z = evaluate_z_twisted(D, 1)
     assert isinstance(z.ring, LaurentRing)
     assert z.ring.nvars == 1
+
+
+XI = NumberField([1, 1, 1])
+
+
+def random_xi_matrix(rng, n):
+    while True:
+        m = [[XI.element([rng.randint(-2, 2), rng.randint(-2, 2)]) for _ in range(n)]
+             for _ in range(n)]
+        if not _minor_det(m, list(range(n)), list(range(n)), XI).is_zero():
+            return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twisted_inverses_and_dets_over_the_field(n):
+    rng = random.Random(70 + n)
+    for amap in (abelianize(2, []), abelianize(3, [Word(((0, 1), (0, 1), (2, -1)))])):
+        mats = [random_xi_matrix(rng, n) for _ in range(amap.num_generators)]
+        rep = Representation.twisted(mats, amap, n, XI)
+        ring = rep.ring
+        ident = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+        for g, m in enumerate(rep.matrices):
+            assert _mat_mul(m, rep.inverses[g], ring) == ident
+            assert _mat_mul(rep.inverses[g], m, ring) == ident
+            assert rep.dets[g] == _minor_det(m, list(range(n)), list(range(n)), ring)
+            assert rep.dets[g] * rep.det_inverses[g] == ring.one
+        # the adjugate route agrees exactly
+        fresh = Representation(ring, n, rep.matrices)
+        assert fresh.inverses == rep.inverses and fresh.dets == rep.dets
+
+
+def test_derived_representations_pass_on_inverses_and_dets():
+    rng = random.Random(77)
+    amap = abelianize(3, [])
+    rep = Representation.twisted([random_xi_matrix(rng, 2) for _ in range(3)], amap, 2, XI)
+    for derived in (rep.with_generator_inverted(1), rep.with_swapped(0, 2),
+                    rep.inverse_transpose()):
+        fresh = Representation(rep.ring, 2, derived.matrices)
+        assert derived.inverses == fresh.inverses
+        assert derived.dets == fresh.dets
+        assert derived.det_inverses == fresh.det_inverses
+
+
+def test_singular_matrix_names_its_generator():
+    one, zero = XI.one, XI.zero
+    rank_one = [[one, one], [one, one]]
+    ident = [[one, zero], [zero, one]]
+    amap = abelianize(2, [])
+    with pytest.raises(SingularRepresentationError) as info:
+        Representation.twisted([ident, rank_one], amap, 2, XI)
+    assert info.value.generator == 1 and info.value.determinant.is_zero()
+    with pytest.raises(SingularRepresentationError) as info:
+        Representation(XI, 2, [rank_one, ident])
+    assert info.value.generator == 0
+    info.value.name = "alpha"
+    assert "'alpha'" in str(info.value)
+    # invertible over Q(xi)(t) but not over the Laurent ring: 1 + t is no unit
+    ring = LaurentRing(XI, 1)
+    one_plus_t = ring.from_terms({(0,): one, (1,): one})
+    with pytest.raises(SingularRepresentationError):
+        Representation(ring, 1, [[[one_plus_t]]])

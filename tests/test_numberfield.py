@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from suturekup import NumberField, QQ
+from suturekup.numberfield import _integer_root
 
 GAUSS = NumberField([1, 0, 1])        # x^2 + 1
 GOLDEN = NumberField([-1, -1, 1])     # x^2 - x - 1
@@ -82,3 +83,29 @@ def test_leading_rational():
 @given(element_strategy(GAUSS), element_strategy(GAUSS))
 def test_subtraction_is_inverse_of_addition(a, b):
     assert (a + b) - b == a
+
+
+@pytest.mark.parametrize("min_poly", [[-1, 0, 1], [6, -5, 1], [0, 0, 1], [0, 1, 1],
+                                      [-8, 12, -6, 1], [-(10**12 + 39) ** 3, 0, 0, 1]])
+def test_min_poly_with_rational_root_rejected(min_poly):
+    with pytest.raises(ValueError, match="reducible"):
+        NumberField(min_poly)
+
+
+@pytest.mark.parametrize("min_poly", [[0, 1], [5, 1], [1, 0, 1], [1, 1, 1], [-1, -1, 1],
+                                      [-2, 0, 0, 1], [1, 0, 2, 0, 1]])
+def test_min_poly_without_rational_root_accepted(min_poly):
+    assert NumberField(min_poly).degree == len(min_poly) - 1
+
+
+@given(st.lists(st.integers(-6, 6), max_size=3),
+       st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+def test_integer_root_search_matches_brute_force(roots, cofactor):
+    # (x - r_1)...(x - r_k) * (monic cofactor): every integer root lies in
+    # [-100, 100] because the cofactor's roots are bounded by 1 + 30
+    poly = cofactor + [1]
+    for r in roots:
+        poly = [b - r * a for a, b in zip(poly + [0], [0] + poly)]
+    truth = {x for x in range(-100, 101) if sum(c * x**k for k, c in enumerate(poly)) == 0}
+    found = _integer_root(poly)
+    assert (found is None) == (not truth) and (found is None or found in truth)

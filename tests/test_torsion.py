@@ -5,6 +5,7 @@ from conftest import figure_eight_sl2, random_invertible, trefoil_braid_sl2
 
 from suturekup import (
     LaurentRing,
+    NumberField,
     Presentation,
     QQ,
     Representation,
@@ -22,8 +23,9 @@ from suturekup import (
 )
 from suturekup.fixtures import FIGURE_EIGHT_WIRTINGER, figure_eight, trefoil
 from suturekup.files import presentation_from_data
-from suturekup.hopf import ExteriorAlgebra
-from suturekup.torsion import crosscheck
+from suturekup import torsion as torsion_module
+from suturekup.hopf import ExteriorAlgebra, _minor_det
+from suturekup.torsion import _laurent_divider, crosscheck
 
 R1 = LaurentRing(QQ, 1)
 
@@ -250,3 +252,50 @@ def test_non_square_submatrix_rejected():
     pres = Presentation(2, 2, [Word.generator(0)], ["g", "h"])
     with pytest.raises(ValueError):
         twisted_torsion(pres)
+
+
+XI = NumberField([1, 1, 1])
+
+
+def rand_entry(rng, ring, max_terms):
+    """Random Laurent (or field, for a NumberField ring) entry; often zero."""
+    if isinstance(ring, NumberField):
+        return ring.element([rng.randint(-3, 3) for _ in range(ring.degree)])
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.randint(-2, 2) for _ in range(ring.nvars))
+        terms[exps] = ring.field.element([rng.randint(-2, 2), rng.randint(-2, 2)])
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("ring", [QQ, LaurentRing(XI, 1), LaurentRing(XI, 2)],
+                         ids=["QQ", "Q(xi)[t]", "Q(xi)[t1,t2]"])
+@pytest.mark.parametrize("max_terms", [1, 3])
+def test_bareiss_matches_permutation_expansion(ring, max_terms, monkeypatch):
+    # record the pivots that go through divide_exact: a monomial pivot is a
+    # unit and must be multiplied by its inverse instead
+    calls = []
+    real = torsion_module.divide_exact
+    monkeypatch.setattr(torsion_module, "divide_exact",
+                        lambda a, b: calls.append(b) or real(a, b))
+    rng = random.Random(4000 + max_terms)
+    for size in range(1, 6):
+        for _ in range(4 if size < 5 else 2):
+            m = [[rand_entry(rng, ring, max_terms) for _ in range(size)]
+                 for _ in range(size)]
+            want = _minor_det(m, list(range(size)), list(range(size)), ring)
+            got = bareiss_det(m, ring)
+            assert got == want and str(got) == str(want)
+    assert not any(b.is_monomial() for b in calls)
+    if isinstance(ring, LaurentRing) and max_terms > 1:
+        assert calls, "no pivot took the divide_exact branch"
+
+
+def test_laurent_divider_branches():
+    ring = LaurentRing(XI, 2)
+    xi = XI.generator()
+    unit = ring.monomial((1, -2), xi)
+    other = ring.from_terms({(0, 0): XI.one, (1, 1): xi})
+    a = ring.from_terms({(2, 0): XI.one, (0, 3): -xi})
+    for pivot in (unit, other):
+        assert _laurent_divider(pivot)(a * pivot) == a
