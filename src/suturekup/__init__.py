@@ -29,14 +29,11 @@ from .diagram import (
 )
 from .hopf import (
     ExteriorAlgebra,
-    GroupAlgebra,
     HopfAutomorphism,
     HopfSuperAlgebra,
-    TableHopfSuperAlgebra,
     lambda_extend,
     r_of,
     super_permutation_sign,
-    twist_by_homology,
     verify_axioms,
 )
 from .kuperberg import (

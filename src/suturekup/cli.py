@@ -40,7 +40,7 @@ SEED_ENV = "SUTURE_KUP_SEED"
 def _parse_hopf(spec: str) -> int:
     kind, _, dim = spec.partition(":")
     if kind != "exterior" or not dim.isdigit():
-        raise SystemExit(f"unsupported Hopf algebra {spec!r}; use exterior:N")
+        raise ValueError(f"unsupported Hopf algebra {spec!r}; use exterior:N")
     return int(dim)
 
 
@@ -54,14 +54,28 @@ def _naming_generators(names):
         raise
 
 
+def _load_valid_diagram(path):
+    """The diagram in path; an invalid one ends the command with exit code 1."""
+    D = load_diagram(path)
+    report = validate(D)
+    if not report.valid:
+        raise SystemExit("invalid diagram: " + "; ".join(report.errors))
+    return D
+
+
+def _load_representation_file(args, n, names):
+    """Field and generator matrices of --rep (QQ and None without it)."""
+    if not args.rep:
+        return QQ, None
+    rep_file = load_representation(args.rep)
+    if rep_file.dimension != n:
+        raise ValueError("representation dimension does not match --hopf")
+    return rep_file.field, rep_file.matrices_for(names)
+
+
 def _load_presentation_any(path):
-    kind = detect_input(path)
-    if kind == "diagram":
-        D = load_diagram(path)
-        report = validate(D)
-        if not report.valid:
-            raise SystemExit("invalid diagram: " + "; ".join(report.errors))
-        return presentation(D)
+    if detect_input(path) == "diagram":
+        return presentation(_load_valid_diagram(path))
     return load_presentation(path)
 
 
@@ -108,7 +122,7 @@ def cmd_twisted_alexander(args) -> int:
     pres = _load_presentation_any(args.input)
     rep_file = load_representation(args.representation)
     if rep_file.meridian is None:
-        raise SystemExit("representation file must name a meridian word")
+        raise ValueError("representation file must name a meridian word")
     names = pres.generator_names()
     matrices = rep_file.matrices_for(names)
     meridian = parse_word(rep_file.meridian, names)
@@ -124,31 +138,18 @@ def cmd_twisted_alexander(args) -> int:
     return 0
 
 
-def _representation_args(args, pres):
-    n = _parse_hopf(args.hopf)
-    names = pres.generator_names()
-    if args.rep:
-        rep_file = load_representation(args.rep)
-        if rep_file.dimension != n:
-            raise SystemExit("representation dimension does not match --hopf")
-        return n, rep_file.field, rep_file.matrices_for(names)
-    return n, QQ, None
-
-
 def cmd_kuperberg(args) -> int:
-    D = load_diagram(args.diagram)
-    report = validate(D)
-    if not report.valid:
-        raise SystemExit("invalid diagram: " + "; ".join(report.errors))
-    pres = presentation(D)
-    n, field, matrices = _representation_args(args, pres)
-    opts = EvaluationOptions(homology_orientation_sign=args.sign, threads=args.threads)
-    with _naming_generators(pres.generator_names()):
+    D = _load_valid_diagram(args.diagram)
+    names = D.generator_names()
+    n = _parse_hopf(args.hopf)
+    field, matrices = _load_representation_file(args, n, names)
+    opts = EvaluationOptions(homology_orientation_sign=args.sign)
+    with _naming_generators(names):
         if args.twisted:
             value = evaluate_z_twisted(D, n, matrices, opts, field)
         else:
             if matrices is None:
-                rep = Representation.trivial(pres.num_generators, n, field)
+                rep = Representation.trivial(D.num_generators, n, field)
             else:
                 rep = Representation(field, n, matrices)
             H = ExteriorAlgebra(n, field)
@@ -159,34 +160,22 @@ def cmd_kuperberg(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     n = _parse_hopf(args.hopf)
-    opts = EvaluationOptions(threads=args.threads)
     failures = 0
     if args.random:
         base = int(os.environ.get(SEED_ENV, "0"))
         for k in range(args.random):
             seed = base + k
             D = random_datum(seed, d=1 + k % 2, l=k % 3, max_crossings=4)
-            report = crosscheck(D, n, twisted=bool(args.twisted), opts=opts)
+            report = crosscheck(D, n, twisted=bool(args.twisted))
             status = "PASS" if report.passed else "FAIL"
             print(f"seed {seed}: {status}")
             failures += not report.passed
         return 1 if failures else 0
-    D = load_diagram(args.diagram)
-    vreport = validate(D)
-    if not vreport.valid:
-        raise SystemExit("invalid diagram: " + "; ".join(vreport.errors))
-    pres = presentation(D)
-    matrices = None
-    field = QQ
-    if args.rep:
-        rep_file = load_representation(args.rep)
-        if rep_file.dimension != n:
-            raise SystemExit("representation dimension does not match --hopf")
-        field = rep_file.field
-        matrices = rep_file.matrices_for(pres.generator_names())
-    with _naming_generators(pres.generator_names()):
-        report = crosscheck(D, n, matrices, twisted=bool(args.twisted),
-                            field=field, opts=opts)
+    D = _load_valid_diagram(args.diagram)
+    names = D.generator_names()
+    field, matrices = _load_representation_file(args, n, names)
+    with _naming_generators(names):
+        report = crosscheck(D, n, matrices, twisted=bool(args.twisted), field=field)
     print("PASS" if report.passed else "FAIL")
     print(f"Z = {report.z_value}")
     print(f"det = {report.det_value}")

@@ -17,6 +17,16 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _require(data, keys, what):
+    """data, checked to be a JSON object holding every key; ValueError otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} misses key {key!r}")
+    return data
+
+
 # -- diagram files -----------------------------------------------------------
 
 
@@ -43,12 +53,15 @@ def diagram_to_data(D: HeegaardDatum) -> dict:
 
 
 def diagram_from_data(data: dict) -> HeegaardDatum:
-    alphas = [list(entry["crossings"]) for entry in data.get("alpha_closed", [])]
-    arcs = [list(entry["crossings"]) for entry in data.get("arcs", [])]
+    _require(data, ("alpha_closed", "arcs", "beta"), "diagram")
+    for family in ("alpha_closed", "arcs", "beta"):
+        for i, entry in enumerate(data[family]):
+            _require(entry, ("crossings",), f"{family} entry {i + 1}")
+    alphas = [list(entry["crossings"]) for entry in data["alpha_closed"]]
+    arcs = [list(entry["crossings"]) for entry in data["arcs"]]
     alpha_names = [entry.get("name", f"alpha{i + 1}")
-                   for i, entry in enumerate(data.get("alpha_closed", []))]
-    arc_names = [entry.get("name", f"a{i + 1}")
-                 for i, entry in enumerate(data.get("arcs", []))]
+                   for i, entry in enumerate(data["alpha_closed"])]
+    arc_names = [entry.get("name", f"a{i + 1}") for i, entry in enumerate(data["arcs"])]
     alpha_ref = {}
     for i, curve in enumerate(alphas):
         for cid in curve:
@@ -58,7 +71,7 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
             alpha_ref.setdefault(cid, (ARC, i))
     betas = []
     crossings = {}
-    for j, entry in enumerate(data.get("beta", [])):
+    for j, entry in enumerate(data["beta"]):
         ids = []
         for cid, sign in entry["crossings"]:
             kind, idx = alpha_ref.get(cid, (CLOSED, -1))
@@ -94,6 +107,7 @@ def presentation_to_data(pres: Presentation) -> dict:
 
 
 def presentation_from_data(data: dict) -> Presentation:
+    _require(data, ("generators", "relators"), "presentation")
     names = list(data["generators"])
     closed = int(data.get("closed_count", len(names)))
     relators = [parse_word(s, names) for s in data["relators"]]
@@ -124,6 +138,7 @@ class RepresentationFile:
 
 
 def representation_from_data(data: dict) -> RepresentationFile:
+    _require(data, ("dimension", "generators"), "representation")
     field = NumberField(data.get("min_poly", [0, 1]))
     n = int(data["dimension"])
     matrices = {}
@@ -142,7 +157,7 @@ def load_representation(path) -> RepresentationFile:
 def detect_input(path) -> str:
     """"diagram" or "presentation", keyed on the document's fields."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = _require(json.load(fh), (), "input document")
     if "beta" in data:
         return "diagram"
     if "relators" in data:

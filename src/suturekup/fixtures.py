@@ -1,58 +1,31 @@
 """Shipped diagram fixtures: left trefoil and figure-eight knot complements.
 
 Both are genus-one diagrams with one closed alpha curve, one arc and one beta
-curve.  The crossing sequences were transcribed from the standard pictures;
-the resulting subwords at the closed-curve crossings are, for the trefoil,
-a, a*alpha*a^-1*alpha^-1 and a*alpha*a^-1*alpha^-1*a^-1, and the beta word of
-the figure-eight is a*alpha*a^-1*alpha^-1*a*alpha*a*alpha^-1*a^-1*alpha with
-the closed-curve crossings met along alpha in the order 1, 4, 3, 2, 5.
+curve, loaded from the documents in data/.  The crossing sequences were
+transcribed from the standard pictures; the resulting subwords at the
+closed-curve crossings are, for the trefoil, a, a*alpha*a^-1*alpha^-1 and
+a*alpha*a^-1*alpha^-1*a^-1, and the beta word of the figure-eight is
+a*alpha*a^-1*alpha^-1*a*alpha*a*alpha^-1*a^-1*alpha with the closed-curve
+crossings met along alpha in the order 1, 4, 3, 2, 5.
 """
 
 from __future__ import annotations
 
-from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum
+import os
+
+from .diagram import HeegaardDatum
+from .files import load_diagram
 
 
-def _build(alpha_order, arc_order, beta_seq, names=("alpha", "a")):
-    crossings = {}
-    beta_ids = []
-    for cid, sign in beta_seq:
-        kind = CLOSED if cid.startswith("x") else ARC
-        crossings[cid] = Crossing(cid, kind, 0, 0, sign)
-        beta_ids.append(cid)
-    return HeegaardDatum(
-        alphas=[list(alpha_order)],
-        arcs=[list(arc_order)],
-        betas=[BetaCurve(tuple(beta_ids), 0)],
-        crossings=crossings,
-        alpha_names=[names[0]],
-        arc_names=[names[1]],
-    )
+def _load(name) -> HeegaardDatum:
+    return load_diagram(os.path.join(os.path.dirname(__file__), "data", name))
 
 
 def trefoil() -> HeegaardDatum:
     """Left trefoil complement; beta word a*alpha*a^-1*alpha^-1*a^-1*alpha."""
-    beta_seq = [
-        ("y1", 1), ("x1", 1), ("y2", -1), ("x2", -1), ("y3", -1), ("x3", 1),
-    ]
-    return _build(["x1", "x2", "x3"], ["y2", "y1", "y3"], beta_seq)
+    return _load("trefoil.json")
 
 
 def figure_eight() -> HeegaardDatum:
     """Figure-eight complement; five closed-curve crossings, alternating signs."""
-    beta_seq = [
-        ("z1", 1), ("x1", 1), ("z2", -1), ("x2", -1), ("z3", 1),
-        ("x3", 1), ("z4", 1), ("x4", -1), ("z5", -1), ("x5", 1),
-    ]
-    return _build(
-        ["x1", "x4", "x3", "x2", "x5"],
-        ["z4", "z2", "z1", "z5", "z3"],
-        beta_seq,
-    )
-
-
-FIGURE_EIGHT_WIRTINGER = {
-    "generators": ["x", "y"],
-    "closed_count": 1,
-    "relators": ["x^-1*y*x*y^-1*x*y*x^-1*y^-1*x*y^-1"],
-}
+    return _load("figure8.json")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 
 from .laurent import LaurentRing
-from .numberfield import QQ
+from .linalg import bareiss_det, matmul, unit_inverse
+from .numberfield import QQ, accumulate
 
 
 class Element:
@@ -49,12 +50,7 @@ class Element:
     def __add__(self, other):
         out = dict(self.terms)
         for label, c in other.terms.items():
-            acc = out.get(label)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(label, None)
-            else:
-                out[label] = s
+            accumulate(out, label, c)
         return Element(self.algebra, out)
 
     def __neg__(self):
@@ -76,12 +72,7 @@ class Element:
                 prod = H.mult(l1, l2)
                 c12 = c1 * c2
                 for l, c in prod.terms.items():
-                    acc = out.get(l)
-                    s = c * c12 if acc is None else acc + c * c12
-                    if s.is_zero():
-                        out.pop(l, None)
-                    else:
-                        out[l] = s
+                    accumulate(out, l, c * c12)
         return Element(H, out)
 
     def degree(self):
@@ -124,12 +115,7 @@ class TensorElement:
     def __add__(self, other):
         out = dict(self.terms)
         for t, c in other.terms.items():
-            acc = out.get(t)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = s
+            accumulate(out, t, c)
         return TensorElement(self.algebra, self.k, out)
 
     def __mul__(self, other):
@@ -154,14 +140,7 @@ class TensorElement:
                     c = coeff
                     for _, ci in combo:
                         c = c * ci
-                    if sign < 0:
-                        c = -c
-                    acc = out.get(labels)
-                    s = c if acc is None else acc + c
-                    if s.is_zero():
-                        out.pop(labels, None)
-                    else:
-                        out[labels] = s
+                    accumulate(out, labels, -c if sign < 0 else c)
         return TensorElement(H, self.k, out)
 
     def __repr__(self):
@@ -217,13 +196,7 @@ class HopfSuperAlgebra:
         out = {}
         for l, c in e.terms.items():
             for pair, cc in self.comult(l).items():
-                v = cc * c
-                acc = out.get(pair)
-                s = v if acc is None else acc + v
-                if s.is_zero():
-                    out.pop(pair, None)
-                else:
-                    out[pair] = s
+                accumulate(out, pair, cc * c)
         return TensorElement(self, 2, out)
 
     def iterated_coproduct(self, e: Element, k: int) -> TensorElement:
@@ -237,14 +210,7 @@ class HopfSuperAlgebra:
             new_terms = {}
             for t, c in terms.items():
                 for (l1, l2), cc in self.comult(t[0]).items():
-                    key = (l1, l2) + t[1:]
-                    v = cc * c
-                    acc = new_terms.get(key)
-                    s = v if acc is None else acc + v
-                    if s.is_zero():
-                        new_terms.pop(key, None)
-                    else:
-                        new_terms[key] = s
+                    accumulate(new_terms, (l1, l2) + t[1:], cc * c)
             terms = new_terms
         return TensorElement(self, k, terms)
 
@@ -253,47 +219,6 @@ class HopfSuperAlgebra:
         if deg is None:
             raise ValueError("cointegral is not homogeneous")
         return deg
-
-
-class TableHopfSuperAlgebra(HopfSuperAlgebra):
-    """Generic instance backed by explicit structure tables."""
-
-    def __init__(self, ring, degrees, mult_table, comult_table, unit,
-                 counit_table, antipode_table, cointegral, integral_table):
-        self.ring = ring
-        self.labels = list(degrees.keys())
-        self._degrees = dict(degrees)
-        self._mult = mult_table
-        self._comult = comult_table
-        self._unit = unit
-        self._counit = counit_table
-        self._antipode = antipode_table
-        self._cointegral = cointegral
-        self._integral = integral_table
-
-    def degree(self, label):
-        return self._degrees[label]
-
-    def mult(self, a, b):
-        return Element(self, self._mult.get((a, b), {}))
-
-    def comult(self, label):
-        return self._comult.get(label, {})
-
-    def counit(self, label):
-        return self._counit.get(label, self.ring.zero)
-
-    def antipode(self, label):
-        return Element(self, self._antipode.get(label, {}))
-
-    def unit_element(self):
-        return Element(self, self._unit)
-
-    def cointegral(self):
-        return Element(self, self._cointegral)
-
-    def integral(self, label):
-        return self._integral.get(label, self.ring.zero)
 
 
 def _shuffle_sign(mask_a: int, mask_b: int) -> int:
@@ -396,78 +321,8 @@ class ExteriorAlgebra(HopfSuperAlgebra):
                 slots = [0] * k
                 for g, s in zip(gens, assign):
                     slots[s] |= 1 << g
-                key = tuple(slots)
-                c = coeff if inv % 2 == 0 else -coeff
-                acc = out.get(key)
-                s2 = c if acc is None else acc + c
-                if s2.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s2
+                accumulate(out, tuple(slots), coeff if inv % 2 == 0 else -coeff)
         return TensorElement(self, k, out)
-
-
-class GroupAlgebra(HopfSuperAlgebra):
-    """kk[G] for a finite group given by a multiplication table; all degree 0.
-
-    Group-likes: Delta(g) = g (x) g, eps(g) = 1, S(g) = g^{-1}.  The cointegral
-    is the sum of all group elements and the integral is dual to the identity,
-    scaled so that mu(c) = 1.  Used by the axiom verifier tests.
-    """
-
-    def __init__(self, elements, mult, inverse, identity, ring=None):
-        self.ring = ring if ring is not None else QQ
-        self.labels = list(elements)
-        self._mult_map = mult
-        self._inv = inverse
-        self._id = identity
-
-    def degree(self, label):
-        return 0
-
-    def mult(self, a, b):
-        return Element(self, {self._mult_map[(a, b)]: self.ring.one})
-
-    def comult(self, label):
-        return {(label, label): self.ring.one}
-
-    def counit(self, label):
-        return self.ring.one
-
-    def antipode(self, label):
-        return Element(self, {self._inv[label]: self.ring.one})
-
-    def unit_element(self):
-        return Element(self, {self._id: self.ring.one})
-
-    def cointegral(self):
-        return Element(self, {g: self.ring.one for g in self.labels})
-
-    def integral(self, label):
-        return self.ring.one if label == self._id else self.ring.zero
-
-    @classmethod
-    def cyclic(cls, n: int, ring=None):
-        elements = list(range(n))
-        mult = {(a, b): (a + b) % n for a in elements for b in elements}
-        inverse = {a: (-a) % n for a in elements}
-        return cls(elements, mult, inverse, 0, ring)
-
-    @classmethod
-    def symmetric(cls, n: int, ring=None):
-        perms = sorted(itertools.permutations(range(n)))
-
-        def compose(p, q):
-            return tuple(p[q[i]] for i in range(n))
-
-        mult = {(p, q): compose(p, q) for p in perms for q in perms}
-        inverse = {}
-        for p in perms:
-            inv = [0] * n
-            for i, v in enumerate(p):
-                inv[v] = i
-            inverse[p] = tuple(inv)
-        return cls(perms, mult, inverse, tuple(range(n)), ring)
 
 
 def super_permutation_sign(degrees, perm) -> int:
@@ -489,26 +344,6 @@ def super_permutation_sign(degrees, perm) -> int:
 
 
 # -- automorphisms -----------------------------------------------------------
-
-
-def _minor_det(matrix, rows, cols, ring):
-    """Determinant of a square submatrix by permutation expansion (tiny sizes)."""
-    k = len(rows)
-    if k == 0:
-        return ring.one
-    total = ring.zero
-    for perm in itertools.permutations(range(k)):
-        inv = sum(
-            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-        )
-        prod = ring.one
-        for i in range(k):
-            prod = prod * matrix[rows[i]][cols[perm[i]]]
-            if prod.is_zero():
-                break
-        if not prod.is_zero():
-            total = total + (prod if inv % 2 == 0 else -prod)
-    return total
 
 
 class HopfAutomorphism:
@@ -533,20 +368,24 @@ class HopfAutomorphism:
         return img
 
     def _expand(self, label) -> Element:
+        # Lambda(T) is multiplicative: X_k maps to column k of T, and X_A to
+        # the ordered product of its columns, built through cached prefixes
         H = self.algebra
         if self._matrix is None:
             raise KeyError(f"no image for basis label {label!r}")
-        cols = [i for i in range(H.n) if label >> i & 1]
-        ring = H.ring
-        terms = {}
-        for rows in itertools.combinations(range(H.n), len(cols)):
-            d = _minor_det(self._matrix, list(rows), cols, ring)
-            if not d.is_zero():
-                mask = 0
-                for r in rows:
-                    mask |= 1 << r
-                terms[mask] = d
-        return Element(H, terms)
+        img = None
+        prefix = 0
+        for k in range(H.n):
+            if label >> k & 1:
+                prefix |= 1 << k
+                cached = self._images.get(prefix)
+                if cached is None:
+                    column = Element(H, {1 << r: row[k]
+                                         for r, row in enumerate(self._matrix)})
+                    cached = column if img is None else img * column
+                    self._images[prefix] = cached
+                img = cached
+        return H.unit_element() if img is None else img
 
     def apply(self, e: Element) -> Element:
         out = Element(self.algebra, {})
@@ -558,7 +397,7 @@ class HopfAutomorphism:
         """self after other."""
         if self._matrix is not None and other._matrix is not None:
             return HopfAutomorphism(
-                self.algebra, matrix=_mat_mul(self._matrix, other._matrix, self.algebra.ring)
+                self.algebra, matrix=matmul(self._matrix, other._matrix, self.algebra.ring)
             )
         images = {l: self.apply(other.apply_label(l)) for l in self.algebra.labels}
         return HopfAutomorphism(self.algebra, images=images)
@@ -601,58 +440,10 @@ def map_tensor_slots(t: TensorElement, f) -> TensorElement:
             new = {}
             for prefix, cc in expanded.items():
                 for l2, c2 in img.terms.items():
-                    key = prefix + (l2,)
-                    v = cc * c2
-                    acc = new.get(key)
-                    s = v if acc is None else acc + v
-                    if not s.is_zero():
-                        new[key] = s
-                    elif key in new:
-                        del new[key]
+                    accumulate(new, prefix + (l2,), cc * c2)
             expanded = new
         out = out + TensorElement(H, t.k, expanded)
     return out
-
-
-def _mat_mul(A, B, ring):
-    n = len(A)
-    m = len(B[0]) if B else 0
-    k = len(B)
-    out = [[ring.zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = ring.zero
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
-
-
-def _mat_identity(n, ring):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-
-def _mat_inv_field(A, field):
-    """Gauss-Jordan inverse and determinant over a field; raises on singular input."""
-    n = len(A)
-    M = [list(row) + [field.one if i == j else field.zero for j in range(n)]
-         for i, row in enumerate(A)]
-    det = field.one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M], det
 
 
 def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
@@ -663,26 +454,12 @@ def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
     n = algebra.n
     if len(T) != n or any(len(row) != n for row in T):
         raise ValueError("matrix size does not match the exterior dimension")
-    d = _minor_det(T, list(range(n)), list(range(n)), algebra.ring)
+    d = bareiss_det(T, algebra.ring)
     if d.is_zero():
         raise ValueError("singular matrix cannot extend to an automorphism")
     if isinstance(algebra.ring, LaurentRing) and not d.is_monomial():
         raise ValueError("determinant is not a unit of the Laurent ring")
     return HopfAutomorphism(algebra, matrix=[list(row) for row in T])
-
-
-def twist_by_homology(T, exponent, algebra: ExteriorAlgebra) -> HopfAutomorphism:
-    """Automorphism of Lambda(V) (x) k[t1..tb]: Lambda(T) scaled by t^exponent per degree.
-
-    Realized as the Lambda-extension of the matrix t^exponent * T over the
-    Laurent base ring, so a degree-k monomial picks up the factor t^{k*exponent}.
-    """
-    ring = algebra.ring
-    if not isinstance(ring, LaurentRing):
-        raise ValueError("twist_by_homology needs a Laurent base ring")
-    mono = ring.monomial(exponent)
-    scaled = [[mono * entry for entry in row] for row in T]
-    return lambda_extend(scaled, algebra)
 
 
 def r_of(phi: HopfAutomorphism):
@@ -700,8 +477,7 @@ def r_of(phi: HopfAutomorphism):
     if coeff == H.ring.one:
         return got
     # generic cointegral stored with a non-unit anchor coefficient
-    inv = coeff.inv_unit() if isinstance(H.ring, LaurentRing) else coeff.inv()
-    return got * inv
+    return got * unit_inverse(coeff, H.ring)
 
 
 # -- axiom verifier ----------------------------------------------------------
@@ -798,14 +574,7 @@ def verify_axioms(H: HopfSuperAlgebra) -> AxiomReport:
         right = TensorElement(H, 3, {})
         for (l1, l2), c in H.comult(a).items():
             for (l3, l4), c2 in H.comult(l2).items():
-                key = (l1, l3, l4)
-                v = c * c2
-                acc = right.terms.get(key)
-                s = v if acc is None else acc + v
-                if s.is_zero():
-                    right.terms.pop(key, None)
-                else:
-                    right.terms[key] = s
+                accumulate(right.terms, (l1, l3, l4), c * c2)
         if left != right:
             w = a
             break
@@ -888,13 +657,7 @@ def verify_axioms(H: HopfSuperAlgebra) -> AxiomReport:
     dc = H.comult_of(c)
     flipped = TensorElement(H, 2, {})
     for (l1, l2), cc in dc.terms.items():
-        s = -cc if (H.degree(l1) % 2 and H.degree(l2) % 2) else cc
-        key = (l2, l1)
-        acc = flipped.terms.get(key)
-        tot = s if acc is None else acc + s
-        if tot.is_zero():
-            flipped.terms.pop(key, None)
-        else:
-            flipped.terms[key] = tot
+        accumulate(flipped.terms, (l2, l1),
+                   -cc if (H.degree(l1) % 2 and H.degree(l2) % 2) else cc)
     report.record("Delta(c) = Delta^op(c)", dc == flipped)
     return report

@@ -38,16 +38,10 @@ from .diagram import (
     swap_alpha_order,
     validate,
 )
-from .hopf import (
-    ExteriorAlgebra,
-    HopfAutomorphism,
-    _mat_identity,
-    _mat_inv_field,
-    _mat_mul,
-    _minor_det,
-)
+from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
-from .numberfield import QQ
+from .linalg import bareiss_det, identity, inverse_and_det, matmul, transpose, unit_inverse
+from .numberfield import QQ, accumulate
 from .words import Word
 
 
@@ -80,7 +74,6 @@ class EvaluationOptions:
     twisted: bool = False
     reference_multipoint: Multipoint | None = None
     debug: bool = False
-    threads: int = 1  # accepted for compatibility; has no effect
 
     def flipped(self) -> "EvaluationOptions":
         return EvaluationOptions(
@@ -88,57 +81,20 @@ class EvaluationOptions:
             self.twisted,
             self.reference_multipoint,
             self.debug,
-            self.threads,
         )
 
 
-def _mat_inv(matrix, ring, det=None):
-    if isinstance(ring, LaurentRing):
-        # adjugate divided by the (unit) determinant; avoids ring division
-        n = len(matrix)
-        if det is None:
-            det = _minor_det(matrix, list(range(n)), list(range(n)), ring)
-        det_inv = det.inv_unit()
-        rows = list(range(n))
-        cols = list(range(n))
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                sub_rows = [r for r in rows if r != j]
-                sub_cols = [c for c in cols if c != i]
-                cof = _minor_det(matrix, sub_rows, sub_cols, ring)
-                if (i + j) % 2:
-                    cof = -cof
-                out[i][j] = cof * det_inv
-        return out
-    return _mat_inv_field(matrix, ring)[0]
-
-
 def _inverse_and_det(matrix, ring, generator):
-    """Inverse and determinant of a generator's matrix; raises when it has none.
-
-    Over a field both come from one Gauss-Jordan pass; over a Laurent ring
-    the determinant must be a unit and the inverse is the adjugate.
-    """
-    if isinstance(ring, LaurentRing):
-        n = len(matrix)
-        det = _minor_det(matrix, list(range(n)), list(range(n)), ring)
-        if not det.is_monomial():
-            raise SingularRepresentationError(generator, det)
-        return _mat_inv(matrix, ring, det), det
+    """Inverse and determinant of a generator's matrix; raises when it has none."""
     try:
-        return _mat_inv_field(matrix, ring)
+        return inverse_and_det(matrix, ring)
     except ValueError:
-        raise SingularRepresentationError(generator, ring.zero) from None
+        raise SingularRepresentationError(generator, bareiss_det(matrix, ring)) from None
 
 
 def _check_shape(matrix, n):
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise EvaluationError("representation matrix has the wrong size")
-
-
-def _transpose(matrix):
-    return [list(col) for col in zip(*matrix)]
 
 
 class Representation:
@@ -163,16 +119,12 @@ class Representation:
             dets = [det for _, det in pairs]
         self.inverses = list(inverses)
         self.dets = list(dets)
-        self.det_inverses = [
-            d.inv_unit() if isinstance(ring, LaurentRing) else d.inv()
-            for d in self.dets
-        ]
+        self.det_inverses = [unit_inverse(d, ring) for d in self.dets]
 
     @classmethod
     def trivial(cls, num_generators, n, ring=None):
         ring = ring if ring is not None else QQ
-        ident = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        return cls(ring, n, [ident] * num_generators)
+        return cls(ring, n, [identity(n, ring)] * num_generators)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -185,7 +137,7 @@ class Representation:
         """
         field = field if field is not None else QQ
         ring = LaurentRing(field, abelianization.rank)
-        ident = _mat_identity(n, field)
+        ident = identity(n, field)
         mats, inverses, dets = [], [], []
         for g in range(abelianization.num_generators):
             m = ident if field_matrices is None else field_matrices[g]
@@ -206,12 +158,8 @@ class Representation:
         out = None
         for g, e in w.letters:
             m = self.matrices[g] if e == 1 else self.inverses[g]
-            out = m if out is None else _mat_mul(out, m, self.ring)
-        if out is None:
-            n = self.n
-            out = [[self.ring.one if i == j else self.ring.zero for j in range(n)]
-                   for i in range(n)]
-        return out
+            out = m if out is None else matmul(out, m, self.ring)
+        return identity(self.n, self.ring) if out is None else out
 
     def r_of_word(self, w: Word):
         """Determinant of the word's image (the value of r_H on the automorphism)."""
@@ -239,8 +187,7 @@ class Representation:
     def check_relators(self, pres):
         """Words whose image is not the identity (a warning, not an error)."""
         bad = []
-        ident = [[self.ring.one if i == j else self.ring.zero for j in range(self.n)]
-                 for i in range(self.n)]
+        ident = identity(self.n, self.ring)
         for j, rel in enumerate(pres.relators):
             if self.word_matrix(rel) != ident:
                 bad.append(j)
@@ -248,8 +195,8 @@ class Representation:
         return bad
 
     def conjugated(self, phi):
-        phi_inv = _mat_inv(phi, self.ring)
-        mats = [_mat_mul(_mat_mul(phi, m, self.ring), phi_inv, self.ring)
+        phi_inv = inverse_and_det(phi, self.ring)[0]
+        mats = [matmul(matmul(phi, m, self.ring), phi_inv, self.ring)
                 for m in self.matrices]
         return Representation(self.ring, self.n, mats)
 
@@ -268,8 +215,8 @@ class Representation:
     def inverse_transpose(self):
         """The representation g -> (rho(g)^-1)^T used by the torsion convention."""
         return Representation(
-            self.ring, self.n, [_transpose(inv) for inv in self.inverses],
-            inverses=[_transpose(m) for m in self.matrices], dets=self.det_inverses,
+            self.ring, self.n, [transpose(inv) for inv in self.inverses],
+            inverses=[transpose(m) for m in self.matrices], dets=self.det_inverses,
         )
 
 
@@ -330,7 +277,7 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                     sign = -sign
                 shift = cr.beta_index * n
                 for label, c in autos[curve[s]].apply_label(labels[s]).terms.items():
-                    _accumulate(form, label << shift, sign * c)
+                    accumulate(form, label << shift, sign * c)
             forms.append(form)
 
     # multiply the forms on the right into a sparse {mask: coeff} state; a
@@ -352,7 +299,7 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                 key = mask | bit
                 if mask & bit or ~key & unreachable:
                     continue
-                _accumulate(nxt, key, c * (neg_f if (mask & above).bit_count() & 1 else f))
+                accumulate(nxt, key, c * (neg_f if (mask & above).bit_count() & 1 else f))
         state = nxt
         if not state:
             return ring.zero
@@ -360,15 +307,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
             raise AssertionError("degree conservation violated in contraction")
     total = state.get(full, ring.zero)
     return -total if sign_factor < 0 else total
-
-
-def _accumulate(terms, key, value):
-    acc = terms.get(key)
-    s = value if acc is None else acc + value
-    if s.is_zero():
-        terms.pop(key, None)
-    else:
-        terms[key] = s
 
 
 def evaluate_z_twisted(D: HeegaardDatum, n: int, rho_matrices=None,

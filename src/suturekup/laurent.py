@@ -10,7 +10,7 @@ by lex exponent, e.g. "t^-1 - 1 + t".
 
 from __future__ import annotations
 
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, accumulate
 
 
 class InexactDivision(ArithmeticError):
@@ -67,12 +67,7 @@ class LaurentRing:
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
             if not c.is_zero():
-                acc = out.get(exps)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
+                accumulate(out, exps, c)
         return LaurentPoly(self, out)
 
 
@@ -102,12 +97,7 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            acc = out.get(e)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            accumulate(out, e, c)
         return LaurentPoly(self.ring, out)
 
     def __neg__(self):
@@ -124,14 +114,7 @@ class LaurentPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = c1 * c2
-                acc = out.get(e)
-                s = p if acc is None else acc + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return LaurentPoly(self.ring, out)
 
     def scale_monomial(self, exps) -> "LaurentPoly":

@@ -1,0 +1,159 @@
+"""Dense square matrices over a NumberField or a LaurentRing.
+
+Matrices are lists of rows.  Determinants are fraction-free (Bareiss), so
+every division they make is exact in the ring; inverses are Gauss-Jordan
+over a field and the adjugate over a Laurent ring, where an invertible
+matrix has a unit (+- monomial) determinant.
+"""
+
+from __future__ import annotations
+
+from .laurent import LaurentRing, divide_exact
+
+
+def identity(n, ring):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+
+def matmul(A, B, ring):
+    cols = list(zip(*B))
+    out = []
+    for row in A:
+        out_row = []
+        for col in cols:
+            acc = ring.zero
+            for a, b in zip(row, col):
+                acc = acc + a * b
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+def assemble_blocks(blocks, n, ring):
+    """The dn x dn matrix whose (bi, bj) block of size n is blocks[bi][bj]."""
+    d = len(blocks)
+    big = [[ring.zero] * (d * n) for _ in range(d * n)]
+    for bi in range(d):
+        for bj in range(d):
+            for i, row in enumerate(blocks[bi][bj]):
+                big[bi * n + i][bj * n:bj * n + n] = row
+    return big
+
+
+def unit_inverse(x, ring):
+    """Inverse of a unit: any nonzero field element, a monomial Laurent polynomial."""
+    return x.inv_unit() if isinstance(ring, LaurentRing) else x.inv()
+
+
+def bareiss_det(matrix, ring):
+    """Exact fraction-free determinant over a field or Laurent ring.
+
+    Laurent entries are cleared to polynomial form by a tracked monomial shift
+    per row; Bareiss elimination then divides exactly at every step, by a
+    division prepared once per step for that step's divisor.
+    """
+    n = len(matrix)
+    if n == 0:
+        return ring.one
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    if isinstance(ring, LaurentRing):
+        shift = [0] * ring.nvars
+        rows = []
+        for row in matrix:
+            mins = None
+            for e in row:
+                if not e.is_zero():
+                    m = e.min_exponents()
+                    mins = m if mins is None else tuple(map(min, mins, m))
+            if mins is None:
+                return ring.zero
+            mins = tuple(min(x, 0) for x in mins)
+            shift = [a + b for a, b in zip(shift, mins)]
+            rows.append([e.scale_monomial(tuple(-x for x in mins)) for e in row])
+        return _bareiss(rows, ring).scale_monomial(tuple(shift))
+    return _bareiss([list(row) for row in matrix], ring)
+
+
+def _divider(pivot, ring):
+    """The exact division by pivot, prepared once."""
+    # over a field, and for a monomial pivot over a Laurent ring, the pivot is
+    # a unit, so multiplying by its inverse is exact
+    if isinstance(ring, LaurentRing) and not pivot.is_monomial():
+        return lambda a: divide_exact(a, pivot)
+    inv = unit_inverse(pivot, ring)
+    return lambda a: a * inv
+
+
+def _bareiss(M, ring):
+    """Bareiss elimination in place; every step divides by the previous pivot."""
+    n = len(M)
+    sign = 1
+    prev = ring.one
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            pivot_row = next(
+                (r for r in range(k + 1, n) if not M[r][k].is_zero()), None
+            )
+            if pivot_row is None:
+                return ring.zero
+            M[k], M[pivot_row] = M[pivot_row], M[k]
+            sign = -sign
+        divide = _divider(prev, ring)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = divide(M[k][k] * M[i][j] - M[i][k] * M[k][j])
+            M[i][k] = ring.zero
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def inverse_and_det(matrix, ring):
+    """Inverse and determinant; ValueError when the matrix is not invertible.
+
+    Over a field both come from one Gauss-Jordan pass.  Over a Laurent ring
+    the determinant must be a unit, and the inverse is the adjugate, with
+    cofactors from bareiss_det, times the inverse of that unit.
+    """
+    if not isinstance(ring, LaurentRing):
+        return _gauss_jordan(matrix, ring)
+    det = bareiss_det(matrix, ring)
+    if not det.is_monomial():
+        raise ValueError(f"determinant {det} is not a unit")
+    det_inv = det.inv_unit()
+    n = len(matrix)
+    # entry (i, j) is the (j, i) cofactor: drop row j and column i
+    inverse = [
+        [bareiss_det([row[:i] + row[i + 1:] for r, row in enumerate(matrix) if r != j],
+                     ring) * (det_inv if (i + j) % 2 == 0 else -det_inv)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    return inverse, det
+
+
+def _gauss_jordan(A, field):
+    """Gauss-Jordan inverse and determinant over a field; raises on singular input."""
+    n = len(A)
+    M = [list(row) + ident_row for row, ident_row in zip(A, identity(n, field))]
+    det = field.one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det = det * M[col][col]
+        inv = M[col][col].inv()
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and not M[r][col].is_zero():
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M], det

@@ -231,6 +231,16 @@ class FieldElement:
 QQ = NumberField([0, 1])
 
 
+def accumulate(terms, key, value):
+    """Add value to the sparse {key: coefficient} map, dropping a zero sum."""
+    acc = terms.get(key)
+    s = value if acc is None else acc + value
+    if s.is_zero():
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 def _integer_root(coeffs):
     """An integer root of the integer polynomial (constant term first), or None."""
     for m in _root_brackets(coeffs):

@@ -16,7 +16,8 @@ from .abelian import abelianize
 from .diagram import HeegaardDatum, Presentation, presentation
 from .hopf import ExteriorAlgebra
 from .kuperberg import EvaluationOptions, Representation, evaluate_z
-from .laurent import InexactDivision, LaurentPoly, LaurentRing, divide_exact, normalize_unit
+from .laurent import InexactDivision, LaurentPoly, divide_exact, normalize_unit
+from .linalg import assemble_blocks, bareiss_det, identity
 from .numberfield import QQ
 from .words import GroupRingElement, Word, fox_derivative, sigma
 
@@ -54,72 +55,20 @@ def fox_matrix(pres: Presentation, field=None) -> FoxMatrix:
     return FoxMatrix(pres, field)
 
 
-def bareiss_det(matrix, ring):
-    """Exact fraction-free determinant over a field or Laurent ring.
+def _fox_block_det(pres: Presentation, rep, field, torsion_convention):
+    """Bareiss determinant of the closed Fox block evaluated through rep.
 
-    Laurent entries are cleared to polynomial form by a tracked monomial shift
-    per row; Bareiss elimination then divides exactly at every step, by a
-    division prepared once per step for that step's divisor.
+    The torsion convention puts sigma(d rel_j / d gen_i) at block (i, j); the
+    crosscheck puts d rel_i / d gen_j there.
     """
-    n = len(matrix)
-    if n == 0:
-        return ring.one
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    if isinstance(ring, LaurentRing):
-        shift = [0] * ring.nvars
-        rows = []
-        for row in matrix:
-            mins = None
-            for e in row:
-                if not e.is_zero():
-                    m = e.min_exponents()
-                    mins = m if mins is None else tuple(map(min, mins, m))
-            if mins is None:
-                return ring.zero
-            mins = tuple(min(x, 0) for x in mins)
-            shift = [a + b for a, b in zip(shift, mins)]
-            rows.append([e.scale_monomial(tuple(-x for x in mins)) for e in row])
-        det = _bareiss(rows, ring, _laurent_divider)
-        return det.scale_monomial(tuple(shift))
-    return _bareiss([list(row) for row in matrix], ring, _field_divider)
-
-
-def _field_divider(pivot):
-    inv = pivot.inv()
-    return lambda a: a * inv
-
-
-def _laurent_divider(pivot):
-    # a monomial pivot is a unit, so multiplying by its inverse is exact
-    if pivot.is_monomial():
-        inv = pivot.inv_unit()
-        return lambda a: a * inv
-    return lambda a: divide_exact(a, pivot)
-
-
-def _bareiss(M, ring, divider):
-    """Bareiss elimination; divider(p) returns the exact division by p."""
-    n = len(M)
-    sign = 1
-    prev = ring.one
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, n) if not M[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return ring.zero
-            M[k], M[pivot_row] = M[pivot_row], M[k]
-            sign = -sign
-        divide = divider(prev)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = divide(M[k][k] * M[i][j] - M[i][k] * M[k][j])
-            M[i][k] = ring.zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return -det if sign < 0 else det
+    square = fox_matrix(pres, field).closed_square()
+    d = len(square)
+    blocks = [
+        [rep.apply_to_groupring(sigma(square[j][i]) if torsion_convention
+                                else square[i][j]) for j in range(d)]
+        for i in range(d)
+    ]
+    return bareiss_det(assemble_blocks(blocks, rep.n, rep.ring), rep.ring)
 
 
 @dataclass
@@ -144,29 +93,8 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
         if amap is None:
             amap = abelianize(pres.num_generators, pres.relators)
         rep = Representation.twisted(rho_matrices, amap, n, field)
-    fm = fox_matrix(pres, rep.ring.field)
-    square = fm.closed_square()
-    d = len(square)
-    # A_{i,j} = d(rel_j)/d(gen_i), entries inverted by sigma, then evaluated
-    blocks = [
-        [rep.apply_to_groupring(sigma(square[j][i])) for j in range(d)]
-        for i in range(d)
-    ]
-    big = _assemble_blocks(blocks, rep.n, rep.ring)
-    det = bareiss_det(big, rep.ring)
+    det = _fox_block_det(pres, rep, rep.ring.field, torsion_convention=True)
     return TorsionResult(det, normalize_unit(det))
-
-
-def _assemble_blocks(blocks, n, ring):
-    d = len(blocks)
-    big = [[ring.zero] * (d * n) for _ in range(d * n)]
-    for bi in range(d):
-        for bj in range(d):
-            m = blocks[bi][bj]
-            for i in range(n):
-                for j in range(n):
-                    big[bi * n + i][bj * n + j] = m[i][j]
-    return big
 
 
 @dataclass
@@ -191,11 +119,8 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
     rep = Representation.twisted(rho_matrices, amap, n, field)
     tor = twisted_torsion(pres, rep=rep)
     ring = rep.ring
-    m = rep.word_matrix(meridian)
-    factor = [
-        [m[i][j] - (ring.one if i == j else ring.zero) for j in range(n)]
-        for i in range(n)
-    ]
+    factor = [[a - b for a, b in zip(row, ident_row)]
+              for row, ident_row in zip(rep.word_matrix(meridian), identity(n, ring))]
     boundary = bareiss_det(factor, ring)
     if boundary.is_zero():
         raise ValueError("boundary factor det(t*rho(m) - I) vanishes")
@@ -236,14 +161,5 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
             rep = Representation(field, n, rho_matrices)
     H = ExteriorAlgebra(n, rep.ring)
     z = evaluate_z(D, H, rep, opts or EvaluationOptions())
-
-    fm = fox_matrix(pres, field)
-    square = fm.closed_square()
-    d = len(square)
-    blocks = [
-        [rep.apply_to_groupring(square[i][j]) for j in range(d)]
-        for i in range(d)
-    ]
-    big = _assemble_blocks(blocks, n, rep.ring)
-    det = bareiss_det(big, rep.ring)
+    det = _fox_block_det(pres, rep, field, torsion_convention=False)
     return CrosscheckReport(z, det)

@@ -8,7 +8,7 @@ exponent) suffix, e.g. "a*alpha*a^-1*alpha^-1".
 
 from __future__ import annotations
 
-from .numberfield import FieldElement, NumberField, QQ
+from .numberfield import FieldElement, NumberField, QQ, accumulate
 
 
 class Word:
@@ -146,12 +146,7 @@ class GroupRingElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            accumulate(out, w, c)
         return GroupRingElement(self.field, out)
 
     def __neg__(self):
@@ -170,14 +165,7 @@ class GroupRingElement:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 * w2
-                p = c1 * c2
-                acc = out.get(w)
-                s = p if acc is None else acc + p
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+                accumulate(out, w1 * w2, c1 * c2)
         return GroupRingElement(self.field, out)
 
     def __repr__(self):
@@ -199,22 +187,11 @@ def fox_derivative(w: Word, g: int, field: NumberField = QQ) -> GroupRingElement
     for gen, e in w.letters:
         if gen == g:
             if e == 1:
-                key = Word(tuple(prefix))
-                _bump(terms, key, field.one)
+                accumulate(terms, Word(tuple(prefix)), field.one)
             else:
-                key = Word(tuple(prefix) + ((gen, -1),))
-                _bump(terms, key, -field.one)
+                accumulate(terms, Word(tuple(prefix) + ((gen, -1),)), -field.one)
         prefix.append((gen, e))
     return GroupRingElement(field, terms)
-
-
-def _bump(terms, w, c):
-    acc = terms.get(w)
-    s = c if acc is None else acc + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
 
 
 def sigma(e: GroupRingElement) -> GroupRingElement:

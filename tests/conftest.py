@@ -1,6 +1,9 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from importlib import resources
+
+from linalg_reference import minor_det
 
 from suturekup import (
     NumberField,
@@ -9,8 +12,12 @@ from suturekup import (
     abelianize,
     presentation,
 )
-from suturekup.hopf import _minor_det
-from suturekup.kuperberg import _mat_inv
+from suturekup.linalg import inverse_and_det
+
+
+def data_path(name):
+    """Path of a document shipped in suturekup/data."""
+    return str(resources.files("suturekup").joinpath("data", name))
 
 
 def random_invertible(rng, n, field=QQ, span=3):
@@ -21,7 +28,7 @@ def random_invertible(rng, n, field=QQ, span=3):
              for _ in range(n)]
             for _ in range(n)
         ]
-        if not _minor_det(m, list(range(n)), list(range(n)), field).is_zero():
+        if not minor_det(m, list(range(n)), list(range(n)), field).is_zero():
             return m
 
 
@@ -66,8 +73,4 @@ def figure_eight_sl2():
     one, zero = field.one, field.zero
     X = [[one, one], [zero, one]]
     Y = [[one, zero], [-xi, one]]
-    return field, [_mat_inv(X, field), Y]
-
-
-def identity_matrix(n, ring):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+    return field, [inverse_and_det(X, field)[0], Y]

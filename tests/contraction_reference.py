@@ -10,7 +10,6 @@ same contraction as a product of degree-one forms.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 from suturekup.diagram import (
     CLOSED,
@@ -108,23 +107,9 @@ def reference_evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra,
             total = total * scalar
         return total
 
-    def sum_chunk(chunk):
-        acc = ring.zero
-        for combo in chunk:
-            acc = acc + eval_term(combo)
-        return acc
-
-    combos = list(itertools.product(*per_alpha))
-    if opts.threads > 1 and len(combos) > 1:
-        size = (len(combos) + opts.threads - 1) // opts.threads
-        chunks = [combos[i:i + size] for i in range(0, len(combos), size)]
-        with ThreadPoolExecutor(max_workers=opts.threads) as pool:
-            partials = list(pool.map(sum_chunk, chunks))
-        total = ring.zero
-        for p in partials:  # fixed chunk order keeps output identical
-            total = total + p
-    else:
-        total = sum_chunk(combos)
+    total = ring.zero
+    for combo in itertools.product(*per_alpha):
+        total = total + eval_term(combo)
     return -total if sign_factor < 0 else total
 
 

@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stdout
 
 from conftest import homology_diag_matrices, random_invertible
+from linalg_reference import minor_det
 
 from suturekup import (
     ExteriorAlgebra,
@@ -33,9 +34,8 @@ from suturekup import (
     verify_axioms,
 )
 from suturekup.cli import main as cli_main
-from suturekup.files import presentation_from_data
-from suturekup.fixtures import FIGURE_EIGHT_WIRTINGER, figure_eight, trefoil
-from suturekup.hopf import _minor_det
+from suturekup.files import load_presentation
+from suturekup.fixtures import figure_eight, trefoil
 from suturekup.torsion import crosscheck
 
 
@@ -72,7 +72,7 @@ def test_criterion_2_figure_eight_against_wirtinger_oracle():
     z = evaluate_z_twisted(figure_eight(), 1)
     normalized = normalize_unit(z)
     assert str(normalized) == "1 - 3*t + t^2"
-    oracle = twisted_torsion(presentation_from_data(FIGURE_EIGHT_WIRTINGER))
+    oracle = twisted_torsion(load_presentation(_fixture_path("figure8_wirtinger.json")))
     assert normalized == oracle.normalized
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
@@ -119,7 +119,7 @@ def test_criterion_4_hopf_axiom_suite():
             T = random_invertible(rng, n)
             L = lambda_extend(T, H)
             r = r_of(L)
-            assert r == _minor_det(T, list(range(n)), list(range(n)), QQ)
+            assert r == minor_det(T, list(range(n)), list(range(n)), QQ)
             for label in H.labels:
                 assert H.integral_of(L.apply_label(label)) == H.integral(label) * r
     elapsed = time.monotonic() - start

@@ -295,3 +295,68 @@ def test_reducible_min_poly_is_one_line_error(tmp_path, capsys):
     rep = write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]], min_poly=(-1, 0, 1))
     assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
                           "min_poly", "reducible")
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(tmp_path, data, name="doc.json"):
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def test_top_level_array_is_one_line_error(tmp_path, capsys):
+    doc = write_json(tmp_path, [1, 2])
+    assert_one_line_error(capsys, ["kuperberg", doc, "--hopf", "exterior:1"],
+                          "diagram must be a JSON object")
+
+
+@pytest.mark.parametrize("key", ["dimension", "generators"])
+def test_representation_missing_key_is_one_line_error(tmp_path, capsys, key):
+    rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
+    del rep[key]
+    assert_one_line_error(capsys, ["kuperberg", data_path("figure8.json"), "--hopf",
+                                   "exterior:2", "--rep", write_json(tmp_path, rep)],
+                          f"representation misses key {key!r}")
+
+
+def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
+    diagram = read_json(data_path("trefoil.json"))
+    del diagram["beta"][0]["crossings"]
+    assert_one_line_error(capsys, ["validate", write_json(tmp_path, diagram)],
+                          "beta entry 1 misses key 'crossings'")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["kuperberg", "--hopf", "exterior:1"]])
+def test_document_without_diagram_keys_is_one_line_error(tmp_path, capsys, command):
+    doc = write_json(tmp_path, {"foo": 1})
+    assert_one_line_error(capsys, command[:1] + [doc] + command[1:],
+                          "diagram misses key 'alpha_closed'")
+
+
+def test_representation_without_meridian_is_one_line_error(tmp_path, capsys):
+    rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
+    del rep["meridian"]
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"),
+                                   write_json(tmp_path, rep)],
+                          "must name a meridian")
+
+
+@pytest.mark.parametrize("command", ["kuperberg", "crosscheck"])
+def test_representation_dimension_mismatch_is_one_line_error(tmp_path, capsys, command):
+    rep = write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]])
+    assert_one_line_error(capsys, [command, data_path("figure8.json"), "--hopf",
+                                   "exterior:3", "--rep", rep],
+                          "dimension does not match --hopf")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kuperberg", data_path("figure8.json"), "--hopf", "symmetric:2"],
+    ["crosscheck", "--hopf", "exterior:x", "--random", "1"],
+    ["axioms", "--hopf", "exterior"],
+])
+def test_unsupported_hopf_is_one_line_error(capsys, argv):
+    assert_one_line_error(capsys, argv, "unsupported Hopf algebra")

@@ -9,7 +9,7 @@ crosscheck computes.
 import random
 
 import pytest
-from conftest import random_invertible
+from conftest import figure_eight_sl2, random_invertible
 from contraction_reference import reference_evaluate_z
 
 from suturekup import (
@@ -22,7 +22,9 @@ from suturekup import (
     presentation,
     random_datum,
 )
+from suturekup import linalg
 from suturekup.diagram import CLOSED
+from suturekup.fixtures import figure_eight
 from suturekup.torsion import crosscheck
 
 
@@ -92,3 +94,23 @@ def test_crosscheck_d3_n4(seed, twisted):
     report = crosscheck(D, 4, mats, twisted=twisted)
     assert report.passed
     assert not report.z_value.is_zero()
+
+
+def test_contraction_calls_no_determinant(monkeypatch):
+    # the contraction must stay independent of the elimination the Fox side
+    # uses, or crosscheck would compare a routine with itself
+    field, mats = figure_eight_sl2()
+    D = figure_eight()
+    pres = presentation(D)
+    rep = Representation.twisted(mats, abelianize(pres.num_generators, pres.relators),
+                                 2, field)
+    H = ExteriorAlgebra(2, rep.ring)
+    want = evaluate_z(D, H, rep)
+
+    def refuse(*args):
+        raise AssertionError("the contraction called a determinant routine")
+
+    monkeypatch.setattr(linalg, "_bareiss", refuse)
+    monkeypatch.setattr(linalg, "_gauss_jordan", refuse)
+    got = evaluate_z(D, H, rep)
+    assert got == want and str(got) == "1 - 6*t + 10*t^2 - 6*t^3 + t^4"

@@ -1,21 +1,22 @@
 import random
 
 import pytest
+from algebra_doubles import GroupAlgebra, TableHopfSuperAlgebra
 from conftest import random_invertible
+from linalg_reference import minor_det, minor_image
 
 from suturekup import (
     ExteriorAlgebra,
-    GroupAlgebra,
     LaurentRing,
+    NumberField,
     QQ,
-    TableHopfSuperAlgebra,
     lambda_extend,
     r_of,
     super_permutation_sign,
-    twist_by_homology,
     verify_axioms,
 )
-from suturekup.hopf import Element, _mat_mul, _minor_det
+from suturekup.hopf import Element, HopfAutomorphism
+from suturekup.linalg import matmul
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -130,7 +131,7 @@ def test_lambda_extend_examples():
     rng = random.Random(2)
     T = random_invertible(rng, 2)
     LT = lambda_extend(T, H)
-    detT = _minor_det(T, [0, 1], [0, 1], QQ)
+    detT = minor_det(T, [0, 1], [0, 1], QQ)
     assert LT.apply(H.cointegral()) == H.cointegral().scale(detT)
 
     with pytest.raises(ValueError):
@@ -143,7 +144,7 @@ def test_lambda_functoriality():
     for _ in range(5):
         T1, T2 = random_invertible(rng, 3), random_invertible(rng, 3)
         L1, L2 = lambda_extend(T1, H), lambda_extend(T2, H)
-        L12 = lambda_extend(_mat_mul(T1, T2, QQ), H)
+        L12 = lambda_extend(matmul(T1, T2, QQ), H)
         for label in H.labels:
             assert L12.apply_label(label) == L1.apply(L2.apply_label(label))
 
@@ -161,11 +162,11 @@ def test_sum_to_convolution():
             for (l1, l2), c in H.comult(label).items():
                 acc = acc + (L1.apply_label(l1) * L2.apply_label(l2)).scale(c)
             Lsum_terms[label] = acc
-        det = _minor_det(Tsum, [0, 1], [0, 1], QQ)
+        det = minor_det(Tsum, [0, 1], [0, 1], QQ)
         if det.is_zero():
             # Lambda of a singular sum is still defined pointwise
             expected_images = {
-                l: _sum_image(Tsum, H, l) for l in H.labels
+                l: minor_image(Tsum, H, l) for l in H.labels
             }
         else:
             L = lambda_extend(Tsum, H)
@@ -174,19 +175,29 @@ def test_sum_to_convolution():
             assert Lsum_terms[label] == expected_images[label]
 
 
-def _sum_image(T, H, label):
-    import itertools
+XI = NumberField([1, 1, 1])
 
-    cols = [i for i in range(H.n) if label >> i & 1]
-    terms = {}
-    for rows in itertools.combinations(range(H.n), len(cols)):
-        d = _minor_det(T, list(rows), cols, QQ)
-        if not d.is_zero():
-            mask = 0
-            for r in rows:
-                mask |= 1 << r
-            terms[mask] = d
-    return Element(H, terms)
+
+def random_entry(rng, ring):
+    if isinstance(ring, LaurentRing):
+        return ring.from_terms({(rng.randint(-1, 1),): random_entry(rng, ring.field)
+                                for _ in range(rng.randint(0, 2))})
+    return ring.element([rng.randint(-2, 2) for _ in range(ring.degree)])
+
+
+@pytest.mark.parametrize("ring", [QQ, XI, LaurentRing(XI, 1)],
+                         ids=["QQ", "Q(xi)", "Q(xi)[t]"])
+def test_apply_label_matches_minors(ring):
+    # the ordered product of columns equals the expansion by minors at every
+    # degree, also for matrices that are not invertible
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        H = ExteriorAlgebra(n, ring)
+        for _ in range(3):
+            T = [[random_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+            auto = HopfAutomorphism(H, matrix=T)
+            for label in H.labels:
+                assert auto.apply_label(label) == minor_image(T, H, label)
 
 
 def test_decomposing_into_components():
@@ -211,7 +222,7 @@ def test_decomposing_into_components():
         cols = [i for i in range(src_n) if mask >> i & 1]
         out = {}
         for rows in itertools.combinations(range(dst_n), len(cols)):
-            d = _minor_det(M, list(rows), cols, QQ)
+            d = minor_det(M, list(rows), cols, QQ)
             if not d.is_zero():
                 mm = 0
                 for r in rows:
@@ -250,7 +261,7 @@ def test_r_of_examples():
     for _ in range(5):
         T1, T2 = random_invertible(rng, 2), random_invertible(rng, 2)
         L1, L2 = lambda_extend(T1, H), lambda_extend(T2, H)
-        assert r_of(L1) == _minor_det(T1, [0, 1], [0, 1], QQ)
+        assert r_of(L1) == minor_det(T1, [0, 1], [0, 1], QQ)
         assert r_of(L1.compose(L2)) == r_of(L1) * r_of(L2)
 
 
@@ -259,8 +270,6 @@ def test_r_of_rejects_non_automorphism():
     # a degree-preserving map that does not scale the cointegral
     bad = {l: H.basis_element(l) for l in H.labels}
     bad[0b11] = H.basis_element(0b11) + H.basis_element(0)
-    from suturekup.hopf import HopfAutomorphism
-
     with pytest.raises(ValueError):
         r_of(HopfAutomorphism(H, images=bad))
 
@@ -275,22 +284,6 @@ def test_mu_composed_with_automorphism_scales_by_r():
             r = r_of(L)
             for label in H.labels:
                 assert H.integral_of(L.apply_label(label)) == H.integral(label) * r
-
-
-def test_twist_by_homology():
-    ring = LaurentRing(QQ, 1)
-    H = ExteriorAlgebra(1, ring)
-    T = [[ring.one]]
-    tw = twist_by_homology(T, (1,), H)
-    assert tw.apply_label(1) == H.basis_element(1).scale(ring.monomial((1,)))
-    tw0 = twist_by_homology(T, (0,), H)
-    assert tw0.apply_label(1) == H.basis_element(1)
-    # r of the twist picks up t^n
-    H3 = ExteriorAlgebra(3, ring)
-    T3 = [[ring.from_rational(2) if i == j else ring.zero for j in range(3)]
-          for i in range(3)]
-    tw3 = twist_by_homology(T3, (1,), H3)
-    assert r_of(tw3) == ring.monomial((3,), QQ.from_rational(8))
 
 
 def test_super_permutation_sign():

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from conftest import figure_eight_sl2, random_invertible, trefoil_braid_sl2
+from conftest import data_path, figure_eight_sl2, random_invertible, trefoil_braid_sl2
+from linalg_reference import minor_det
 
 from suturekup import (
     LaurentRing,
@@ -21,11 +22,11 @@ from suturekup import (
     twisted_alexander_knot,
     twisted_torsion,
 )
-from suturekup.fixtures import FIGURE_EIGHT_WIRTINGER, figure_eight, trefoil
-from suturekup.files import presentation_from_data
-from suturekup import torsion as torsion_module
-from suturekup.hopf import ExteriorAlgebra, _minor_det
-from suturekup.torsion import _laurent_divider, crosscheck
+from suturekup import linalg
+from suturekup.files import load_presentation
+from suturekup.fixtures import figure_eight, trefoil
+from suturekup.hopf import ExteriorAlgebra
+from suturekup.torsion import crosscheck
 
 R1 = LaurentRing(QQ, 1)
 
@@ -115,7 +116,7 @@ def test_twisted_torsion_figure_eight_trivial():
 
 
 def test_wirtinger_oracle_matches_diagram():
-    wp = presentation_from_data(FIGURE_EIGHT_WIRTINGER)
+    wp = load_presentation(data_path("figure8_wirtinger.json"))
     oracle = twisted_torsion(wp).normalized
     diagram_side = twisted_torsion(presentation(figure_eight())).normalized
     assert str(oracle) == "1 - 3*t + t^2"
@@ -275,15 +276,15 @@ def test_bareiss_matches_permutation_expansion(ring, max_terms, monkeypatch):
     # record the pivots that go through divide_exact: a monomial pivot is a
     # unit and must be multiplied by its inverse instead
     calls = []
-    real = torsion_module.divide_exact
-    monkeypatch.setattr(torsion_module, "divide_exact",
+    real = linalg.divide_exact
+    monkeypatch.setattr(linalg, "divide_exact",
                         lambda a, b: calls.append(b) or real(a, b))
     rng = random.Random(4000 + max_terms)
     for size in range(1, 6):
         for _ in range(4 if size < 5 else 2):
             m = [[rand_entry(rng, ring, max_terms) for _ in range(size)]
                  for _ in range(size)]
-            want = _minor_det(m, list(range(size)), list(range(size)), ring)
+            want = minor_det(m, list(range(size)), list(range(size)), ring)
             got = bareiss_det(m, ring)
             assert got == want and str(got) == str(want)
     assert not any(b.is_monomial() for b in calls)
@@ -298,4 +299,4 @@ def test_laurent_divider_branches():
     other = ring.from_terms({(0, 0): XI.one, (1, 1): xi})
     a = ring.from_terms({(2, 0): XI.one, (0, 3): -xi})
     for pivot in (unit, other):
-        assert _laurent_divider(pivot)(a * pivot) == a
+        assert linalg._divider(pivot, ring)(a * pivot) == a
