@@ -14,20 +14,14 @@ import sys
 from contextlib import contextmanager
 
 from .abelian import abelianize
-from .diagram import presentation, random_datum, validate
-from .files import (
-    detect_input,
-    load_diagram,
-    load_presentation,
-    load_representation,
-)
+from .diagram import HeegaardDatum, presentation, random_datum, validate
+from .files import load_diagram, load_diagram_or_presentation, load_representation
 from .hopf import ExteriorAlgebra, verify_axioms
 from .kuperberg import (
     EvaluationOptions,
-    Representation,
     SingularRepresentationError,
     evaluate_z,
-    evaluate_z_twisted,
+    representation_for,
 )
 from .laurent import normalize_unit
 from .numberfield import QQ
@@ -54,9 +48,8 @@ def _naming_generators(names):
         raise
 
 
-def _load_valid_diagram(path):
-    """The diagram in path; an invalid one ends the command with exit code 1."""
-    D = load_diagram(path)
+def _valid(D):
+    """D; an invalid diagram ends the command with exit code 1."""
     report = validate(D)
     if not report.valid:
         raise SystemExit("invalid diagram: " + "; ".join(report.errors))
@@ -74,9 +67,8 @@ def _load_representation_file(args, n, names):
 
 
 def _load_presentation_any(path):
-    if detect_input(path) == "diagram":
-        return presentation(_load_valid_diagram(path))
-    return load_presentation(path)
+    doc = load_diagram_or_presentation(path)
+    return presentation(_valid(doc)) if isinstance(doc, HeegaardDatum) else doc
 
 
 def cmd_validate(args) -> int:
@@ -139,21 +131,14 @@ def cmd_twisted_alexander(args) -> int:
 
 
 def cmd_kuperberg(args) -> int:
-    D = _load_valid_diagram(args.diagram)
+    D = _valid(load_diagram(args.diagram))
     names = D.generator_names()
     n = _parse_hopf(args.hopf)
     field, matrices = _load_representation_file(args, n, names)
     opts = EvaluationOptions(homology_orientation_sign=args.sign)
     with _naming_generators(names):
-        if args.twisted:
-            value = evaluate_z_twisted(D, n, matrices, opts, field)
-        else:
-            if matrices is None:
-                rep = Representation.trivial(D.num_generators, n, field)
-            else:
-                rep = Representation(field, n, matrices)
-            H = ExteriorAlgebra(n, field)
-            value = evaluate_z(D, H, rep, opts)
+        rep = representation_for(presentation(D), n, matrices, field, args.twisted)
+        value = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
     print(value)
     return 0
 
@@ -171,7 +156,7 @@ def cmd_crosscheck(args) -> int:
             print(f"seed {seed}: {status}")
             failures += not report.passed
         return 1 if failures else 0
-    D = _load_valid_diagram(args.diagram)
+    D = _valid(load_diagram(args.diagram))
     names = D.generator_names()
     field, matrices = _load_representation_file(args, n, names)
     with _naming_generators(names):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .abelian import AbelianizationMap, abelianize
+from .abelian import AbelianizationMap
 from .words import Word, fox_derivative
 
 CLOSED = "closed"
@@ -185,27 +185,36 @@ def validate(D: HeegaardDatum) -> ValidationReport:
     return report
 
 
-def relator_word(D: HeegaardDatum, j: int) -> Word:
-    """Word read along beta_j from its basepoint: one letter (gen)^sign per crossing."""
-    letters = []
+def beta_letters(D: HeegaardDatum, j: int) -> list:
+    """(crossing, (gen, sign)) along beta_j from its basepoint, unreduced."""
+    out = []
     for cid in D.betas[j].from_basepoint():
         c = D.crossings[cid]
-        letters.append((D.generator_of(c), c.sign))
-    return Word(letters)
+        out.append((c, (D.generator_of(c), c.sign)))
+    return out
+
+
+def subword_length(D: HeegaardDatum, crossing_id: str) -> int:
+    """Number of beta letters in the crossing's subword.
+
+    The subword ends at the crossing's edge: just before a positive
+    crossing, just after a negative one (whose letter it then ends with).
+    """
+    c = D.crossings[crossing_id]
+    beta = D.betas[c.beta_index]
+    pos = beta.crossings.index(crossing_id)
+    return (pos - beta.basepoint) % len(beta.crossings) + (c.sign == -1)
+
+
+def relator_word(D: HeegaardDatum, j: int) -> Word:
+    """Word read along beta_j from its basepoint: one letter (gen)^sign per crossing."""
+    return Word([letter for _, letter in beta_letters(D, j)])
 
 
 def beta_subword(D: HeegaardDatum, crossing_id: str) -> Word:
     """Prefix of the relator before the crossing; negative crossings append g^-1."""
-    target = D.crossings[crossing_id]
-    letters = []
-    for cid in D.betas[target.beta_index].from_basepoint():
-        c = D.crossings[cid]
-        if cid == crossing_id:
-            if c.sign == -1:
-                letters.append((D.generator_of(c), -1))
-            return Word(letters)
-        letters.append((D.generator_of(c), c.sign))
-    raise ValueError(f"crossing {crossing_id} not found on its beta curve")
+    letters = beta_letters(D, D.crossings[crossing_id].beta_index)
+    return Word([letter for _, letter in letters[:subword_length(D, crossing_id)]])
 
 
 def presentation(D: HeegaardDatum) -> Presentation:
@@ -239,11 +248,6 @@ def fox_consistency(D: HeegaardDatum) -> bool:
     return True
 
 
-def diagram_abelianization(D: HeegaardDatum) -> AbelianizationMap:
-    pres = presentation(D)
-    return abelianize(pres.num_generators, pres.relators)
-
-
 # -- basepoints, multipoints and moves ---------------------------------------
 
 
@@ -252,12 +256,10 @@ def basepoints_from_multipoint(D: HeegaardDatum, x: Multipoint) -> HeegaardDatum
     x.validate(D)
     out = D.copy()
     for cid in x.crossing_ids:
-        c = D.crossings[cid]
-        beta = out.betas[c.beta_index]
-        pos = beta.crossings.index(cid)
-        k = len(beta.crossings)
-        new_bp = pos if c.sign == 1 else (pos + 1) % k
-        out.betas[c.beta_index] = BetaCurve(beta.crossings, new_bp)
+        j = D.crossings[cid].beta_index
+        beta = out.betas[j]
+        new_bp = (beta.basepoint + subword_length(D, cid)) % len(beta.crossings)
+        out.betas[j] = BetaCurve(beta.crossings, new_bp)
     return out
 
 
@@ -276,6 +278,17 @@ def _arc_word(D: HeegaardDatum, j: int, start: int, end: int) -> Word:
     return Word(letters)
 
 
+def multipoint_arc_words(D: HeegaardDatum, x: Multipoint, y: Multipoint) -> list:
+    """Per beta curve, the word of its arc from the edge of x's crossing to y's."""
+    x.validate(D)
+    y.validate(D)
+    words = []
+    for j in range(D.d):
+        qx, qy = (D.betas[j].basepoint + subword_length(D, m.on_beta(D, j).id) for m in (x, y))
+        words.append(_arc_word(D, j, qx, qy))
+    return words
+
+
 def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
                   h: AbelianizationMap):
     """Sum over beta curves of h(word of the arc from q(x) to q(y)).
@@ -283,20 +296,9 @@ def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
     This is the relative class attached to the ordered pair (y, x); it is
     antisymmetric in its arguments and additive along chains of multipoints.
     """
-    x.validate(D)
-    y.validate(D)
     total = [0] * h.rank
-    for j in range(D.d):
-        cx = x.on_beta(D, j)
-        cy = y.on_beta(D, j)
-        beta = D.betas[j]
-        k = len(beta.crossings)
-        px = beta.crossings.index(cx.id)
-        py = beta.crossings.index(cy.id)
-        qx = px if cx.sign == 1 else (px + 1) % k
-        qy = py if cy.sign == 1 else (py + 1) % k
-        img = h.word_image(_arc_word(D, j, qx, qy))
-        total = [a + b for a, b in zip(total, img)]
+    for word in multipoint_arc_words(D, x, y):
+        total = [a + b for a, b in zip(total, h.word_image(word))]
     return tuple(total)
 
 

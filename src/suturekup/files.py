@@ -17,13 +17,23 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
+def _read_document(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+_TYPE_NAMES = {list: "a list", dict: "an object"}
+
+
 def _require(data, keys, what):
-    """data, checked to be a JSON object holding every key; ValueError otherwise."""
+    """data, checked to be a JSON object holding each key with its type; ValueError if not."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
+    for key, kind in keys.items():
         if key not in data:
             raise ValueError(f"{what} misses key {key!r}")
+        if not isinstance(data[key], kind):
+            raise ValueError(f"{what} key {key!r} must be {_TYPE_NAMES[kind]}")
     return data
 
 
@@ -53,10 +63,10 @@ def diagram_to_data(D: HeegaardDatum) -> dict:
 
 
 def diagram_from_data(data: dict) -> HeegaardDatum:
-    _require(data, ("alpha_closed", "arcs", "beta"), "diagram")
+    _require(data, dict.fromkeys(("alpha_closed", "arcs", "beta"), list), "diagram")
     for family in ("alpha_closed", "arcs", "beta"):
         for i, entry in enumerate(data[family]):
-            _require(entry, ("crossings",), f"{family} entry {i + 1}")
+            _require(entry, {"crossings": list}, f"{family} entry {i + 1}")
     alphas = [list(entry["crossings"]) for entry in data["alpha_closed"]]
     arcs = [list(entry["crossings"]) for entry in data["arcs"]]
     alpha_names = [entry.get("name", f"alpha{i + 1}")
@@ -73,7 +83,11 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     crossings = {}
     for j, entry in enumerate(data["beta"]):
         ids = []
-        for cid, sign in entry["crossings"]:
+        for pair in entry["crossings"]:
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ValueError(f"beta entry {j + 1} key 'crossings' holds {pair!r}, "
+                                 "not an [id, sign] pair")
+            cid, sign = pair
             kind, idx = alpha_ref.get(cid, (CLOSED, -1))
             crossings[cid] = Crossing(cid, kind, idx, j, int(sign))
             ids.append(cid)
@@ -85,8 +99,7 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
 
 
 def load_diagram(path) -> HeegaardDatum:
-    with open(path, encoding="utf-8") as fh:
-        return diagram_from_data(json.load(fh))
+    return diagram_from_data(_read_document(path))
 
 
 def save_diagram(path, D: HeegaardDatum):
@@ -107,7 +120,7 @@ def presentation_to_data(pres: Presentation) -> dict:
 
 
 def presentation_from_data(data: dict) -> Presentation:
-    _require(data, ("generators", "relators"), "presentation")
+    _require(data, {"generators": list, "relators": list}, "presentation")
     names = list(data["generators"])
     closed = int(data.get("closed_count", len(names)))
     relators = [parse_word(s, names) for s in data["relators"]]
@@ -115,8 +128,7 @@ def presentation_from_data(data: dict) -> Presentation:
 
 
 def load_presentation(path) -> Presentation:
-    with open(path, encoding="utf-8") as fh:
-        return presentation_from_data(json.load(fh))
+    return presentation_from_data(_read_document(path))
 
 
 # -- representation files ----------------------------------------------------
@@ -138,7 +150,7 @@ class RepresentationFile:
 
 
 def representation_from_data(data: dict) -> RepresentationFile:
-    _require(data, ("dimension", "generators"), "representation")
+    _require(data, {"dimension": object, "generators": dict}, "representation")
     field = NumberField(data.get("min_poly", [0, 1]))
     n = int(data["dimension"])
     matrices = {}
@@ -150,16 +162,25 @@ def representation_from_data(data: dict) -> RepresentationFile:
 
 
 def load_representation(path) -> RepresentationFile:
-    with open(path, encoding="utf-8") as fh:
-        return representation_from_data(json.load(fh))
+    return representation_from_data(_read_document(path))
 
 
-def detect_input(path) -> str:
-    """"diagram" or "presentation", keyed on the document's fields."""
-    with open(path, encoding="utf-8") as fh:
-        data = _require(json.load(fh), (), "input document")
-    if "beta" in data:
+def _input_kind(data, path) -> str:
+    if "beta" in _require(data, {}, "input document"):
         return "diagram"
     if "relators" in data:
         return "presentation"
     raise ValueError(f"{path}: neither a diagram nor a presentation file")
+
+
+def detect_input(path) -> str:
+    """"diagram" or "presentation", keyed on the document's fields."""
+    return _input_kind(_read_document(path), path)
+
+
+def load_diagram_or_presentation(path):
+    """The HeegaardDatum or Presentation in path, dispatched on its fields."""
+    data = _read_document(path)
+    if _input_kind(data, path) == "diagram":
+        return diagram_from_data(data)
+    return presentation_from_data(data)

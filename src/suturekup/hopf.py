@@ -410,41 +410,6 @@ class HopfAutomorphism:
                 return False
         return True
 
-    def commutes_with_structure(self) -> bool:
-        H = self.algebra
-        for a in H.labels:
-            if self.apply(H.antipode(a)) != H.antipode_of(self.apply_label(a)):
-                return False
-            if H.counit_of(self.apply_label(a)) != H.counit(a):
-                return False
-            for b in H.labels:
-                if self.apply(H.mult(a, b)) != self.apply_label(a) * self.apply_label(b):
-                    return False
-            lhs = H.comult_of(self.apply_label(a))
-            rhs = map_tensor_slots(
-                H.iterated_coproduct(H.basis_element(a), 2), self.apply_label
-            )
-            if lhs != rhs:
-                return False
-        return True
-
-
-def map_tensor_slots(t: TensorElement, f) -> TensorElement:
-    """Apply a degree-preserving label map f: label -> Element to every slot."""
-    H = t.algebra
-    out = TensorElement(H, t.k, {})
-    for labels, c in t.terms.items():
-        expanded = {(): c}
-        for l in labels:
-            img = f(l)
-            new = {}
-            for prefix, cc in expanded.items():
-                for l2, c2 in img.terms.items():
-                    accumulate(new, prefix + (l2,), cc * c2)
-            expanded = new
-        out = out + TensorElement(H, t.k, expanded)
-    return out
-
 
 def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
     """Multiplicative extension of an invertible n x n matrix to Lambda(V).

@@ -21,7 +21,7 @@ exterior monomials instead of summing the prod_i L_i^n coproduct terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abelian import abelianize
 from .diagram import (
@@ -29,18 +29,21 @@ from .diagram import (
     HeegaardDatum,
     Multipoint,
     basepoints_from_multipoint,
-    beta_subword,
+    beta_letters,
     move_basepoint,
+    multipoint_arc_words,
     presentation,
     reverse_alpha,
     reverse_beta,
     rotate_alpha_basepoint,
+    subword_length,
     swap_alpha_order,
     validate,
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
-from .linalg import bareiss_det, identity, inverse_and_det, matmul, transpose, unit_inverse
+from .linalg import (SingularMatrix, bareiss_det, identity, inverse_and_det, matmul,
+                     transpose, unit_inverse)
 from .numberfield import QQ, accumulate
 from .words import Word
 
@@ -71,24 +74,18 @@ class SingularRepresentationError(EvaluationError):
 @dataclass
 class EvaluationOptions:
     homology_orientation_sign: int = 1
-    twisted: bool = False
     reference_multipoint: Multipoint | None = None
     debug: bool = False
 
     def flipped(self) -> "EvaluationOptions":
-        return EvaluationOptions(
-            -self.homology_orientation_sign,
-            self.twisted,
-            self.reference_multipoint,
-            self.debug,
-        )
+        return replace(self, homology_orientation_sign=-self.homology_orientation_sign)
 
 
 def _inverse_and_det(matrix, ring, generator):
     """Inverse and determinant of a generator's matrix; raises when it has none."""
     try:
         return inverse_and_det(matrix, ring)
-    except ValueError:
+    except SingularMatrix:
         raise SingularRepresentationError(generator, bareiss_det(matrix, ring)) from None
 
 
@@ -105,12 +102,12 @@ class Representation:
     otherwise they are computed.
     """
 
-    def __init__(self, ring, n, matrices, verified_relators=False,
-                 inverses=None, dets=None):
+    def __init__(self, ring, n, matrices, inverses=None, dets=None):
         self.ring = ring
         self.n = n
         self.matrices = [[list(row) for row in m] for m in matrices]
-        self.verified_relators = verified_relators
+        self.identity = identity(n, ring)
+        self.verified_relators = False
         for m in self.matrices:
             _check_shape(m, n)
         if inverses is None:
@@ -154,12 +151,16 @@ class Representation:
     def num_generators(self):
         return len(self.matrices)
 
-    def word_matrix(self, w: Word):
-        out = None
-        for g, e in w.letters:
+    def prefix_matrices(self, letters):
+        """Images of every prefix of the (gen, sign) letters, the empty one first."""
+        out = [self.identity]
+        for g, e in letters:
             m = self.matrices[g] if e == 1 else self.inverses[g]
-            out = m if out is None else matmul(out, m, self.ring)
-        return identity(self.n, self.ring) if out is None else out
+            out.append(m if len(out) == 1 else matmul(out[-1], m, self.ring))
+        return out
+
+    def word_matrix(self, w: Word):
+        return self.prefix_matrices(w.letters)[-1]
 
     def r_of_word(self, w: Word):
         """Determinant of the word's image (the value of r_H on the automorphism)."""
@@ -187,9 +188,8 @@ class Representation:
     def check_relators(self, pres):
         """Words whose image is not the identity (a warning, not an error)."""
         bad = []
-        ident = identity(self.n, self.ring)
         for j, rel in enumerate(pres.relators):
-            if self.word_matrix(rel) != ident:
+            if self.word_matrix(rel) != self.identity:
                 bad.append(j)
         self.verified_relators = not bad
         return bad
@@ -220,6 +220,22 @@ class Representation:
         )
 
 
+def representation_for(pres, n, rho_matrices=None, field=None, twisted=False):
+    """The representation a presentation is evaluated through.
+
+    The given matrices over field (identity matrices when None, QQ when no
+    field is given); twisted, each generator's matrix times the monomial of
+    its class in the free abelianization, over the Laurent ring.
+    """
+    field = field if field is not None else QQ
+    if twisted:
+        amap = abelianize(pres.num_generators, pres.relators)
+        return Representation.twisted(rho_matrices, amap, n, field)
+    if rho_matrices is None:
+        return Representation.trivial(pres.num_generators, n, field)
+    return Representation(field, n, rho_matrices)
+
+
 def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                opts: EvaluationOptions | None = None):
     """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
@@ -240,22 +256,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     if opts.homology_orientation_sign not in (1, -1):
         raise EvaluationError("homology orientation sign must be +1 or -1")
 
-    # tensor slots: crossings on closed curves, in traversal order
-    alpha_slots = []
-    slot_pos = {}
-    for i, curve in enumerate(D.alphas):
-        for cid in curve:
-            slot_pos[cid] = len(alpha_slots)
-            alpha_slots.append(cid)
-    beta_order = []
-    for j, beta in enumerate(D.betas):
-        group = [cid for cid in beta.from_basepoint()
-                 if D.crossings[cid].alpha_kind == CLOSED]
-        beta_order.append(group)
-    perm = [slot_pos[cid] for group in beta_order for cid in group]
-    if sorted(perm) != list(range(len(alpha_slots))):
-        raise EvaluationError("slot bookkeeping mismatch between curve families")
-
     # Every map in the contraction is an even superalgebra morphism of the
     # supercommutative Lambda(V), and c^{(x)d} is the ordered product of the
     # generators X_k^{(i)}.  So Z is the top coefficient, in Lambda(V^{+d}),
@@ -263,7 +263,15 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     #   Phi(X_k^{(i)}) = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k
     # placed on beta(x); X_r on beta j is the bit j*n + r.
     n = H.n
-    autos = {cid: rep.automorphism(beta_subword(D, cid), H) for cid in alpha_slots}
+    # rho(subword_x) for each closed crossing x, from one prefix walk per beta
+    autos = {}
+    for j in range(D.d):
+        letters = beta_letters(D, j)
+        ends = {c.id: subword_length(D, c.id) for c, _ in letters if c.alpha_kind == CLOSED}
+        walk = letters[:max(ends.values(), default=0)]
+        prefixes = rep.prefix_matrices([letter for _, letter in walk])
+        for cid, end in ends.items():
+            autos[cid] = HopfAutomorphism(H, matrix=prefixes[end])
     forms = []
     for curve in D.alphas:
         for k in range(n):
@@ -317,11 +325,8 @@ def evaluate_z_twisted(D: HeegaardDatum, n: int, rho_matrices=None,
     each generator's homology class; callers compare results up to units via
     laurent.normalize_unit.
     """
-    pres = presentation(D)
-    amap = abelianize(pres.num_generators, pres.relators)
-    rep = Representation.twisted(rho_matrices, amap, n, field)
-    H = ExteriorAlgebra(n, rep.ring)
-    return evaluate_z(D, H, rep, opts)
+    rep = representation_for(presentation(D), n, rho_matrices, field, twisted=True)
+    return evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
 
 
 def spinc_correction(D: HeegaardDatum, x: Multipoint, y: Multipoint,
@@ -332,21 +337,9 @@ def spinc_correction(D: HeegaardDatum, x: Multipoint, y: Multipoint,
     evaluation with basepoints from x equals this factor times the evaluation
     with basepoints from y.
     """
-    from .diagram import _arc_word
-
-    x.validate(D)
-    y.validate(D)
     out = rep.ring.one
-    for j in range(D.d):
-        cx = x.on_beta(D, j)
-        cy = y.on_beta(D, j)
-        beta = D.betas[j]
-        k = len(beta.crossings)
-        px = beta.crossings.index(cx.id)
-        py = beta.crossings.index(cy.id)
-        qx = px if cx.sign == 1 else (px + 1) % k
-        qy = py if cy.sign == 1 else (py + 1) % k
-        out = out * rep.r_of_word(_arc_word(D, j, qx, qy))
+    for word in multipoint_arc_words(D, x, y):
+        out = out * rep.r_of_word(word)
     return out
 
 

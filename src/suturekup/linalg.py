@@ -11,6 +11,10 @@ from __future__ import annotations
 from .laurent import LaurentRing, divide_exact
 
 
+class SingularMatrix(ValueError):
+    """The matrix has no inverse over its ring."""
+
+
 def identity(n, ring):
     return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
@@ -114,7 +118,7 @@ def _bareiss(M, ring):
 
 
 def inverse_and_det(matrix, ring):
-    """Inverse and determinant; ValueError when the matrix is not invertible.
+    """Inverse and determinant; SingularMatrix when the matrix is not invertible.
 
     Over a field both come from one Gauss-Jordan pass.  Over a Laurent ring
     the determinant must be a unit, and the inverse is the adjugate, with
@@ -124,7 +128,7 @@ def inverse_and_det(matrix, ring):
         return _gauss_jordan(matrix, ring)
     det = bareiss_det(matrix, ring)
     if not det.is_monomial():
-        raise ValueError(f"determinant {det} is not a unit")
+        raise SingularMatrix(f"determinant {det} is not a unit")
     det_inv = det.inv_unit()
     n = len(matrix)
     # entry (i, j) is the (j, i) cofactor: drop row j and column i
@@ -145,7 +149,7 @@ def _gauss_jordan(A, field):
     for col in range(n):
         pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
         if pivot is None:
-            raise ValueError("singular matrix")
+            raise SingularMatrix("singular matrix")
         if pivot != col:
             M[col], M[pivot] = M[pivot], M[col]
             det = -det

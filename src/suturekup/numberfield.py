@@ -3,10 +3,10 @@
 A field is described by a monic integer minimal polynomial m of degree D >= 1.
 An m of degree >= 2 with a rational root (by the rational-root test, an
 integer root) is rejected, which settles irreducibility for D <= 3; beyond
-that it is the caller's responsibility.  Elements are stored as tuples of D
-Fractions (coefficients of 1, x, ..., x^{D-1}).  D = 1 recovers the
-rationals.  Elements serialize as "a0 + a1*x + a2*x^2" with rational
-coefficients "p/q".
+that, inverting a zero divisor of a reducible m raises ValueError.  Elements
+are stored as tuples of D Fractions (coefficients of 1, x, ..., x^{D-1}).
+D = 1 recovers the rationals.  Elements serialize as "a0 + a1*x + a2*x^2"
+with rational coefficients "p/q".
 """
 
 from __future__ import annotations
@@ -171,24 +171,34 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse via extended Euclid in Q[x] mod min_poly."""
+        """Multiplicative inverse: the v with M v = e_0, by Gauss-Jordan over Q.
+
+        Column j of M is self * x^j.  ValueError when a nonzero element has
+        no inverse, which happens only for a reducible min_poly.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, (1 / self.vec[0],))
-        # r0 = min_poly, r1 = self; track s with s*self = r (mod min_poly)
-        r0 = [Fraction(c) for c in self.field.min_poly]
-        r1 = list(self.vec)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _polydivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _polysub(s0, _polymul(q, s1))
-        lead = _polylead(r0)
-        if _polydeg(r0) != 0:
-            raise ZeroDivisionError("element not invertible (min_poly reducible?)")
-        inv_vec = [c / lead for c in s0]
-        return self.field.element(inv_vec)
+        field = self.field
+        d = field.degree
+        if d == 1:
+            return FieldElement(field, (1 / self.vec[0],))
+        cols = [list(self.vec)]
+        for _ in range(d - 1):
+            cols.append(field._reduce([Fraction(0)] + cols[-1]))
+        rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(d)]
+        for c in range(d):
+            p = next((r for r in range(c, d) if rows[r][c]), None)
+            if p is None:
+                raise ValueError(f"{self} is not invertible: "
+                                 f"min_poly {list(field.min_poly)} is reducible")
+            rows[c], rows[p] = rows[p], rows[c]
+            pivot = rows[c][c]
+            rows[c] = [a / pivot for a in rows[c]]
+            for r in range(d):
+                f = rows[r][c]
+                if r != c and f:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+        return FieldElement(field, tuple(row[d] for row in rows))
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -290,51 +300,3 @@ def _evaluate(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _polydeg(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _polylead(p):
-    d = _polydeg(p)
-    return p[d] if d >= 0 else Fraction(0)
-
-
-def _polysub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return out
-
-
-def _polydivmod(a, b):
-    db = _polydeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a) + [Fraction(0)]
-    q = [Fraction(0)] * max(1, len(a))
-    lead = b[db]
-    for i in range(_polydeg(r) - db, -1, -1):
-        c = r[i + db] / lead
-        if c:
-            q[i] = c
-            for j in range(db + 1):
-                r[i + j] -= c * b[j]
-    return q, r

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import abelianize
 from .diagram import HeegaardDatum, Presentation, presentation
 from .hopf import ExteriorAlgebra
-from .kuperberg import EvaluationOptions, Representation, evaluate_z
+from .kuperberg import EvaluationOptions, Representation, evaluate_z, representation_for
 from .laurent import InexactDivision, LaurentPoly, divide_exact, normalize_unit
-from .linalg import assemble_blocks, bareiss_det, identity
+from .linalg import assemble_blocks, bareiss_det
 from .numberfield import QQ
 from .words import GroupRingElement, Word, fox_derivative, sigma
 
@@ -87,12 +86,12 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
     as rep, which then replaces rho_matrices, amap, n and field.
     """
     if rep is None:
-        field = field if field is not None else QQ
         if n is None:
             n = len(rho_matrices[0]) if rho_matrices else 1
         if amap is None:
-            amap = abelianize(pres.num_generators, pres.relators)
-        rep = Representation.twisted(rho_matrices, amap, n, field)
+            rep = representation_for(pres, n, rho_matrices, field, twisted=True)
+        else:
+            rep = Representation.twisted(rho_matrices, amap, n, field)
     det = _fox_block_det(pres, rep, rep.ring.field, torsion_convention=True)
     return TorsionResult(det, normalize_unit(det))
 
@@ -112,15 +111,13 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
     The twisted Alexander polynomial is the exact quotient when it exists;
     an inexact division is reported, not rationalized.
     """
-    field = field if field is not None else QQ
     if n is None:
         n = len(rho_matrices[0]) if rho_matrices else 1
-    amap = abelianize(pres.num_generators, pres.relators)
-    rep = Representation.twisted(rho_matrices, amap, n, field)
+    rep = representation_for(pres, n, rho_matrices, field, twisted=True)
     tor = twisted_torsion(pres, rep=rep)
     ring = rep.ring
     factor = [[a - b for a, b in zip(row, ident_row)]
-              for row, ident_row in zip(rep.word_matrix(meridian), identity(n, ring))]
+              for row, ident_row in zip(rep.word_matrix(meridian), rep.identity)]
     boundary = bareiss_det(factor, ring)
     if boundary.is_zero():
         raise ValueError("boundary factor det(t*rho(m) - I) vanishes")
@@ -149,17 +146,8 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
     closed generators, with no sigma and no unit normalization; for the
     twisted case both sides carry the homology monomials.
     """
-    field = field if field is not None else QQ
     pres = presentation(D)
-    if twisted:
-        amap = abelianize(pres.num_generators, pres.relators)
-        rep = Representation.twisted(rho_matrices, amap, n, field)
-    else:
-        if rho_matrices is None:
-            rep = Representation.trivial(pres.num_generators, n, field)
-        else:
-            rep = Representation(field, n, rho_matrices)
-    H = ExteriorAlgebra(n, rep.ring)
-    z = evaluate_z(D, H, rep, opts or EvaluationOptions())
+    rep = representation_for(pres, n, rho_matrices, field, twisted)
+    z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts or EvaluationOptions())
     det = _fox_block_det(pres, rep, field, torsion_convention=False)
     return CrosscheckReport(z, det)

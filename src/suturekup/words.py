@@ -51,9 +51,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def max_generator(self) -> int:
-        return max((g for g, _ in self.letters), default=-1)
-
     def exponent_sums(self, num_generators: int):
         sums = [0] * num_generators
         for g, e in self.letters:

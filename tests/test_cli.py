@@ -291,10 +291,18 @@ def test_kuperberg_singular_matrix_is_one_line_error(tmp_path, capsys):
                           "generator 'alpha'", "not invertible")
 
 
-def test_reducible_min_poly_is_one_line_error(tmp_path, capsys):
-    rep = write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]], min_poly=(-1, 0, 1))
-    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
-                          "min_poly", "reducible")
+@pytest.mark.parametrize("min_poly, entry, command", [
+    pytest.param((-1, 0, 1), "1", "twisted-alexander", id="root-twisted-alexander"),
+    # (x^2 + 1)(x^2 + 2): no rational root, and 1 + x^2 is a zero divisor
+    pytest.param((2, 0, 3, 0, 1), "1 + x^2", "twisted-alexander",
+                 id="zero-divisor-twisted-alexander"),
+    pytest.param((2, 0, 3, 0, 1), "1 + x^2", "kuperberg", id="zero-divisor-kuperberg"),
+])
+def test_reducible_min_poly_is_one_line_error(tmp_path, capsys, min_poly, entry, command):
+    rep = write_figure8_rep(tmp_path, [[entry, "1"], ["0", "1"]], min_poly=min_poly)
+    options = [rep] if command == "twisted-alexander" else ["--hopf", "exterior:2", "--rep", rep]
+    argv = [command, data_path("figure8.json")] + options
+    assert_one_line_error(capsys, argv, f"min_poly {list(min_poly)}", "reducible")
 
 
 def read_json(path):
@@ -328,6 +336,38 @@ def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
     del diagram["beta"][0]["crossings"]
     assert_one_line_error(capsys, ["validate", write_json(tmp_path, diagram)],
                           "beta entry 1 misses key 'crossings'")
+
+
+@pytest.mark.parametrize("path, message", [
+    pytest.param(("beta", 0, "crossings"), "beta entry 1 key 'crossings' must be a list",
+                 id="beta-crossings-int"),
+    pytest.param(("alpha_closed",), "diagram key 'alpha_closed' must be a list",
+                 id="alpha-closed-int"),
+    pytest.param(("beta", 0, "crossings", 0),
+                 "beta entry 1 key 'crossings' holds 5, not an [id, sign] pair",
+                 id="beta-crossing-not-pair"),
+])
+def test_diagram_value_of_wrong_type_is_one_line_error(tmp_path, capsys, path, message):
+    diagram = read_json(data_path("trefoil.json"))
+    target = diagram
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 5
+    assert_one_line_error(capsys, ["validate", write_json(tmp_path, diagram)], message)
+
+
+def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
+    doc = write_json(tmp_path, {"generators": ["x"], "relators": "x"})
+    assert_one_line_error(capsys, ["presentation", doc],
+                          "presentation key 'relators' must be a list")
+
+
+def test_representation_generators_list_is_one_line_error(tmp_path, capsys):
+    rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
+    rep["generators"] = list(rep["generators"].values())
+    assert_one_line_error(capsys, ["kuperberg", data_path("figure8.json"), "--hopf",
+                                   "exterior:2", "--rep", write_json(tmp_path, rep)],
+                          "representation key 'generators' must be an object")
 
 
 @pytest.mark.parametrize("command", [["validate"], ["kuperberg", "--hopf", "exterior:1"]])

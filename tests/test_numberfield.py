@@ -20,7 +20,7 @@ def element_strategy(field):
     ).map(field.element)
 
 
-@pytest.mark.parametrize("field", [QQ, GAUSS, GOLDEN])
+@pytest.mark.parametrize("field", [QQ, GAUSS, GOLDEN, NumberField([-1, -1, 0, 0, 0, 1])])
 def test_field_axioms_on_random_elements(field):
     import random
 
@@ -43,6 +43,15 @@ def test_field_axioms_on_random_elements(field):
         assert a * field.one == a
         if not a.is_zero():
             assert a * a.inv() == field.one
+
+
+def test_inverse_of_zero_and_of_a_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        GOLDEN.zero.inv()
+    reducible = NumberField([2, 0, 3, 0, 1])       # (x^2 + 1)(x^2 + 2)
+    with pytest.raises(ValueError, match=r"min_poly \[2, 0, 3, 0, 1\] is reducible"):
+        reducible.element([1, 0, 1]).inv()
+    assert reducible.element([1, 1]) * reducible.element([1, 1]).inv() == reducible.one
 
 
 def test_gauss_relation():
