@@ -37,6 +37,21 @@ def _require(data, keys, what):
     return data
 
 
+def _integer(value, what):
+    """value, checked to be an int (not a bool, float or string); ValueError if not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _strings(values, what):
+    """values, checked to hold only strings; ValueError if not."""
+    for value in values:
+        if not isinstance(value, str):
+            raise ValueError(f"{what} holds {value!r}, not a string")
+    return values
+
+
 # -- diagram files -----------------------------------------------------------
 
 
@@ -67,6 +82,8 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     for family in ("alpha_closed", "arcs", "beta"):
         for i, entry in enumerate(data[family]):
             _require(entry, {"crossings": list}, f"{family} entry {i + 1}")
+            if family != "beta":
+                _strings(entry["crossings"], f"{family} entry {i + 1} key 'crossings'")
     alphas = [list(entry["crossings"]) for entry in data["alpha_closed"]]
     arcs = [list(entry["crossings"]) for entry in data["arcs"]]
     alpha_names = [entry.get("name", f"alpha{i + 1}")
@@ -84,14 +101,17 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     for j, entry in enumerate(data["beta"]):
         ids = []
         for pair in entry["crossings"]:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and type(pair[1]) is int):
                 raise ValueError(f"beta entry {j + 1} key 'crossings' holds {pair!r}, "
                                  "not an [id, sign] pair")
             cid, sign = pair
             kind, idx = alpha_ref.get(cid, (CLOSED, -1))
-            crossings[cid] = Crossing(cid, kind, idx, j, int(sign))
+            crossings[cid] = Crossing(cid, kind, idx, j, sign)
             ids.append(cid)
-        betas.append(BetaCurve(tuple(ids), int(entry.get("basepoint_index", 0))))
+        basepoint = _integer(entry.get("basepoint_index", 0),
+                             f"beta entry {j + 1} key 'basepoint_index'")
+        betas.append(BetaCurve(tuple(ids), basepoint))
     for cid, (kind, idx) in alpha_ref.items():
         if cid not in crossings:
             crossings[cid] = Crossing(cid, kind, idx, -1, 1)
@@ -121,9 +141,10 @@ def presentation_to_data(pres: Presentation) -> dict:
 
 def presentation_from_data(data: dict) -> Presentation:
     _require(data, {"generators": list, "relators": list}, "presentation")
-    names = list(data["generators"])
-    closed = int(data.get("closed_count", len(names)))
-    relators = [parse_word(s, names) for s in data["relators"]]
+    names = list(_strings(data["generators"], "presentation key 'generators'"))
+    closed = _integer(data.get("closed_count", len(names)), "presentation key 'closed_count'")
+    relators = [parse_word(s, names)
+                for s in _strings(data["relators"], "presentation key 'relators'")]
     return Presentation(len(names), closed, relators, names)
 
 
@@ -152,10 +173,11 @@ class RepresentationFile:
 def representation_from_data(data: dict) -> RepresentationFile:
     _require(data, {"dimension": object, "generators": dict}, "representation")
     field = NumberField(data.get("min_poly", [0, 1]))
-    n = int(data["dimension"])
+    n = _integer(data["dimension"], "representation key 'dimension'")
     matrices = {}
     for name, rows in data["generators"].items():
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"matrix for {name!r} is not {n}x{n}")
         matrices[name] = [[field.parse(str(entry)) for entry in row] for row in rows]
     return RepresentationFile(field, n, matrices, data.get("meridian"))

@@ -92,7 +92,7 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted((e, p.vec) for e, p in self.terms.items()))))
+        return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
         out = dict(self.terms)

@@ -3,23 +3,31 @@
 A field is described by a monic integer minimal polynomial m of degree D >= 1.
 An m of degree >= 2 with a rational root (by the rational-root test, an
 integer root) is rejected, which settles irreducibility for D <= 3; beyond
-that, inverting a zero divisor of a reducible m raises ValueError.  Elements
-are stored as tuples of D Fractions (coefficients of 1, x, ..., x^{D-1}).
-D = 1 recovers the rationals.  Elements serialize as "a0 + a1*x + a2*x^2"
-with rational coefficients "p/q".
+that, inverting a zero divisor of a reducible m raises ValueError.  An
+element is D integers (coefficients of 1, x, ..., x^{D-1}) over one positive
+common denominator, kept in lowest terms, so equal elements have equal
+integers.  Since m is monic with integer coefficients, products reduce modulo
+m without leaving the integers, and inverses come from fraction-free
+elimination on the integer multiplication matrix.  D = 1 recovers the
+rationals.  Elements serialize as "a0 + a1*x + a2*x^2" with rational
+coefficients "p/q".
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 
 class NumberField:
     """Q[x]/(min_poly), with min_poly given constant-coefficient first."""
 
     def __init__(self, min_poly):
-        coeffs = [int(c) for c in min_poly]
+        if not isinstance(min_poly, (list, tuple)) or any(type(c) is not int for c in min_poly):
+            raise ValueError(f"min_poly must be a list of integers, not {min_poly!r}")
+        coeffs = list(min_poly)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
         if len(coeffs) < 2:
@@ -31,8 +39,10 @@ class NumberField:
         if root is not None:
             raise ValueError(f"min_poly {coeffs} is reducible: x = {root} is a root")
         self.min_poly = tuple(coeffs)
-        # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1})
-        self._reduction = tuple(Fraction(-c) for c in coeffs[:-1])
+        # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1}); the nonzero c_j with their j
+        self._tail = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
+        self._zero = FieldElement(self, (0,) * self.degree, 1)
+        self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -46,44 +56,49 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        vec = [Fraction(c) for c in coeffs]
-        if len(vec) > self.degree:
-            vec = self._reduce(vec)
-        vec += [Fraction(0)] * (self.degree - len(vec))
-        return FieldElement(self, tuple(vec))
+        """The element with the given rational coefficients of 1, x, x^2, ...
+
+        Powers of x beyond D - 1 are reduced modulo min_poly.
+        """
+        pairs = [(c, 1) if type(c) is int else _ratio(c) for c in coeffs]
+        den = lcm(*(q for _, q in pairs))
+        num = self._reduce([p * (den // q) for p, q in pairs])
+        num += [0] * (self.degree - len(num))
+        return _canonical(self, tuple(num), den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([Fraction(q)])
+        p, q = (q, 1) if type(q) is int else _ratio(q)
+        return _canonical(self, (p,) + (0,) * (self.degree - 1), q)
 
     @property
     def zero(self) -> "FieldElement":
-        return self.from_rational(0)
+        return self._zero
 
     @property
     def one(self) -> "FieldElement":
-        return self.from_rational(1)
+        return self._one
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
             raise ValueError("degree-1 field has no generator beyond Q")
         return self.element([0, 1])
 
-    # -- internal polynomial reduction ----------------------------------------
+    # -- internal integer arithmetic ------------------------------------------
 
     def _reduce(self, vec):
-        vec = list(vec)
-        for i in range(len(vec) - 1, self.degree - 1, -1):
-            c = vec[i]
+        """The integer list vec (degree >= D allowed), reduced mod min_poly in place."""
+        d = self.degree
+        for i in range(len(vec) - 1, d - 1, -1):
+            c = vec.pop()
             if c:
-                for j, r in enumerate(self._reduction):
-                    vec[i - self.degree + j] += c * r
-            vec.pop()
+                for j, t in self._tail:
+                    vec[i - d + j] -= c * t
         return vec
 
     # -- parsing ---------------------------------------------------------------
 
     _TERM = re.compile(
-        r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+(?:/\d+)?)\s*(?:\*\s*)?)?"
+        r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*(?:\*\s*)?)?"
         r"(?:x(?:\^(?P<exp>\d+))?)?\s*"
     )
 
@@ -92,7 +107,7 @@ class NumberField:
         s = text.strip()
         if not s:
             raise ValueError("empty field element")
-        vec = [Fraction(0)] * self.degree
+        terms = []                      # (power of x, numerator, denominator)
         pos = 0
         first = True
         while pos < len(s):
@@ -106,86 +121,121 @@ class NumberField:
                 raise ValueError(f"empty term in {text!r}")
             has_x = "x" in s[pos:m.end()]
             k = int(exp) if exp is not None else (1 if has_x else 0)
-            coeff = Fraction(num) if num is not None else Fraction(1)
-            if sign == "-":
-                coeff = -coeff
+            p = int(num) if num is not None else 1
+            q = int(m.group("den") or 1)
+            if q == 0:
+                raise ValueError(f"zero denominator in field element {text!r}")
             if k >= self.degree:
                 raise ValueError(f"term x^{k} exceeds field degree {self.degree}")
-            vec[k] += coeff
+            terms.append((k, -p if sign == "-" else p, q))
             pos = m.end()
             first = False
-        return FieldElement(self, tuple(vec))
+        den = lcm(*(q for _, _, q in terms))
+        vec = [0] * self.degree
+        for k, p, q in terms:
+            vec[k] += p * (den // q)
+        return _canonical(self, tuple(vec), den)
 
 
 class FieldElement:
-    """Immutable element of a NumberField."""
+    """Immutable element num / den of a NumberField.
 
-    __slots__ = ("field", "vec")
+    num is a tuple of D ints and den a positive int with gcd(den, *num) == 1,
+    so equal elements have equal (num, den).
+    """
 
-    def __init__(self, field: NumberField, vec):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num, den):
         self.field = field
-        self.vec = vec
+        self.num = num
+        self.den = den
+
+    @property
+    def vec(self):
+        """The coefficients of 1, x, ..., x^{D-1} as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __bool__(self):
-        return any(self.vec)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.vec)
+        return not any(self.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
+            and self.num == other.num
+            and self.den == other.den
             and self.field == other.field
-            and self.vec == other.vec
         )
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.vec))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.vec, other.vec)))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.field, tuple(map(add, self.num, other.num)), da)
+        return _canonical(self.field,
+                          tuple(a * db + b * da for a, b in zip(self.num, other.num)),
+                          da * db)
 
     def __sub__(self, other):
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.vec, other.vec)))
+        da, db = self.den, other.den
+        if da == db:
+            return _canonical(self.field, tuple(map(sub, self.num, other.num)), da)
+        return _canonical(self.field,
+                          tuple(a * db - b * da for a, b in zip(self.num, other.num)),
+                          da * db)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.vec))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return FieldElement(self.field, tuple(a * q for a in self.vec))
-        d = self.field.degree
-        if d == 1:
-            return FieldElement(self.field, (self.vec[0] * other.vec[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.vec):
-            if a:
-                for j, b in enumerate(other.vec):
-                    if b:
-                        prod[i + j] += a * b
-        vec = self.field._reduce(prod)
-        vec += [Fraction(0)] * (d - len(vec))
-        return FieldElement(self.field, tuple(vec))
+        field = self.field
+        if type(other) is FieldElement:
+            den = self.den * other.den
+            if field.degree == 1:
+                return _canonical(field, (self.num[0] * other.num[0],), den)
+            prod = [0] * (2 * field.degree - 1)
+            for i, a in enumerate(self.num):
+                if a:
+                    for j, b in enumerate(other.num, i):
+                        prod[j] += a * b
+            return _canonical(field, tuple(field._reduce(prod)), den)
+        if isinstance(other, int):
+            return _canonical(field, tuple(a * other for a in self.num), self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _canonical(field, tuple(a * p for a in self.num),
+                              self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
-        """Multiplicative inverse: the v with M v = e_0, by Gauss-Jordan over Q.
+        """Multiplicative inverse, by fraction-free elimination over the integers.
 
-        Column j of M is self * x^j.  ValueError when a nonzero element has
-        no inverse, which happens only for a reducible min_poly.
+        With self = a / den and M the integer matrix whose column j is a * x^j,
+        Bareiss elimination of [M | e_0] gives det M and, by back-substitution,
+        the integer vector y = det(M) M^-1 e_0; the inverse is den * y / det M.
+        ValueError when a nonzero element has no inverse, which happens only
+        for a reducible min_poly.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         d = field.degree
+        num, den = self.num, self.den
         if d == 1:
-            return FieldElement(field, (1 / self.vec[0],))
-        cols = [list(self.vec)]
+            a = num[0]
+            return FieldElement(field, (den if a > 0 else -den,), abs(a))
+        cols = [list(num)]
         for _ in range(d - 1):
-            cols.append(field._reduce([Fraction(0)] + cols[-1]))
-        rows = [[col[i] for col in cols] + [Fraction(int(i == 0))] for i in range(d)]
+            cols.append(field._reduce([0] + cols[-1]))
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
         for c in range(d):
             p = next((r for r in range(c, d) if rows[r][c]), None)
             if p is None:
@@ -193,42 +243,53 @@ class FieldElement:
                                  f"min_poly {list(field.min_poly)} is reducible")
             rows[c], rows[p] = rows[p], rows[c]
             pivot = rows[c][c]
-            rows[c] = [a / pivot for a in rows[c]]
-            for r in range(d):
+            for r in range(c + 1, d):
                 f = rows[r][c]
-                if r != c and f:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-        return FieldElement(field, tuple(row[d] for row in rows))
+                rows[r] = [(pivot * a - f * b) // prev for a, b in zip(rows[r], rows[c])]
+            prev = pivot
+        det = prev
+        y = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            acc = det * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))
+            y[i] = acc // row[i]
+        if det < 0:
+            det = -det
+            y = [-c for c in y]
+        return _canonical(field, tuple(den * c for c in y), det)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def is_rational(self) -> bool:
-        return not any(self.vec[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.vec[0]
+        return Fraction(self.num[0], self.den)
 
     def leading_rational(self) -> Fraction:
         """Coefficient of the highest power of x present (0 for the zero element)."""
-        for c in reversed(self.vec):
+        for c in reversed(self.num):
             if c:
-                return c
+                return Fraction(c, self.den)
         return Fraction(0)
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.vec):
+        den = self.den
+        for k, c in enumerate(self.num):
             if not c:
                 continue
+            g = gcd(c, den)
+            p, q = abs(c) // g, den // g
+            mag = str(p) if q == 1 else f"{p}/{q}"
             if k == 0:
-                body = str(c if c > 0 else -c)
+                body = mag
             else:
-                mag = c if c > 0 else -c
                 var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == "1" else f"{mag}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -236,6 +297,23 @@ class FieldElement:
         return " ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+def _canonical(field, num, den):
+    """The element num / den of field (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return FieldElement(field, num, den)
+
+
+def _ratio(q):
+    """(numerator, denominator) of a rational number, or of anything Fraction accepts."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 QQ = NumberField([0, 1])

@@ -338,21 +338,27 @@ def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
                           "beta entry 1 misses key 'crossings'")
 
 
-@pytest.mark.parametrize("path, message", [
-    pytest.param(("beta", 0, "crossings"), "beta entry 1 key 'crossings' must be a list",
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("beta", 0, "crossings"), 5, "beta entry 1 key 'crossings' must be a list",
                  id="beta-crossings-int"),
-    pytest.param(("alpha_closed",), "diagram key 'alpha_closed' must be a list",
+    pytest.param(("alpha_closed",), 5, "diagram key 'alpha_closed' must be a list",
                  id="alpha-closed-int"),
-    pytest.param(("beta", 0, "crossings", 0),
+    pytest.param(("beta", 0, "crossings", 0), 5,
                  "beta entry 1 key 'crossings' holds 5, not an [id, sign] pair",
                  id="beta-crossing-not-pair"),
+    pytest.param(("alpha_closed", 0, "crossings", 0), ["x"],
+                 "alpha_closed entry 1 key 'crossings' holds ['x'], not a string",
+                 id="alpha-crossing-id-list"),
+    pytest.param(("beta", 0, "crossings", 0, 0), ["x"],
+                 "beta entry 1 key 'crossings' holds [['x'], 1], not an [id, sign] pair",
+                 id="beta-crossing-id-list"),
 ])
-def test_diagram_value_of_wrong_type_is_one_line_error(tmp_path, capsys, path, message):
+def test_diagram_value_of_wrong_type_is_one_line_error(tmp_path, capsys, path, value, message):
     diagram = read_json(data_path("trefoil.json"))
     target = diagram
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = 5
+    target[path[-1]] = value
     assert_one_line_error(capsys, ["validate", write_json(tmp_path, diagram)], message)
 
 
@@ -360,6 +366,35 @@ def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
     doc = write_json(tmp_path, {"generators": ["x"], "relators": "x"})
     assert_one_line_error(capsys, ["presentation", doc],
                           "presentation key 'relators' must be a list")
+
+
+@pytest.mark.parametrize("relators, message", [
+    pytest.param([5], "presentation key 'relators' holds 5, not a string", id="relator-int"),
+])
+def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, relators, message):
+    doc = write_json(tmp_path, {"generators": ["x"], "relators": relators})
+    assert_one_line_error(capsys, ["presentation", doc], message)
+
+
+@pytest.mark.parametrize("key, value, command, message", [
+    pytest.param("alpha", 5, "kuperberg", "matrix for 'alpha' is not 2x2", id="matrix-int"),
+    pytest.param("min_poly", [1, 1.7, 1], "twisted-alexander",
+                 "min_poly must be a list of integers", id="min-poly-float"),
+    pytest.param("dimension", 2.9, "twisted-alexander",
+                 "representation key 'dimension' must be an integer, not 2.9",
+                 id="dimension-float"),
+])
+def test_representation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value,
+                                                              command, message):
+    rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
+    if key in rep["generators"]:
+        rep["generators"][key] = value
+    else:
+        rep[key] = value
+    rep_path = write_json(tmp_path, rep)
+    options = [rep_path] if command == "twisted-alexander" else [
+        "--hopf", "exterior:2", "--rep", rep_path]
+    assert_one_line_error(capsys, [command, data_path("figure8.json")] + options, message)
 
 
 def test_representation_generators_list_is_one_line_error(tmp_path, capsys):

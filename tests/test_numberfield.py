@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from numberfield_reference import NumberField as ReferenceField
 
 from suturekup import NumberField, QQ
 from suturekup.numberfield import _integer_root
@@ -118,3 +119,43 @@ def test_integer_root_search_matches_brute_force(roots, cofactor):
     truth = {x for x in range(-100, 101) if sum(c * x**k for k, c in enumerate(poly)) == 0}
     found = _integer_root(poly)
     assert (found is None) == (not truth) and (found is None or found in truth)
+
+
+REFERENCE_POLYS = [[0, 1], [1, 0, 1], [-1, -1, 1], [-1, -1, 0, 0, 0, 1], [1, 1, 1]]
+
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+def assert_agrees(new, ref):
+    assert new.vec == ref.vec
+    assert str(new) == str(ref)
+    assert new.is_zero() == ref.is_zero()
+    assert new.is_rational() == ref.is_rational()
+    assert new.leading_rational() == ref.leading_rational()
+
+
+@pytest.mark.parametrize("min_poly", REFERENCE_POLYS,
+                         ids=["QQ", "x^2+1", "x^2-x-1", "x^5-x-1", "x^2+x+1"])
+@given(data=st.data())
+def test_integer_core_matches_fraction_reference(min_poly, data):
+    field, reference = NumberField(min_poly), ReferenceField(min_poly)
+    coeffs = st.lists(rationals, min_size=field.degree, max_size=field.degree)
+    a_coeffs, b_coeffs = data.draw(coeffs), data.draw(coeffs)
+    k, q = data.draw(st.integers(-30, 30)), data.draw(rationals)
+    a, b = field.element(a_coeffs), field.element(b_coeffs)
+    ra, rb = reference.element(a_coeffs), reference.element(b_coeffs)
+    assert_agrees(a, ra)
+    assert_agrees(b, rb)
+    assert_agrees(a + b, ra + rb)
+    assert_agrees(a - b, ra - rb)
+    assert_agrees(a * b, ra * rb)
+    assert_agrees(a * k, ra * k)
+    assert_agrees(k * a, k * ra)
+    assert_agrees(a * q, ra * q)
+    assert_agrees(q * a, q * ra)
+    if not ra.is_zero():
+        assert_agrees(a.inv(), ra.inv())
+    assert (a == b) == (ra == rb)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert field.parse(str(ra)) == a
