@@ -82,6 +82,8 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     for family in ("alpha_closed", "arcs", "beta"):
         for i, entry in enumerate(data[family]):
             _require(entry, {"crossings": list}, f"{family} entry {i + 1}")
+            if not isinstance(entry.get("name", ""), str):
+                raise ValueError(f"{family} entry {i + 1} key 'name' must be a string")
             if family != "beta":
                 _strings(entry["crossings"], f"{family} entry {i + 1} key 'crossings'")
     alphas = [list(entry["crossings"]) for entry in data["alpha_closed"]]

@@ -87,7 +87,7 @@ def commands():
     return out
 
 
-def main_record():
+def write_golden():
     os.environ.pop(SEED_ENV, None)
     records = []
     for argv in commands():
@@ -98,4 +98,4 @@ def main_record():
 
 
 if __name__ == "__main__":
-    main_record()
+    write_golden()

@@ -352,6 +352,8 @@ def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
     pytest.param(("beta", 0, "crossings", 0, 0), ["x"],
                  "beta entry 1 key 'crossings' holds [['x'], 1], not an [id, sign] pair",
                  id="beta-crossing-id-list"),
+    pytest.param(("alpha_closed", 0, "name"), ["a"],
+                 "alpha_closed entry 1 key 'name' must be a string", id="alpha-name-list"),
 ])
 def test_diagram_value_of_wrong_type_is_one_line_error(tmp_path, capsys, path, value, message):
     diagram = read_json(data_path("trefoil.json"))
@@ -368,12 +370,18 @@ def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
                           "presentation key 'relators' must be a list")
 
 
-@pytest.mark.parametrize("relators, message", [
-    pytest.param([5], "presentation key 'relators' holds 5, not a string", id="relator-int"),
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("relators", [5], "presentation key 'relators' holds 5, not a string",
+                 id="relator-int"),
+    pytest.param("generators", [["x"]], "presentation key 'generators' holds ['x'], not a string",
+                 id="generator-list"),
+    pytest.param("closed_count", 1.0, "presentation key 'closed_count' must be an integer",
+                 id="closed-count-float"),
 ])
-def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, relators, message):
-    doc = write_json(tmp_path, {"generators": ["x"], "relators": relators})
-    assert_one_line_error(capsys, ["presentation", doc], message)
+def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value, message):
+    doc = {"generators": ["x"], "relators": ["x"], "closed_count": 1}
+    doc[key] = value
+    assert_one_line_error(capsys, ["presentation", write_json(tmp_path, doc)], message)
 
 
 @pytest.mark.parametrize("key, value, command, message", [
