@@ -14,32 +14,21 @@ from .diagram import (
     Multipoint,
     Presentation,
     basepoints_from_multipoint,
-    beta_subword,
-    enumerate_multipoints,
     epsilon_class,
-    fox_consistency,
-    move_basepoint,
     presentation,
     random_datum,
     relator_word,
-    reverse_alpha,
-    reverse_beta,
-    swap_alpha_order,
     validate,
 )
 from .hopf import (
     ExteriorAlgebra,
     HopfAutomorphism,
     HopfSuperAlgebra,
-    lambda_extend,
-    r_of,
-    super_permutation_sign,
     verify_axioms,
 )
 from .kuperberg import (
     EvaluationOptions,
     Representation,
-    check_covariance_suite,
     evaluate_z,
     evaluate_z_twisted,
     spinc_correction,

@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twisted", action="store_true")
     p.add_argument("--sign", type=int, default=1, choices=(1, -1),
                    help="homology orientation sign")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_kuperberg)
 
     p = sub.add_parser("crosscheck",
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twisted", action="store_true")
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help=f"run N seeded random data (seed base from ${SEED_ENV})")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_crosscheck)
 
     p = sub.add_parser("axioms", help="verify the Hopf superalgebra axioms")

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 
 from .abelian import AbelianizationMap
-from .words import Word, fox_derivative
+from .words import Word
 
 CLOSED = "closed"
 ARC = "arc"
@@ -211,12 +211,6 @@ def relator_word(D: HeegaardDatum, j: int) -> Word:
     return Word([letter for _, letter in beta_letters(D, j)])
 
 
-def beta_subword(D: HeegaardDatum, crossing_id: str) -> Word:
-    """Prefix of the relator before the crossing; negative crossings append g^-1."""
-    letters = beta_letters(D, D.crossings[crossing_id].beta_index)
-    return Word([letter for _, letter in letters[:subword_length(D, crossing_id)]])
-
-
 def presentation(D: HeegaardDatum) -> Presentation:
     return Presentation(
         D.num_generators,
@@ -224,28 +218,6 @@ def presentation(D: HeegaardDatum) -> Presentation:
         [relator_word(D, j) for j in range(D.d)],
         D.generator_names(),
     )
-
-
-def fox_consistency(D: HeegaardDatum) -> bool:
-    """d(relator_j)/d(gen_i) must equal the signed sum of the crossing subwords."""
-    from .words import GroupRingElement
-
-    for j in range(D.d):
-        rel = relator_word(D, j)
-        for i in range(D.num_generators):
-            expected = GroupRingElement.zero()
-            for cid in D.betas[j].crossings:
-                c = D.crossings[cid]
-                if D.generator_of(c) == i:
-                    coeff = (
-                        expected.field.one if c.sign == 1 else -expected.field.one
-                    )
-                    expected = expected + GroupRingElement.from_word(
-                        beta_subword(D, cid), coeff=coeff
-                    )
-            if fox_derivative(rel, i) != expected:
-                return False
-    return True
 
 
 # -- basepoints, multipoints and moves ---------------------------------------
@@ -300,92 +272,6 @@ def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
     for word in multipoint_arc_words(D, x, y):
         total = [a + b for a, b in zip(total, h.word_image(word))]
     return tuple(total)
-
-
-def move_basepoint(D: HeegaardDatum, j: int, new_pos: int):
-    """Move beta_j's basepoint; returns (new datum, word of the traversed arc)."""
-    beta = D.betas[j]
-    k = len(beta.crossings)
-    if k == 0:
-        return D.copy(), Word.identity()
-    word = _arc_word(D, j, beta.basepoint, new_pos)
-    out = D.copy()
-    out.betas[j] = BetaCurve(beta.crossings, new_pos % k)
-    return out, word
-
-
-def reverse_alpha(D: HeegaardDatum, i: int) -> HeegaardDatum:
-    """Reverse closed alpha_i: traversal order reverses, its crossing signs flip."""
-    out = D.copy()
-    out.alphas[i] = list(reversed(out.alphas[i]))
-    on_curve = set(out.alphas[i])
-    for cid in on_curve:
-        c = out.crossings[cid]
-        out.crossings[cid] = Crossing(c.id, c.alpha_kind, c.alpha_index,
-                                      c.beta_index, -c.sign)
-    return out
-
-
-def reverse_beta(D: HeegaardDatum, j: int) -> HeegaardDatum:
-    """Reverse beta_j keeping the basepoint at the same edge; signs flip."""
-    out = D.copy()
-    beta = out.betas[j]
-    k = len(beta.crossings)
-    if k:
-        ordered = beta.from_basepoint()
-        out.betas[j] = BetaCurve(tuple(reversed(ordered)), 0)
-    for cid in beta.crossings:
-        c = out.crossings[cid]
-        out.crossings[cid] = Crossing(c.id, c.alpha_kind, c.alpha_index,
-                                      c.beta_index, -c.sign)
-    return out
-
-
-def rotate_alpha_basepoint(D: HeegaardDatum, i: int, shift: int) -> HeegaardDatum:
-    """Move alpha_i's basepoint past `shift` crossings (cyclic rotation)."""
-    out = D.copy()
-    curve = out.alphas[i]
-    if curve:
-        s = shift % len(curve)
-        out.alphas[i] = curve[s:] + curve[:s]
-    return out
-
-
-def swap_alpha_order(D: HeegaardDatum, i: int, k: int) -> HeegaardDatum:
-    """Swap closed curves i and k in the ordering (generators are renumbered)."""
-    out = D.copy()
-    out.alphas[i], out.alphas[k] = out.alphas[k], out.alphas[i]
-    if out.alpha_names:
-        out.alpha_names[i], out.alpha_names[k] = out.alpha_names[k], out.alpha_names[i]
-    remap = {i: k, k: i}
-    for cid, c in list(out.crossings.items()):
-        if c.alpha_kind == CLOSED and c.alpha_index in remap:
-            out.crossings[cid] = Crossing(c.id, c.alpha_kind, remap[c.alpha_index],
-                                          c.beta_index, c.sign)
-    return out
-
-
-def enumerate_multipoints(D: HeegaardDatum, limit=None):
-    """All multipoints of the diagram (bijections alpha_i -> crossing on beta_sigma(i))."""
-    per_alpha = []
-    for i in range(D.d):
-        per_alpha.append([cid for cid in D.alphas[i]
-                          if D.crossings[cid].alpha_kind == CLOSED])
-    out = []
-
-    def rec(i, used_betas, acc):
-        if limit is not None and len(out) >= limit:
-            return
-        if i == len(per_alpha):
-            out.append(Multipoint(tuple(acc)))
-            return
-        for cid in per_alpha[i]:
-            j = D.crossings[cid].beta_index
-            if j not in used_betas:
-                rec(i + 1, used_betas | {j}, acc + [cid])
-
-    rec(0, frozenset(), [])
-    return out
 
 
 def random_datum(seed: int, d: int, l: int, max_crossings: int) -> HeegaardDatum:

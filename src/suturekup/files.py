@@ -52,6 +52,16 @@ def _strings(values, what):
     return values
 
 
+def _distinct(names, what):
+    """Generator names, checked to hold no name twice; ValueError if not."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{what} names generator {name!r} twice")
+        seen.add(name)
+    return names
+
+
 # -- diagram files -----------------------------------------------------------
 
 
@@ -91,6 +101,7 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     alpha_names = [entry.get("name", f"alpha{i + 1}")
                    for i, entry in enumerate(data["alpha_closed"])]
     arc_names = [entry.get("name", f"a{i + 1}") for i, entry in enumerate(data["arcs"])]
+    _distinct(alpha_names + arc_names, "diagram")
     alpha_ref = {}
     for i, curve in enumerate(alphas):
         for cid in curve:
@@ -143,8 +154,12 @@ def presentation_to_data(pres: Presentation) -> dict:
 
 def presentation_from_data(data: dict) -> Presentation:
     _require(data, {"generators": list, "relators": list}, "presentation")
-    names = list(_strings(data["generators"], "presentation key 'generators'"))
+    names = _distinct(list(_strings(data["generators"], "presentation key 'generators'")),
+                      "presentation key 'generators'")
     closed = _integer(data.get("closed_count", len(names)), "presentation key 'closed_count'")
+    if not 0 <= closed <= len(names):
+        raise ValueError(f"presentation key 'closed_count' must lie in 0..{len(names)}, "
+                         f"not {closed}")
     relators = [parse_word(s, names)
                 for s in _strings(data["relators"], "presentation key 'relators'")]
     return Presentation(len(names), closed, relators, names)
@@ -182,7 +197,10 @@ def representation_from_data(data: dict) -> RepresentationFile:
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"matrix for {name!r} is not {n}x{n}")
         matrices[name] = [[field.parse(str(entry)) for entry in row] for row in rows]
-    return RepresentationFile(field, n, matrices, data.get("meridian"))
+    meridian = data.get("meridian")
+    if meridian is not None and not isinstance(meridian, str):
+        raise ValueError(f"representation key 'meridian' must be a string, not {meridian!r}")
+    return RepresentationFile(field, n, matrices, meridian)
 
 
 def load_representation(path) -> RepresentationFile:

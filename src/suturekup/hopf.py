@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import itertools
 
-from .laurent import LaurentRing
-from .linalg import bareiss_det, matmul, unit_inverse
 from .numberfield import QQ, accumulate
 
 
@@ -298,50 +296,6 @@ class ExteriorAlgebra(HopfSuperAlgebra):
     def integral(self, label):
         return self.ring.one if label == (1 << self.n) - 1 else self.ring.zero
 
-    def iterated_coproduct(self, e: Element, k: int) -> TensorElement:
-        """Distribute each generator of each monomial over the k slots.
-
-        For a monomial X_A the expansion is the sum over slot assignments
-        f: A -> {1..k}; the Koszul sign is the inversion parity of the slot
-        sequence read in ascending generator order.
-        """
-        if k < 0:
-            raise ValueError("iterated coproduct needs k >= 0")
-        if k == 0:
-            return TensorElement(self, 0, {(): self.counit_of(e)})
-        out = {}
-        for label, coeff in e.terms.items():
-            gens = [i for i in range(self.n) if label >> i & 1]
-            for assign in itertools.product(range(k), repeat=len(gens)):
-                inv = 0
-                for i in range(len(gens)):
-                    for j in range(i + 1, len(gens)):
-                        if assign[i] > assign[j]:
-                            inv += 1
-                slots = [0] * k
-                for g, s in zip(gens, assign):
-                    slots[s] |= 1 << g
-                accumulate(out, tuple(slots), coeff if inv % 2 == 0 else -coeff)
-        return TensorElement(self, k, out)
-
-
-def super_permutation_sign(degrees, perm) -> int:
-    """Koszul sign of reordering homogeneous tensor factors.
-
-    degrees[i] is the degree of source slot i; perm[t] is the source slot
-    placed at target position t.  The sign is the product of (-1)^{|a||b|}
-    over source pairs that swap their relative order.
-    """
-    sign = 1
-    for t1 in range(len(perm)):
-        d1 = degrees[perm[t1]]
-        if d1 % 2 == 0:
-            continue
-        for t2 in range(t1 + 1, len(perm)):
-            if perm[t1] > perm[t2] and degrees[perm[t2]] % 2:
-                sign = -sign
-    return sign
-
 
 # -- automorphisms -----------------------------------------------------------
 
@@ -355,10 +309,6 @@ class HopfAutomorphism:
         self._images = dict(images) if images is not None else {}
         if matrix is None and images is None:
             raise ValueError("need a matrix or a full image table")
-
-    @property
-    def matrix(self):
-        return self._matrix
 
     def apply_label(self, label) -> Element:
         img = self._images.get(label)
@@ -386,63 +336,6 @@ class HopfAutomorphism:
                     self._images[prefix] = cached
                 img = cached
         return H.unit_element() if img is None else img
-
-    def apply(self, e: Element) -> Element:
-        out = Element(self.algebra, {})
-        for l, c in e.terms.items():
-            out = out + self.apply_label(l).scale(c)
-        return out
-
-    def compose(self, other: "HopfAutomorphism") -> "HopfAutomorphism":
-        """self after other."""
-        if self._matrix is not None and other._matrix is not None:
-            return HopfAutomorphism(
-                self.algebra, matrix=matmul(self._matrix, other._matrix, self.algebra.ring)
-            )
-        images = {l: self.apply(other.apply_label(l)) for l in self.algebra.labels}
-        return HopfAutomorphism(self.algebra, images=images)
-
-    def is_identity(self) -> bool:
-        one = self.algebra.ring.one
-        for l in self.algebra.labels:
-            img = self.apply_label(l)
-            if img.terms != {l: one}:
-                return False
-        return True
-
-
-def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
-    """Multiplicative extension of an invertible n x n matrix to Lambda(V).
-
-    Over a Laurent base ring the determinant must be a unit (+- monomial).
-    """
-    n = algebra.n
-    if len(T) != n or any(len(row) != n for row in T):
-        raise ValueError("matrix size does not match the exterior dimension")
-    d = bareiss_det(T, algebra.ring)
-    if d.is_zero():
-        raise ValueError("singular matrix cannot extend to an automorphism")
-    if isinstance(algebra.ring, LaurentRing) and not d.is_monomial():
-        raise ValueError("determinant is not a unit of the Laurent ring")
-    return HopfAutomorphism(algebra, matrix=[list(row) for row in T])
-
-
-def r_of(phi: HopfAutomorphism):
-    """The scalar r with phi(cointegral) = r * cointegral."""
-    H = phi.algebra
-    c = H.cointegral()
-    img = phi.apply(c)
-    (label, coeff), = c.terms.items()
-    extra = {l: v for l, v in img.terms.items() if l != label}
-    if extra:
-        raise ValueError("input does not scale the cointegral; not an automorphism")
-    got = img.terms.get(label)
-    if got is None:
-        raise ValueError("automorphism kills the cointegral")
-    if coeff == H.ring.one:
-        return got
-    # generic cointegral stored with a non-unit anchor coefficient
-    return got * unit_inverse(coeff, H.ring)
 
 
 # -- axiom verifier ----------------------------------------------------------

@@ -21,7 +21,7 @@ exterior monomials instead of summing the prod_i L_i^n coproduct terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .abelian import abelianize
 from .diagram import (
@@ -30,20 +30,15 @@ from .diagram import (
     Multipoint,
     basepoints_from_multipoint,
     beta_letters,
-    move_basepoint,
     multipoint_arc_words,
     presentation,
-    reverse_alpha,
-    reverse_beta,
-    rotate_alpha_basepoint,
     subword_length,
-    swap_alpha_order,
     validate,
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
 from .linalg import (SingularMatrix, bareiss_det, identity, inverse_and_det, matmul,
-                     transpose, unit_inverse)
+                     unit_inverse)
 from .numberfield import QQ, accumulate
 from .words import Word
 
@@ -169,9 +164,6 @@ class Representation:
             out = out * (self.dets[g] if e == 1 else self.det_inverses[g])
         return out
 
-    def automorphism(self, w: Word, algebra: ExteriorAlgebra) -> HopfAutomorphism:
-        return HopfAutomorphism(algebra, matrix=self.word_matrix(w))
-
     def apply_to_groupring(self, e, algebra_ring=None):
         """Image of a group-ring element as an n x n matrix over the base ring."""
         ring = self.ring
@@ -193,31 +185,6 @@ class Representation:
                 bad.append(j)
         self.verified_relators = not bad
         return bad
-
-    def conjugated(self, phi):
-        phi_inv = inverse_and_det(phi, self.ring)[0]
-        mats = [matmul(matmul(phi, m, self.ring), phi_inv, self.ring)
-                for m in self.matrices]
-        return Representation(self.ring, self.n, mats)
-
-    def with_generator_inverted(self, g):
-        mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
-        mats[g], inverses[g] = self.inverses[g], self.matrices[g]
-        dets[g] = self.det_inverses[g]
-        return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
-
-    def with_swapped(self, i, k):
-        mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
-        for seq in (mats, inverses, dets):
-            seq[i], seq[k] = seq[k], seq[i]
-        return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
-
-    def inverse_transpose(self):
-        """The representation g -> (rho(g)^-1)^T used by the torsion convention."""
-        return Representation(
-            self.ring, self.n, [transpose(inv) for inv in self.inverses],
-            inverses=[transpose(m) for m in self.matrices], dets=self.det_inverses,
-        )
 
 
 def representation_for(pres, n, rho_matrices=None, field=None, twisted=False):
@@ -261,7 +228,9 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     # generators X_k^{(i)}.  So Z is the top coefficient, in Lambda(V^{+d}),
     # of the ordered product of the degree-one forms
     #   Phi(X_k^{(i)}) = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k
-    # placed on beta(x); X_r on beta j is the bit j*n + r.
+    # placed on beta(x); X_r on beta j is the bit j*n + r.  Delta^L of the
+    # primitive X_k puts X_k in one slot with sign +1, and Lambda(T) sends
+    # X_k to column k of T, so each form reads column k of every rho(subword_x).
     n = H.n
     # rho(subword_x) for each closed crossing x, from one prefix walk per beta
     autos = {}
@@ -276,16 +245,11 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     for curve in D.alphas:
         for k in range(n):
             form = {}
-            expansion = H.iterated_coproduct(H.basis_element(1 << k), len(curve))
-            for labels, sign in expansion.terms.items():
-                # a primitive lands in exactly one slot
-                s = next(t for t, label in enumerate(labels) if label)
-                cr = D.crossings[curve[s]]
-                if cr.epsilon:
-                    sign = -sign
+            for cid in curve:
+                cr = D.crossings[cid]
                 shift = cr.beta_index * n
-                for label, c in autos[curve[s]].apply_label(labels[s]).terms.items():
-                    accumulate(form, label << shift, sign * c)
+                for label, c in autos[cid].apply_label(1 << k).terms.items():
+                    accumulate(form, label << shift, -c if cr.epsilon else c)
             forms.append(form)
 
     # multiply the forms on the right into a sparse {mask: coeff} state; a
@@ -341,75 +305,3 @@ def spinc_correction(D: HeegaardDatum, x: Multipoint, y: Multipoint,
     for word in multipoint_arc_words(D, x, y):
         out = out * rep.r_of_word(word)
     return out
-
-
-@dataclass
-class CovarianceReport:
-    checks: list = field(default_factory=list)
-
-    def record(self, name, ok):
-        self.checks.append((name, bool(ok)))
-
-    @property
-    def all_passed(self):
-        return all(ok for _, ok in self.checks)
-
-    def failures(self):
-        return [name for name, ok in self.checks if not ok]
-
-
-def check_covariance_suite(D: HeegaardDatum, H: ExteriorAlgebra,
-                           rep: Representation,
-                           opts: EvaluationOptions | None = None,
-                           conjugator=None) -> CovarianceReport:
-    """Exercise the transformation laws of the invariant on one datum.
-
-    Reversing a curve orientation is an odd change of the sign-ordering, so
-    those checks compare against the evaluation with the orientation sign
-    flipped; with that convention the stated factors hold verbatim.
-    """
-    opts = opts or EvaluationOptions()
-    report = CovarianceReport()
-    base = evaluate_z(D, H, rep, opts)
-
-    for j in range(D.d):
-        k = len(D.betas[j].crossings)
-        if k == 0:
-            continue
-        new_pos = (D.betas[j].basepoint + 1) % k
-        moved, word = move_basepoint(D, j, new_pos)
-        lhs = base
-        rhs = rep.r_of_word(word) * evaluate_z(moved, H, rep, opts)
-        report.record(f"basepoint move on beta {j}", lhs == rhs)
-
-    for i in range(D.d):
-        flipped = reverse_alpha(D, i)
-        rep2 = rep.with_generator_inverted(i)
-        lhs = evaluate_z(flipped, H, rep2, opts.flipped())
-        rhs = rep.dets[i] * base
-        report.record(f"alpha reversal on curve {i}", lhs == rhs)
-
-    for j in range(D.d):
-        flipped = reverse_beta(D, j)
-        lhs = evaluate_z(flipped, H, rep, opts.flipped())
-        report.record(f"beta reversal on curve {j}", lhs == base)
-
-    if conjugator is not None:
-        rep2 = rep.conjugated(conjugator)
-        report.record("conjugation invariance",
-                      evaluate_z(D, H, rep2, opts) == base)
-
-    for i in range(D.d):
-        if len(D.alphas[i]) > 1:
-            rotated = rotate_alpha_basepoint(D, i, 1)
-            report.record(f"alpha basepoint rotation on curve {i}",
-                          evaluate_z(rotated, H, rep, opts) == base)
-            break
-
-    if D.d >= 2:
-        swapped = swap_alpha_order(D, 0, 1)
-        rep2 = rep.with_swapped(0, 1)
-        lhs = evaluate_z(swapped, H, rep2, opts)
-        rhs = -base if H.cointegral_degree() % 2 else base
-        report.record("ordering swap of two closed curves", lhs == rhs)
-    return report

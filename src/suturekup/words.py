@@ -94,7 +94,10 @@ def parse_word(text: str, names) -> Word:
             raise ValueError(f"empty factor in word {text!r}")
         if "^" in chunk:
             name, _, exp = chunk.partition("^")
-            k = int(exp)
+            try:
+                k = int(exp)
+            except ValueError:
+                raise ValueError(f"exponent {exp!r} is not an integer in word {text!r}") from None
         else:
             name, k = chunk, 1
         if name not in index:

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import itertools
 
-from suturekup.diagram import (
-    CLOSED,
-    HeegaardDatum,
-    basepoints_from_multipoint,
-    beta_subword,
-    validate,
-)
-from suturekup.hopf import ExteriorAlgebra, super_permutation_sign
+from paper_laws import automorphism, beta_subword, super_permutation_sign
+
+from suturekup.diagram import CLOSED, HeegaardDatum, basepoints_from_multipoint, validate
+from suturekup.hopf import ExteriorAlgebra
 from suturekup.kuperberg import EvaluationError, EvaluationOptions, Representation
 
 
@@ -68,7 +64,7 @@ def reference_evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra,
     slot_maps = []
     for cid in alpha_slots:
         cr = D.crossings[cid]
-        auto = rep.automorphism(beta_subword(D, cid), H)
+        auto = automorphism(rep, beta_subword(D, cid), H)
         slot_maps.append(_SlotMap(H, auto, cr.epsilon))
 
     # Delta expansion per closed curve

@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 
 from conftest import homology_diag_matrices, random_invertible
 from linalg_reference import minor_det
+from paper_laws import check_covariance_suite, enumerate_multipoints, lambda_extend, r_of
 
 from suturekup import (
     ExteriorAlgebra,
@@ -19,15 +20,11 @@ from suturekup import (
     Word,
     abelianize,
     basepoints_from_multipoint,
-    check_covariance_suite,
-    enumerate_multipoints,
     evaluate_z,
     evaluate_z_twisted,
     fox_derivative,
-    lambda_extend,
     normalize_unit,
     presentation,
-    r_of,
     random_datum,
     spinc_correction,
     twisted_torsion,

@@ -223,17 +223,6 @@ def test_cmd_presentation():
     assert "relator 1: a*alpha*a^-1*alpha^-1*a^-1*alpha" in out
 
 
-def test_deterministic_output_across_threads():
-    runs = []
-    for threads in ("1", "3"):
-        code, out = run_cli(
-            "kuperberg", data_path("figure8.json"), "--hopf", "exterior:2",
-            "--twisted", "--threads", threads)
-        assert code == 0
-        runs.append(out)
-    assert runs[0] == runs[1]
-
-
 def test_cmd_kuperberg_with_rep_and_sign():
     code, out = run_cli(
         "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1",
@@ -354,6 +343,8 @@ def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
                  id="beta-crossing-id-list"),
     pytest.param(("alpha_closed", 0, "name"), ["a"],
                  "alpha_closed entry 1 key 'name' must be a string", id="alpha-name-list"),
+    pytest.param(("arcs", 0, "name"), "alpha", "diagram names generator 'alpha' twice",
+                 id="arc-named-like-closed-curve"),
 ])
 def test_diagram_value_of_wrong_type_is_one_line_error(tmp_path, capsys, path, value, message):
     diagram = read_json(data_path("trefoil.json"))
@@ -377,6 +368,15 @@ def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
                  id="generator-list"),
     pytest.param("closed_count", 1.0, "presentation key 'closed_count' must be an integer",
                  id="closed-count-float"),
+    pytest.param("generators", ["x", "x"],
+                 "presentation key 'generators' names generator 'x' twice",
+                 id="generator-twice"),
+    pytest.param("closed_count", -1, "presentation key 'closed_count' must lie in 0..1, not -1",
+                 id="closed-count-negative"),
+    pytest.param("closed_count", 3, "presentation key 'closed_count' must lie in 0..1, not 3",
+                 id="closed-count-above-generators"),
+    pytest.param("relators", ["x^y"], "exponent 'y' is not an integer in word 'x^y'",
+                 id="relator-exponent-not-integer"),
 ])
 def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value, message):
     doc = {"generators": ["x"], "relators": ["x"], "closed_count": 1}
@@ -391,6 +391,9 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
     pytest.param("dimension", 2.9, "twisted-alexander",
                  "representation key 'dimension' must be an integer, not 2.9",
                  id="dimension-float"),
+    pytest.param("meridian", ["a"], "twisted-alexander",
+                 "representation key 'meridian' must be a string, not ['a']",
+                 id="meridian-list"),
 ])
 def test_representation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value,
                                                               command, message):

@@ -98,7 +98,8 @@ def test_crosscheck_d3_n4(seed, twisted):
 
 def test_contraction_calls_no_determinant(monkeypatch):
     # the contraction must stay independent of the elimination the Fox side
-    # uses, or crosscheck would compare a routine with itself
+    # uses, or crosscheck would compare a routine with itself; it reads its
+    # forms from matrix columns and expands no coproduct either
     field, mats = figure_eight_sl2()
     D = figure_eight()
     pres = presentation(D)
@@ -110,7 +111,11 @@ def test_contraction_calls_no_determinant(monkeypatch):
     def refuse(*args):
         raise AssertionError("the contraction called a determinant routine")
 
+    def no_expansion(*args):
+        raise AssertionError("the contraction expanded a coproduct")
+
     monkeypatch.setattr(linalg, "_bareiss", refuse)
     monkeypatch.setattr(linalg, "_gauss_jordan", refuse)
+    monkeypatch.setattr(ExteriorAlgebra, "iterated_coproduct", no_expansion)
     got = evaluate_z(D, H, rep)
     assert got == want and str(got) == "1 - 6*t + 10*t^2 - 6*t^3 + t^4"

@@ -1,4 +1,11 @@
 import pytest
+from paper_laws import (
+    beta_subword,
+    enumerate_multipoints,
+    fox_consistency,
+    move_basepoint,
+    reverse_beta,
+)
 
 from suturekup import (
     GroupRingElement,
@@ -6,15 +13,10 @@ from suturekup import (
     Word,
     abelianize,
     basepoints_from_multipoint,
-    beta_subword,
-    enumerate_multipoints,
     epsilon_class,
-    fox_consistency,
-    move_basepoint,
     presentation,
     random_datum,
     relator_word,
-    reverse_beta,
     validate,
 )
 from suturekup.diagram import (

@@ -27,7 +27,7 @@ def test_iterated_coproduct_rejects_negative():
 
 
 def test_lambda_extend_rejects_wrong_size():
-    from suturekup import lambda_extend
+    from paper_laws import lambda_extend
 
     H = ExteriorAlgebra(2)
     with pytest.raises(ValueError):
@@ -35,7 +35,7 @@ def test_lambda_extend_rejects_wrong_size():
 
 
 def test_lambda_extend_laurent_needs_unit_determinant():
-    from suturekup import lambda_extend
+    from paper_laws import lambda_extend
 
     ring = LaurentRing(QQ, 1)
     H = ExteriorAlgebra(1, ring)
@@ -43,7 +43,7 @@ def test_lambda_extend_laurent_needs_unit_determinant():
     with pytest.raises(ValueError):
         lambda_extend([[non_unit]], H)
     # a monomial determinant is fine
-    from suturekup import r_of
+    from paper_laws import r_of
 
     unit = ring.monomial((2,), QQ.from_rational(3))
     assert r_of(lambda_extend([[unit]], H)) == unit

@@ -3,6 +3,7 @@ import random
 import pytest
 from conftest import data_path, figure_eight_sl2, random_invertible, trefoil_braid_sl2
 from linalg_reference import minor_det
+from paper_laws import beta_subword, inverse_transpose
 
 from suturekup import (
     LaurentRing,
@@ -85,7 +86,7 @@ def test_fox_matrix_trefoil():
     square = fm.closed_square()
     assert len(square) == 1 and len(square[0]) == 1
     # the closed entry is the signed sum of the three subwords
-    from suturekup import GroupRingElement, beta_subword
+    from suturekup import GroupRingElement
 
     D = trefoil()
     expected = GroupRingElement.zero()
@@ -209,7 +210,7 @@ def test_trefoil_sl2_oracle_equivalence():
     tor = twisted_torsion(pres, mats, field=field)
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(mats, amap, 2, field)
-    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), rep.inverse_transpose())
+    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), inverse_transpose(rep))
     assert normalize_unit(z_it) == tor.normalized
 
 
@@ -220,7 +221,7 @@ def test_inverse_transpose_relation_figure_eight():
     tor = twisted_torsion(pres, mats, field=field)
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(mats, amap, 2, field)
-    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), rep.inverse_transpose())
+    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), inverse_transpose(rep))
     assert normalize_unit(z_it) == tor.normalized
 
 
