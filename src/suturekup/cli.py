@@ -234,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "crosscheck" and args.random < 0:
+        parser.error(f"--random N must not be negative, not {args.random}")
     if args.command == "crosscheck" and not args.random and not args.diagram:
         parser.error("crosscheck needs a diagram file or --random N")
     try:

@@ -369,142 +369,78 @@ def verify_axioms(H: HopfSuperAlgebra) -> AxiomReport:
     report = AxiomReport()
     ring = H.ring
     one = H.unit_element()
-    labels = H.labels
 
-    def first_fail(pred_pairs):
-        for witness, ok in pred_pairs:
-            if not ok:
-                return witness
-        return None
+    def check(name, holds, arity=1):
+        """Record name, failed at the first label (or label tuple) where holds is false."""
+        w = next((args if arity > 1 else args[0]
+                  for args in itertools.product(H.labels, repeat=arity)
+                  if not holds(*args)), None)
+        report.record(name, w is None, w)
 
-    # degree additivity and degree-0 structure maps
-    w = first_fail(
-        ((a, b), all(
-            H.degree(l) % 2 == (H.degree(a) + H.degree(b)) % 2
-            for l in H.mult(a, b).terms))
-        for a in labels for b in labels
-    )
-    report.record("product respects degree", w is None, w)
-    w = first_fail(
-        (a, all((H.degree(l1) + H.degree(l2)) % 2 == H.degree(a) % 2
-                for (l1, l2) in H.comult(a)))
-        for a in labels
-    )
-    report.record("coproduct respects degree", w is None, w)
-    w = first_fail(
-        (a, all(H.degree(l) % 2 == H.degree(a) % 2 for l in H.antipode(a).terms))
-        for a in labels
-    )
-    report.record("antipode preserves degree", w is None, w)
-    w = first_fail(
-        (a, H.degree(a) % 2 == 0 or H.counit(a).is_zero()) for a in labels
-    )
-    report.record("counit vanishes in odd degree", w is None, w)
+    def sides(a, f):
+        """(sum f(a1) a2, sum a1 f(a2)) over Delta(a), for a scalar map f on labels."""
+        left, right = Element(H, {}), Element(H, {})
+        for (l1, l2), c in H.comult(a).items():
+            left = left + H.basis_element(l2).scale(f(l1) * c)
+            right = right + H.basis_element(l1).scale(f(l2) * c)
+        return left, right
 
-    # associativity and unit
-    w = None
-    for a in labels:
-        for b in labels:
-            ab = H.mult(a, b)
-            for c in labels:
-                lhs = ab * H.basis_element(c)
-                rhs = H.basis_element(a) * H.mult(b, c)
-                if lhs != rhs:
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
-            break
-    report.record("associativity", w is None, w)
-    w = first_fail(
-        (a, one * H.basis_element(a) == H.basis_element(a)
-            and H.basis_element(a) * one == H.basis_element(a))
-        for a in labels
-    )
-    report.record("unit", w is None, w)
-
-    # coassociativity and counit axiom
-    w = None
-    for a in labels:
-        e = H.basis_element(a)
-        left = H.iterated_coproduct(e, 3)
-        right = TensorElement(H, 3, {})
+    def right_coassociated(a):
+        """(id (x) Delta) Delta(a), as a 3-fold tensor."""
+        out = TensorElement(H, 3, {})
         for (l1, l2), c in H.comult(a).items():
             for (l3, l4), c2 in H.comult(l2).items():
-                accumulate(right.terms, (l1, l3, l4), c * c2)
-        if left != right:
-            w = a
-            break
-    report.record("coassociativity", w is None, w)
-    w = None
-    for a in labels:
-        lhs = Element(H, {})
-        rhs = Element(H, {})
+                accumulate(out.terms, (l1, l3, l4), c * c2)
+        return out
+
+    def convolutions(a):
+        """(sum a1 S(a2), sum S(a1) a2) over Delta(a)."""
+        right, left = Element(H, {}), Element(H, {})
         for (l1, l2), c in H.comult(a).items():
-            lhs = lhs + H.basis_element(l2).scale(H.counit(l1) * c)
-            rhs = rhs + H.basis_element(l1).scale(H.counit(l2) * c)
-        if lhs != H.basis_element(a) or rhs != H.basis_element(a):
-            w = a
-            break
-    report.record("counit axiom", w is None, w)
+            right = right + (H.basis_element(l1) * H.antipode(l2)).scale(c)
+            left = left + (H.antipode(l1) * H.basis_element(l2)).scale(c)
+        return right, left
+
+    # degree additivity and degree-0 structure maps
+    check("product respects degree", lambda a, b: all(
+        H.degree(l) % 2 == (H.degree(a) + H.degree(b)) % 2 for l in H.mult(a, b).terms), 2)
+    check("coproduct respects degree", lambda a: all(
+        (H.degree(l1) + H.degree(l2)) % 2 == H.degree(a) % 2 for l1, l2 in H.comult(a)))
+    check("antipode preserves degree", lambda a: all(
+        H.degree(l) % 2 == H.degree(a) % 2 for l in H.antipode(a).terms))
+    check("counit vanishes in odd degree",
+          lambda a: H.degree(a) % 2 == 0 or H.counit(a).is_zero())
+
+    # associativity and unit
+    check("associativity", lambda a, b, c:
+          H.mult(a, b) * H.basis_element(c) == H.basis_element(a) * H.mult(b, c), 3)
+    check("unit", lambda a:
+          one * H.basis_element(a) == H.basis_element(a) == H.basis_element(a) * one)
+
+    # coassociativity and counit axiom
+    check("coassociativity",
+          lambda a: H.iterated_coproduct(H.basis_element(a), 3) == right_coassociated(a))
+    check("counit axiom",
+          lambda a: all(side == H.basis_element(a) for side in sides(a, H.counit)))
 
     # bialgebra compatibility with Koszul signs
-    w = None
-    for a in labels:
-        for b in labels:
-            lhs = H.comult_of(H.mult(a, b))
-            rhs = H.comult_of(H.basis_element(a)) * H.comult_of(H.basis_element(b))
-            if lhs != rhs:
-                w = (a, b)
-                break
-        if w:
-            break
-    report.record("coproduct is a superalgebra morphism", w is None, w)
-    w = first_fail(
-        ((a, b), H.counit_of(H.mult(a, b)) == H.counit(a) * H.counit(b))
-        for a in labels for b in labels
-    )
-    report.record("counit is an algebra morphism", w is None, w)
+    check("coproduct is a superalgebra morphism", lambda a, b: H.comult_of(H.mult(a, b))
+          == H.comult_of(H.basis_element(a)) * H.comult_of(H.basis_element(b)), 2)
+    check("counit is an algebra morphism",
+          lambda a, b: H.counit_of(H.mult(a, b)) == H.counit(a) * H.counit(b), 2)
 
     # antipode axiom and involutivity
-    w = None
-    for a in labels:
-        conv_r = Element(H, {})
-        conv_l = Element(H, {})
-        for (l1, l2), c in H.comult(a).items():
-            conv_r = conv_r + (H.basis_element(l1) * H.antipode(l2)).scale(c)
-            conv_l = conv_l + (H.antipode(l1) * H.basis_element(l2)).scale(c)
-        target = one.scale(H.counit(a))
-        if conv_r != target or conv_l != target:
-            w = a
-            break
-    report.record("antipode axiom", w is None, w)
-    w = first_fail(
-        (a, H.antipode_of(H.antipode(a)) == H.basis_element(a)) for a in labels
-    )
-    report.record("involutivity S^2 = id", w is None, w)
+    check("antipode axiom",
+          lambda a: all(side == one.scale(H.counit(a)) for side in convolutions(a)))
+    check("involutivity S^2 = id",
+          lambda a: H.antipode_of(H.antipode(a)) == H.basis_element(a))
 
     # cointegral/integral equations and normalization
     c = H.cointegral()
-    w = first_fail(
-        (a, c * H.basis_element(a) == c.scale(H.counit(a))
-            and H.basis_element(a) * c == c.scale(H.counit(a)))
-        for a in labels
-    )
-    report.record("two-sided cointegral equation", w is None, w)
-    w = None
-    for a in labels:
-        lhs = Element(H, {})
-        rhs = Element(H, {})
-        for (l1, l2), cc in H.comult(a).items():
-            lhs = lhs + H.basis_element(l2).scale(H.integral(l1) * cc)
-            rhs = rhs + H.basis_element(l1).scale(H.integral(l2) * cc)
-        target = one.scale(H.integral(a))
-        if lhs != target or rhs != target:
-            w = a
-            break
-    report.record("two-sided integral equation", w is None, w)
+    check("two-sided cointegral equation", lambda a:
+          c * H.basis_element(a) == c.scale(H.counit(a)) == H.basis_element(a) * c)
+    check("two-sided integral equation",
+          lambda a: all(side == one.scale(H.integral(a)) for side in sides(a, H.integral)))
     report.record("normalization mu(c) = 1", H.integral_of(c) == ring.one)
 
     # S(c) = (-1)^{|c|} c and cocommutativity on the cointegral

@@ -28,7 +28,6 @@ from .diagram import (
     CLOSED,
     HeegaardDatum,
     Multipoint,
-    basepoints_from_multipoint,
     beta_letters,
     multipoint_arc_words,
     presentation,
@@ -37,8 +36,7 @@ from .diagram import (
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
-from .linalg import (SingularMatrix, bareiss_det, identity, inverse_and_det, matmul,
-                     unit_inverse)
+from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul
 from .numberfield import QQ, accumulate
 from .words import Word
 
@@ -69,8 +67,6 @@ class SingularRepresentationError(EvaluationError):
 @dataclass
 class EvaluationOptions:
     homology_orientation_sign: int = 1
-    reference_multipoint: Multipoint | None = None
-    debug: bool = False
 
     def flipped(self) -> "EvaluationOptions":
         return replace(self, homology_orientation_sign=-self.homology_orientation_sign)
@@ -102,7 +98,6 @@ class Representation:
         self.n = n
         self.matrices = [[list(row) for row in m] for m in matrices]
         self.identity = identity(n, ring)
-        self.verified_relators = False
         for m in self.matrices:
             _check_shape(m, n)
         if inverses is None:
@@ -111,7 +106,7 @@ class Representation:
             dets = [det for _, det in pairs]
         self.inverses = list(inverses)
         self.dets = list(dets)
-        self.det_inverses = [unit_inverse(d, ring) for d in self.dets]
+        self.det_inverses = [d.inv_unit() for d in self.dets]
 
     @classmethod
     def trivial(cls, num_generators, n, ring=None):
@@ -164,27 +159,21 @@ class Representation:
             out = out * (self.dets[g] if e == 1 else self.det_inverses[g])
         return out
 
-    def apply_to_groupring(self, e, algebra_ring=None):
+    def apply_to_groupring(self, e):
         """Image of a group-ring element as an n x n matrix over the base ring."""
-        ring = self.ring
         n = self.n
-        out = [[ring.zero] * n for _ in range(n)]
+        out = [[self.ring.zero] * n for _ in range(n)]
         for w, c in e.terms.items():
             m = self.word_matrix(w)
-            cc = ring.from_field(c) if isinstance(ring, LaurentRing) else c
             for i in range(n):
                 for j in range(n):
-                    out[i][j] = out[i][j] + m[i][j] * cc
+                    out[i][j] = out[i][j] + m[i][j] * c
         return out
 
     def check_relators(self, pres):
-        """Words whose image is not the identity (a warning, not an error)."""
-        bad = []
-        for j, rel in enumerate(pres.relators):
-            if self.word_matrix(rel) != self.identity:
-                bad.append(j)
-        self.verified_relators = not bad
-        return bad
+        """Indices of the relators whose image is not the identity."""
+        return [j for j, rel in enumerate(pres.relators)
+                if self.word_matrix(rel) != self.identity]
 
 
 def representation_for(pres, n, rho_matrices=None, field=None, twisted=False):
@@ -207,8 +196,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                opts: EvaluationOptions | None = None):
     """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
     opts = opts or EvaluationOptions()
-    if opts.reference_multipoint is not None:
-        D = basepoints_from_multipoint(D, opts.reference_multipoint)
     report = validate(D)
     if not report.valid:
         raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
@@ -275,8 +262,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
         state = nxt
         if not state:
             return ring.zero
-        if opts.debug and any(mask.bit_count() != t + 1 for mask in state):
-            raise AssertionError("degree conservation violated in contraction")
     total = state.get(full, ring.zero)
     return -total if sign_factor < 0 else total
 

@@ -48,49 +48,33 @@ def assemble_blocks(blocks, n, ring):
     return big
 
 
-def unit_inverse(x, ring):
-    """Inverse of a unit: any nonzero field element, a monomial Laurent polynomial."""
-    return x.inv_unit() if isinstance(ring, LaurentRing) else x.inv()
-
-
 def bareiss_det(matrix, ring):
     """Exact fraction-free determinant over a field or Laurent ring.
 
-    Laurent entries are cleared to polynomial form by a tracked monomial shift
-    per row; Bareiss elimination then divides exactly at every step, by a
-    division prepared once per step for that step's divisor.
+    Bareiss elimination divides exactly at every step in any integral domain,
+    Laurent entries with negative exponents included; each step's division
+    is prepared once for that step's divisor.
     """
     n = len(matrix)
     if n == 0:
         return ring.one
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    if isinstance(ring, LaurentRing):
-        shift = [0] * ring.nvars
-        rows = []
-        for row in matrix:
-            mins = None
-            for e in row:
-                if not e.is_zero():
-                    m = e.min_exponents()
-                    mins = m if mins is None else tuple(map(min, mins, m))
-            if mins is None:
-                return ring.zero
-            mins = tuple(min(x, 0) for x in mins)
-            shift = [a + b for a, b in zip(shift, mins)]
-            rows.append([e.scale_monomial(tuple(-x for x in mins)) for e in row])
-        return _bareiss(rows, ring).scale_monomial(tuple(shift))
+    # the Fox matrix of a vacuous datum has zero rows; elimination would
+    # only find that out at its last step
+    if any(all(e.is_zero() for e in row) for row in matrix):
+        return ring.zero
     return _bareiss([list(row) for row in matrix], ring)
 
 
-def _divider(pivot, ring):
+def _divider(pivot):
     """The exact division by pivot, prepared once."""
-    # over a field, and for a monomial pivot over a Laurent ring, the pivot is
-    # a unit, so multiplying by its inverse is exact
-    if isinstance(ring, LaurentRing) and not pivot.is_monomial():
-        return lambda a: divide_exact(a, pivot)
-    inv = unit_inverse(pivot, ring)
-    return lambda a: a * inv
+    # a unit pivot (any nonzero field element, a monomial Laurent polynomial)
+    # is multiplied by its inverse; divide_exact handles any other
+    if pivot.is_monomial():
+        inv = pivot.inv_unit()
+        return lambda a: a * inv
+    return lambda a: divide_exact(a, pivot)
 
 
 def _bareiss(M, ring):
@@ -107,7 +91,7 @@ def _bareiss(M, ring):
                 return ring.zero
             M[k], M[pivot_row] = M[pivot_row], M[k]
             sign = -sign
-        divide = _divider(prev, ring)
+        divide = _divider(prev)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 M[i][j] = divide(M[k][k] * M[i][j] - M[i][k] * M[k][j])

@@ -258,6 +258,13 @@ class FieldElement:
             y = [-c for c in y]
         return _canonical(field, tuple(den * c for c in y), det)
 
+    def is_monomial(self) -> bool:
+        """True iff the element is a unit, as for LaurentPoly: any nonzero element."""
+        return not self.is_zero()
+
+    def inv_unit(self) -> "FieldElement":
+        return self.inv()
+
     def __truediv__(self, other):
         return self * other.inv()
 

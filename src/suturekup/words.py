@@ -3,12 +3,15 @@
 Generators are indexed 0..m-1; a word is a tuple of (generator, +-1) letters
 with no adjacent cancelling pair.  The word string grammar used by the file
 formats is generator names joined by "*", with a "^-1" (or any integer
-exponent) suffix, e.g. "a*alpha*a^-1*alpha^-1".
+exponent) suffix, e.g. "a*alpha*a^-1*alpha^-1"; an exponent's absolute
+value is at most MAX_EXPONENT.
 """
 
 from __future__ import annotations
 
 from .numberfield import FieldElement, NumberField, QQ, accumulate
+
+MAX_EXPONENT = 10_000
 
 
 class Word:
@@ -98,6 +101,9 @@ def parse_word(text: str, names) -> Word:
                 k = int(exp)
             except ValueError:
                 raise ValueError(f"exponent {exp!r} is not an integer in word {text!r}") from None
+            if abs(k) > MAX_EXPONENT:
+                raise ValueError(f"exponent {exp!r} exceeds {MAX_EXPONENT} in absolute value "
+                                 f"in word {text!r}")
         else:
             name, k = chunk, 1
         if name not in index:

@@ -13,7 +13,7 @@ import itertools
 
 from paper_laws import automorphism, beta_subword, super_permutation_sign
 
-from suturekup.diagram import CLOSED, HeegaardDatum, basepoints_from_multipoint, validate
+from suturekup.diagram import CLOSED, HeegaardDatum, validate
 from suturekup.hopf import ExteriorAlgebra
 from suturekup.kuperberg import EvaluationError, EvaluationOptions, Representation
 
@@ -23,8 +23,6 @@ def reference_evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra,
                          opts: EvaluationOptions | None = None):
     """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
     opts = opts or EvaluationOptions()
-    if opts.reference_multipoint is not None:
-        D = basepoints_from_multipoint(D, opts.reference_multipoint)
     report = validate(D)
     if not report.valid:
         raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
@@ -84,7 +82,7 @@ def reference_evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra,
             labels.extend(part)
             coeff = coeff * cf
         degrees = [H.degree(l) for l in labels]
-        if opts.debug and sum(degrees) != d * H.n:
+        if sum(degrees) != d * H.n:
             raise AssertionError("degree conservation violated in contraction")
         sign = super_permutation_sign(degrees, perm)
         total = coeff if sign > 0 else -coeff

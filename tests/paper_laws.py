@@ -27,8 +27,7 @@ from suturekup.diagram import (
 )
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
-from suturekup.laurent import LaurentRing
-from suturekup.linalg import bareiss_det, inverse_and_det, matmul, transpose, unit_inverse
+from suturekup.linalg import bareiss_det, inverse_and_det, matmul, transpose
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
 
@@ -179,7 +178,7 @@ def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
     d = bareiss_det(T, algebra.ring)
     if d.is_zero():
         raise ValueError("singular matrix cannot extend to an automorphism")
-    if isinstance(algebra.ring, LaurentRing) and not d.is_monomial():
+    if not d.is_monomial():
         raise ValueError("determinant is not a unit of the Laurent ring")
     return HopfAutomorphism(algebra, matrix=[list(row) for row in T])
 
@@ -199,7 +198,7 @@ def r_of(phi: HopfAutomorphism):
     if coeff == H.ring.one:
         return got
     # generic cointegral stored with a non-unit anchor coefficient
-    return got * unit_inverse(coeff, H.ring)
+    return got * coeff.inv_unit()
 
 
 def apply(self, e: Element) -> Element:

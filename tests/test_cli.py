@@ -203,6 +203,13 @@ def test_cmd_crosscheck_random_uses_seed_env(monkeypatch):
     assert "seed 9" in out3
 
 
+def test_cmd_crosscheck_negative_random_is_usage_error(capsys):
+    code, out = run_cli("crosscheck", "--hopf", "exterior:1", "--random", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--random N must not be negative, not -3" in capsys.readouterr().err
+
+
 def test_cmd_axioms():
     code, out = run_cli("axioms", "--hopf", "exterior:3")
     assert code == 0
@@ -377,6 +384,9 @@ def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
                  id="closed-count-above-generators"),
     pytest.param("relators", ["x^y"], "exponent 'y' is not an integer in word 'x^y'",
                  id="relator-exponent-not-integer"),
+    pytest.param("relators", ["x^" + "1" + "0" * 30],
+                 "exceeds 10000 in absolute value in word 'x^1" + "0" * 30 + "'",
+                 id="relator-exponent-too-large"),
 ])
 def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value, message):
     doc = {"generators": ["x"], "relators": ["x"], "closed_count": 1}
@@ -394,6 +404,9 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
     pytest.param("meridian", ["a"], "twisted-alexander",
                  "representation key 'meridian' must be a string, not ['a']",
                  id="meridian-list"),
+    pytest.param("meridian", "a^-1" + "0" * 30, "twisted-alexander",
+                 "exceeds 10000 in absolute value in word 'a^-1" + "0" * 30 + "'",
+                 id="meridian-exponent-too-large"),
 ])
 def test_representation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value,
                                                               command, message):

@@ -74,7 +74,7 @@ def test_factorized_matches_reference_and_fox(seed, d, l, max_crossings, n,
         mats = [random_invertible(rng, n) for _ in range(D.num_generators)]
     rep = _rep(D, n, mats, twisted)
     H = ExteriorAlgebra(n, rep.ring)
-    opts = EvaluationOptions(homology_orientation_sign=sign, debug=True)
+    opts = EvaluationOptions(homology_orientation_sign=sign)
 
     z = evaluate_z(D, H, rep, opts)
     ref = reference_evaluate_z(D, H, rep, opts)

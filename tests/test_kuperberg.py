@@ -145,7 +145,6 @@ def test_trefoil_braid_sl2_relator_compatible():
     mats = trefoil_braid_sl2()
     rep = Representation(QQ, 2, mats)
     assert rep.check_relators(presentation(D)) == []
-    assert rep.verified_relators
 
 
 def test_covariance_fixtures():
@@ -273,18 +272,6 @@ def test_multipoint_relation_mismatched_permutations():
     assert found >= 1
 
 
-def test_reference_multipoint_option():
-    D = trefoil()
-    mps = enumerate_multipoints(D)
-    pres = presentation(D)
-    amap = abelianize(pres.num_generators, pres.relators)
-    rep = Representation.twisted(None, amap, 1)
-    H = ExteriorAlgebra(1, rep.ring)
-    opts = EvaluationOptions(reference_multipoint=mps[0])
-    direct = evaluate_z(basepoints_from_multipoint(D, mps[0]), H, rep)
-    assert evaluate_z(D, H, rep, opts) == direct
-
-
 def test_homology_orientation_sign():
     D = trefoil()
     rep1 = Representation.trivial(2, 1)
@@ -297,14 +284,6 @@ def test_homology_orientation_sign():
     plus2 = evaluate_z(D, H2, rep2)
     minus2 = evaluate_z(D, H2, rep2, EvaluationOptions(homology_orientation_sign=-1))
     assert minus2 == plus2         # |c| even for n = 2
-
-
-def test_degree_conservation_debug_mode():
-    D = figure_eight()
-    rep = Representation.trivial(2, 2)
-    H = ExteriorAlgebra(2)
-    opts = EvaluationOptions(debug=True)
-    assert evaluate_z(D, H, rep, opts) == evaluate_z(D, H, rep)
 
 
 def test_missing_generator_rejected():
@@ -323,7 +302,6 @@ def test_relator_check_warns_for_random_matrices():
     rep = Representation(QQ, 2, mats)
     bad = rep.check_relators(pres)
     assert bad == [0]
-    assert not rep.verified_relators
 
 
 def test_twisted_ring_has_free_rank_variables():

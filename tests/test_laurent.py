@@ -96,3 +96,14 @@ def test_unit_inverse():
     assert u * u.inv_unit() == R1.one
     with pytest.raises(InexactDivision):
         poly(R1, {(0,): 1, (1,): 1}).inv_unit()
+    # every nonzero field element is a unit, as a monomial is in the Laurent ring
+    rng = random.Random(7)
+    for field in (QQ, NumberField([1, 1, 1])):
+        for _ in range(20):
+            x = field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+            assert x.is_monomial() == (not x.is_zero())
+            if not x.is_zero():
+                assert x * x.inv_unit() == field.one
+        assert not field.zero.is_monomial()
+        with pytest.raises(ZeroDivisionError):
+            field.zero.inv_unit()

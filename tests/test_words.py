@@ -1,5 +1,7 @@
 import random
+import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 from suturekup import (
@@ -10,7 +12,7 @@ from suturekup import (
     parse_word,
     sigma,
 )
-from suturekup.words import free_reduce
+from suturekup.words import MAX_EXPONENT, free_reduce
 
 letters = st.lists(
     st.tuples(st.integers(min_value=0, max_value=3), st.sampled_from([1, -1])),
@@ -109,3 +111,12 @@ def test_word_parse_and_format():
     assert parse_word("1", names).is_identity()
     assert parse_word("a^3", names) == Word.generator(0) ** 3
     assert parse_word(w.format(names), names) == w
+
+
+def test_word_exponent_bound():
+    names = ["a"]
+    assert parse_word(f"a^-{MAX_EXPONENT}", names) == Word.generator(0, -MAX_EXPONENT)
+    word = f"a^{MAX_EXPONENT + 1}"
+    with pytest.raises(ValueError, match=re.escape(f"exceeds {MAX_EXPONENT} in absolute "
+                                                   f"value in word {word!r}")):
+        parse_word(word, names)
