@@ -1,9 +1,11 @@
 """Dense square matrices over a NumberField or a LaurentRing.
 
-Matrices are lists of rows.  Determinants are fraction-free (Bareiss), so
-every division they make is exact in the ring; inverses are Gauss-Jordan
-over a field and the adjugate over a Laurent ring, where an invertible
-matrix has a unit (+- monomial) determinant.
+Matrices are lists of rows.  Determinants scale each unit pivot to one and
+take a fraction-free (Bareiss) step only at a non-unit pivot, so every
+division they make is exact in the ring; over a field, where every pivot is
+a unit, this is Gaussian elimination.  Inverses are Gauss-Jordan over a
+field and the adjugate over a Laurent ring, where an invertible matrix has a
+unit (+- monomial) determinant.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ def assemble_blocks(blocks, n, ring):
 
 
 def bareiss_det(matrix, ring):
-    """Exact fraction-free determinant over a field or Laurent ring.
+    """Exact determinant over a field or Laurent ring, with no fractions.
 
-    Bareiss elimination divides exactly at every step in any integral domain,
-    Laurent entries with negative exponents included; each step's division
-    is prepared once for that step's divisor.
+    Elimination pivots on a unit (a nonzero field element, a +- monomial
+    Laurent polynomial) wherever its column has one, scales it to one and
+    divides nothing; other pivots take a fraction-free Bareiss step, whose
+    division by the previous pivot is exact in any integral domain.  Over a
+    field every pivot is a unit, so this is Gaussian elimination.
     """
     n = len(matrix)
     if n == 0:
@@ -67,37 +71,48 @@ def bareiss_det(matrix, ring):
     return _bareiss([list(row) for row in matrix], ring)
 
 
-def _divider(pivot):
-    """The exact division by pivot, prepared once."""
-    # a unit pivot (any nonzero field element, a monomial Laurent polynomial)
-    # is multiplied by its inverse; divide_exact handles any other
-    if pivot.is_monomial():
-        inv = pivot.inv_unit()
-        return lambda a: a * inv
-    return lambda a: divide_exact(a, pivot)
-
-
 def _bareiss(M, ring):
-    """Bareiss elimination in place; every step divides by the previous pivot."""
+    """Elimination in place, dividing only by a previous non-unit pivot.
+
+    After each step det = +-factor * det(rest) / prev^(size - 1) (Chio's
+    condensation).  A unit pivot u moves into factor, and the entries
+    (u*a - b*c) / (prev*u) it leaves are exact, so prev restarts at one.
+    """
     n = len(M)
     sign = 1
-    prev = ring.one
+    factor = ring.one
+    prev = None  # the last pivot when it was not a unit; None stands for one
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            pivot_row = next(
-                (r for r in range(k + 1, n) if not M[r][k].is_zero()), None
-            )
-            if pivot_row is None:
-                return ring.zero
+        rows = [r for r in range(k, n) if not M[r][k].is_zero()]
+        if not rows:
+            return ring.zero
+        pivot_row = next((r for r in rows if M[r][k].is_monomial()), rows[0])
+        if pivot_row != k:
             M[k], M[pivot_row] = M[pivot_row], M[k]
             sign = -sign
-        divide = _divider(prev)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = divide(M[k][k] * M[i][j] - M[i][k] * M[k][j])
-            M[i][k] = ring.zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
+        pivot = M[k][k]
+        if pivot.is_monomial():
+            factor = factor * pivot
+            inv = pivot.inv_unit()
+            tail = [(j, M[k][j] * inv) for j in range(k + 1, n) if not M[k][j].is_zero()]
+            for i in range(k + 1, n):
+                row, f = M[i], M[i][k]
+                if not f.is_zero():
+                    for j, a in tail:
+                        row[j] = row[j] - f * a
+                if prev is not None:
+                    # the division the previous fraction-free step left owing
+                    for j in range(k + 1, n):
+                        row[j] = divide_exact(row[j], prev)
+            prev = None
+        else:
+            for i in range(k + 1, n):
+                row, f = M[i], M[i][k]
+                for j in range(k + 1, n):
+                    a = pivot * row[j] - f * M[k][j]
+                    row[j] = a if prev is None else divide_exact(a, prev)
+            prev = pivot
+    det = factor * M[n - 1][n - 1]
     return -det if sign < 0 else det
 
 

@@ -3,15 +3,26 @@
 Generators are indexed 0..m-1; a word is a tuple of (generator, +-1) letters
 with no adjacent cancelling pair.  The word string grammar used by the file
 formats is generator names joined by "*", with a "^-1" (or any integer
-exponent) suffix, e.g. "a*alpha*a^-1*alpha^-1"; an exponent's absolute
-value is at most MAX_EXPONENT.
+exponent) suffix, e.g. "a*alpha*a^-1*alpha^-1"; an exponent is an optional
+sign and ASCII digits, with absolute value at most MAX_EXPONENT.
 """
 
 from __future__ import annotations
 
+import re
+
 from .numberfield import FieldElement, NumberField, QQ, accumulate
 
 MAX_EXPONENT = 10_000
+# an optional sign, then ASCII digits (leading zeros dropped); int() alone
+# would also take "1_000" and stop at its digit limit
+_EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
+# an error message echoes at most this many characters of a word
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    return repr(text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "...")
 
 
 class Word:
@@ -94,20 +105,22 @@ def parse_word(text: str, names) -> Word:
     letters = []
     for chunk in s.split("*"):
         if not chunk:
-            raise ValueError(f"empty factor in word {text!r}")
+            raise ValueError(f"empty factor in word {_echo(text)}")
         if "^" in chunk:
             name, _, exp = chunk.partition("^")
-            try:
-                k = int(exp)
-            except ValueError:
-                raise ValueError(f"exponent {exp!r} is not an integer in word {text!r}") from None
-            if abs(k) > MAX_EXPONENT:
-                raise ValueError(f"exponent {exp!r} exceeds {MAX_EXPONENT} in absolute value "
-                                 f"in word {text!r}")
+            match = _EXPONENT.fullmatch(exp)
+            if match is None:
+                raise ValueError(f"exponent {_echo(exp)} is not an integer in word {_echo(text)}")
+            sign, digits = match.groups()
+            # the digit count settles a long exponent before int() reads it
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ValueError(f"exponent {_echo(exp)} exceeds {MAX_EXPONENT} in absolute "
+                                 f"value in word {_echo(text)}")
+            k = int(sign + digits)
         else:
             name, k = chunk, 1
         if name not in index:
-            raise ValueError(f"unknown generator {name!r} in word {text!r}")
+            raise ValueError(f"unknown generator {_echo(name)} in word {_echo(text)}")
         g = index[name]
         letters.extend([(g, 1 if k > 0 else -1)] * abs(k))
     return Word(letters)

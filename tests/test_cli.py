@@ -270,6 +270,7 @@ def assert_one_line_error(capsys, argv, *phrases):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 200
     for phrase in phrases:
         assert phrase in captured.err
 
@@ -387,6 +388,11 @@ def test_presentation_relators_string_is_one_line_error(tmp_path, capsys):
     pytest.param("relators", ["x^" + "1" + "0" * 30],
                  "exceeds 10000 in absolute value in word 'x^1" + "0" * 30 + "'",
                  id="relator-exponent-too-large"),
+    pytest.param("relators", ["x^" + "1" * 5000],
+                 "exponent '" + "1" * 40 + "...' exceeds 10000 in absolute value",
+                 id="relator-exponent-past-int-digit-limit"),
+    pytest.param("relators", ["x^1_000"], "exponent '1_000' is not an integer in word 'x^1_000'",
+                 id="relator-exponent-underscore"),
 ])
 def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value, message):
     doc = {"generators": ["x"], "relators": ["x"], "closed_count": 1}

@@ -274,8 +274,8 @@ def rand_entry(rng, ring, max_terms):
                          ids=["QQ", "Q(xi)[t]", "Q(xi)[t1,t2]"])
 @pytest.mark.parametrize("max_terms", [1, 3])
 def test_bareiss_matches_permutation_expansion(ring, max_terms, monkeypatch):
-    # record the pivots that go through divide_exact: a monomial pivot is a
-    # unit and must be multiplied by its inverse instead
+    # record the pivots that go through divide_exact: a unit pivot is scaled
+    # to one and leaves nothing to divide by
     calls = []
     real = linalg.divide_exact
     monkeypatch.setattr(linalg, "divide_exact",
@@ -289,15 +289,45 @@ def test_bareiss_matches_permutation_expansion(ring, max_terms, monkeypatch):
             got = bareiss_det(m, ring)
             assert got == want and str(got) == str(want)
     assert not any(b.is_monomial() for b in calls)
-    if isinstance(ring, LaurentRing) and max_terms > 1:
+    if not isinstance(ring, LaurentRing):
+        assert not calls, "a field pivot went through divide_exact"
+    elif max_terms > 1:
         assert calls, "no pivot took the divide_exact branch"
 
 
-def test_laurent_divider_branches():
-    ring = LaurentRing(XI, 2)
+def _pending_division_matrix(ring, p, u, rng):
+    """A 4x4 matrix whose elimination owes a division across a unit step.
+
+    Column 0 holds no unit, so step 0 is fraction-free with the non-unit
+    pivot p.  Step 1 then finds the unit u = 2p - q at (1, 1) and, in row 2,
+    a zero multiplier p*1 - p*1 whose row must still be divided by p.
+    """
+    one, two = ring.one, ring.one + ring.one
+    q = two * p - u
+    r0 = p - u - u  # not a unit, so row 0 stays the step-0 pivot
+    assert not (p.is_monomial() or q.is_monomial() or r0.is_monomial())
+    rest = [[rand_entry(rng, ring, 3) for _ in range(2)] for _ in range(4)]
+    return [[p, one] + rest[0],
+            [q, two] + rest[1],
+            [p, one] + rest[2],
+            [r0, rand_entry(rng, ring, 3)] + rest[3]]
+
+
+@pytest.mark.parametrize("ring", [LaurentRing(XI, 1), LaurentRing(XI, 2)],
+                         ids=["Q(xi)[t]", "Q(xi)[t1,t2]"])
+def test_bareiss_unit_step_pays_pending_division(ring, monkeypatch):
+    calls = []
+    real = linalg.divide_exact
+    monkeypatch.setattr(linalg, "divide_exact",
+                        lambda a, b: calls.append(b) or real(a, b))
     xi = XI.generator()
-    unit = ring.monomial((1, -2), xi)
-    other = ring.from_terms({(0, 0): XI.one, (1, 1): xi})
-    a = ring.from_terms({(2, 0): XI.one, (0, 3): -xi})
-    for pivot in (unit, other):
-        assert linalg._divider(pivot)(a * pivot) == a
+    nv = ring.nvars
+    p = ring.one + ring.monomial((1,) * nv, xi)
+    u = ring.monomial((-1,) + (2,) * (nv - 1), -xi)
+    rng = random.Random(4100 + nv)
+    for _ in range(6):
+        m = _pending_division_matrix(ring, p, u, rng)
+        want = minor_det(m, list(range(4)), list(range(4)), ring)
+        got = bareiss_det(m, ring)
+        assert got == want and str(got) == str(want)
+    assert calls and all(b == p for b in calls)

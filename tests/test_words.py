@@ -120,3 +120,22 @@ def test_word_exponent_bound():
     with pytest.raises(ValueError, match=re.escape(f"exceeds {MAX_EXPONENT} in absolute "
                                                    f"value in word {word!r}")):
         parse_word(word, names)
+
+
+def test_word_exponent_grammar():
+    names = ["a"]
+    a = Word.generator(0)
+    assert parse_word("a^+2", names) == a ** 2
+    assert parse_word("a^-007", names) == a ** -7
+    assert parse_word("a^" + "0" * 20 + "3", names) == a ** 3
+    for exp in ("1_000", "\u0663", "2.0", "--1", ""):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_word(f"a^{exp}", names)
+
+
+def test_word_errors_echo_a_bounded_prefix():
+    names = ["a"]
+    for word in ("a^" + "9" * 5000, "a*" * 3000 + "b", "a**" + "a" * 3000):
+        with pytest.raises(ValueError) as err:
+            parse_word(word, names)
+        assert len(str(err.value)) < 200 and word[:40] in str(err.value)
