@@ -21,6 +21,7 @@ exterior monomials instead of summing the prod_i L_i^n coproduct terms.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 from .abelian import abelianize
@@ -36,7 +37,7 @@ from .diagram import (
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
-from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul
+from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul, transpose
 from .numberfield import QQ, accumulate
 from .words import Word
 
@@ -159,8 +160,27 @@ class Representation:
             out = out * (self.dets[g] if e == 1 else self.det_inverses[g])
         return out
 
+    def inverse_transpose(self):
+        """The representation g -> (rho(g)^-1)^T, from the known inverses.
+
+        Its image of a word w is the transpose of rho(w)^-1, so the torsion
+        convention's rho(sigma(w)) = rho(w)^-1 is read as a transpose of it.
+        Matrices and inverses swap places, as do dets and det_inverses, so
+        nothing is inverted again.
+        """
+        out = copy.copy(self)
+        out.matrices = [transpose(inv) for inv in self.inverses]
+        out.inverses = [transpose(m) for m in self.matrices]
+        out.dets, out.det_inverses = self.det_inverses, self.dets
+        return out
+
     def apply_to_groupring(self, e):
-        """Image of a group-ring element as an n x n matrix over the base ring."""
+        """Image of a group-ring element as an n x n matrix over the base ring.
+
+        Each word is multiplied out from scratch.  This is the reference
+        route that the tests and the benchmark's oracles use; the Fox block
+        of the torsion and the crosscheck comes from prefix walks instead.
+        """
         n = self.n
         out = [[self.ring.zero] * n for _ in range(n)]
         for w, c in e.terms.items():

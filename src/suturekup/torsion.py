@@ -5,7 +5,9 @@ excluded) is the determinant of the Fox Jacobian evaluated through the
 inverted representation, det((rho (x) h)(sigma(A))), defined up to a unit.
 The same Jacobian without sigma, in the (relator, generator) convention,
 equals the tensor-contraction invariant over an exterior algebra exactly;
-crosscheck computes both sides and compares with no unit slack.
+crosscheck computes both sides and compares with no unit slack.  Both read
+the Jacobian from one prefix walk per relator; FoxMatrix is the reference
+route through group-ring elements.
 """
 
 from __future__ import annotations
@@ -16,13 +18,17 @@ from .diagram import HeegaardDatum, Presentation, presentation
 from .hopf import ExteriorAlgebra
 from .kuperberg import EvaluationOptions, Representation, evaluate_z, representation_for
 from .laurent import InexactDivision, LaurentPoly, divide_exact, normalize_unit
-from .linalg import assemble_blocks, bareiss_det
+from .linalg import bareiss_det
 from .numberfield import QQ
-from .words import GroupRingElement, Word, fox_derivative, sigma
+from .words import GroupRingElement, Word, fox_derivative
 
 
 class FoxMatrix:
-    """d x (d+l) matrix of group-ring entries; row j, column i = d(rel_j)/d(gen_i)."""
+    """d x (d+l) matrix of group-ring entries; row j, column i = d(rel_j)/d(gen_i).
+
+    The reference route that the tests and the benchmark's oracles use; the
+    torsion and the crosscheck build their Fox block from prefix walks.
+    """
 
     def __init__(self, pres: Presentation, field=None):
         self.field = field if field is not None else QQ
@@ -41,33 +47,60 @@ class FoxMatrix:
 
     def closed_square(self):
         """Rows = relators, columns = closed-curve generators; must be square."""
-        d = self.presentation.closed_count
-        if len(self.rows) != d:
-            raise ValueError(
-                f"need {len(self.rows)} closed generators for a square Fox block, "
-                f"presentation declares {d}"
-            )
+        d = _square_size(self.presentation)
         return [row[:d] for row in self.rows]
+
+
+def _square_size(pres: Presentation) -> int:
+    """Closed generator count of a square Fox block; it must equal the relator count."""
+    d = pres.closed_count
+    if len(pres.relators) != d:
+        raise ValueError(
+            f"need {len(pres.relators)} closed generators for a square Fox block, "
+            f"presentation declares {d}"
+        )
+    return d
 
 
 def fox_matrix(pres: Presentation, field=None) -> FoxMatrix:
     return FoxMatrix(pres, field)
 
 
-def _fox_block_det(pres: Presentation, rep, field, torsion_convention):
-    """Bareiss determinant of the closed Fox block evaluated through rep.
+def _fox_block(pres: Presentation, rep):
+    """The dn x dn matrix whose block (i, g) is rep(d rel_i / d gen_g), g closed.
 
-    The torsion convention puts sigma(d rel_j / d gen_i) at block (i, j); the
-    crosscheck puts d rel_i / d gen_j there.
+    One prefix walk per relator gives every term: a letter g at position pos
+    adds +rep(prefix_pos) to block (i, g), and a letter g^-1 adds
+    -rep(prefix_pos * g^-1) = -rep(prefix_{pos+1}).  The walk stops at the
+    last prefix a closed letter needs.
     """
-    square = fox_matrix(pres, field).closed_square()
-    d = len(square)
-    blocks = [
-        [rep.apply_to_groupring(sigma(square[j][i]) if torsion_convention
-                                else square[i][j]) for j in range(d)]
-        for i in range(d)
-    ]
-    return bareiss_det(assemble_blocks(blocks, rep.n, rep.ring), rep.ring)
+    d = _square_size(pres)
+    n, ring = rep.n, rep.ring
+    big = [[ring.zero] * (d * n) for _ in range(d * n)]
+    for i, rel in enumerate(pres.relators):
+        # (prefix index, generator, sign) of every closed letter, in order
+        terms = [(pos + (e < 0), g, e) for pos, (g, e) in enumerate(rel.letters) if g < d]
+        if not terms:
+            continue
+        prefixes = rep.prefix_matrices(rel.letters[:terms[-1][0]])
+        for p, g, e in terms:
+            m = prefixes[p]
+            for r in range(n):
+                row = big[i * n + r]
+                for c, x in enumerate(m[r], g * n):
+                    row[c] = row[c] + x if e > 0 else row[c] - x
+    return big
+
+
+def _fox_block_det(pres: Presentation, rep):
+    """Determinant of the closed Fox block evaluated through rep.
+
+    This is the crosscheck convention, d rel_i / d gen_j at block (i, j).
+    The torsion convention, rep(sigma(d rel_j / d gen_i)) at block (i, j), is
+    the transpose of this block through rep.inverse_transpose(), since
+    rep(sigma(w)) = rep(w)^-1; callers pass that representation instead.
+    """
+    return bareiss_det(_fox_block(pres, rep), rep.ring)
 
 
 @dataclass
@@ -81,7 +114,9 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
     """det((rho (x) h)(sigma(A))) over the Laurent ring of the free abelianization.
 
     A is the square closed-generator Fox block in the (generator, relator)
-    convention; the result is returned raw and normalized up to units.  A
+    convention.  Its image through rep is the transpose of the (relator,
+    generator) block through rep.inverse_transpose(), so the determinant is
+    taken there; the result is returned raw and normalized up to units.  A
     twisted representation already built from the same data can be passed
     as rep, which then replaces rho_matrices, amap, n and field.
     """
@@ -92,7 +127,7 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
             rep = representation_for(pres, n, rho_matrices, field, twisted=True)
         else:
             rep = Representation.twisted(rho_matrices, amap, n, field)
-    det = _fox_block_det(pres, rep, rep.ring.field, torsion_convention=True)
+    det = _fox_block_det(pres, rep.inverse_transpose())
     return TorsionResult(det, normalize_unit(det))
 
 
@@ -149,5 +184,5 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
     pres = presentation(D)
     rep = representation_for(pres, n, rho_matrices, field, twisted)
     z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts or EvaluationOptions())
-    det = _fox_block_det(pres, rep, field, torsion_convention=False)
+    det = _fox_block_det(pres, rep)
     return CrosscheckReport(z, det)

@@ -214,5 +214,10 @@ def fox_derivative(w: Word, g: int, field: NumberField = QQ) -> GroupRingElement
 
 
 def sigma(e: GroupRingElement) -> GroupRingElement:
-    """Linear extension of word inversion g -> g^-1 (an anti-homomorphism)."""
+    """Linear extension of word inversion g -> g^-1 (an anti-homomorphism).
+
+    Part of the reference route that the tests and the benchmark's oracles
+    use; the torsion reads rho(sigma(w)) as a transpose through
+    Representation.inverse_transpose instead.
+    """
     return GroupRingElement(e.field, {w.inverse(): c for w, c in e.terms.items()})

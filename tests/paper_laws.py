@@ -27,7 +27,7 @@ from suturekup.diagram import (
 )
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
-from suturekup.linalg import bareiss_det, inverse_and_det, matmul, transpose
+from suturekup.linalg import bareiss_det, inverse_and_det, matmul
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
 
@@ -253,14 +253,6 @@ def with_swapped(self, i, k):
     for seq in (mats, inverses, dets):
         seq[i], seq[k] = seq[k], seq[i]
     return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
-
-
-def inverse_transpose(self):
-    """The representation g -> (rho(g)^-1)^T used by the torsion convention."""
-    return Representation(
-        self.ring, self.n, [transpose(inv) for inv in self.inverses],
-        inverses=[transpose(m) for m in self.matrices], dets=self.det_inverses,
-    )
 
 
 # -- the covariance suite -----------------------------------------------------

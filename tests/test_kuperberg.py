@@ -12,7 +12,6 @@ from paper_laws import (
     check_covariance_suite,
     conjugated,
     enumerate_multipoints,
-    inverse_transpose,
     with_generator_inverted,
     with_swapped,
 )
@@ -345,7 +344,7 @@ def test_derived_representations_pass_on_inverses_and_dets():
     amap = abelianize(3, [])
     rep = Representation.twisted([random_xi_matrix(rng, 2) for _ in range(3)], amap, 2, XI)
     for derived in (with_generator_inverted(rep, 1), with_swapped(rep, 0, 2),
-                    inverse_transpose(rep)):
+                    rep.inverse_transpose()):
         fresh = Representation(rep.ring, 2, derived.matrices)
         assert derived.inverses == fresh.inverses
         assert derived.dets == fresh.dets

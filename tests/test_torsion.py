@@ -3,9 +3,10 @@ import random
 import pytest
 from conftest import data_path, figure_eight_sl2, random_invertible, trefoil_braid_sl2
 from linalg_reference import minor_det
-from paper_laws import beta_subword, inverse_transpose
+from paper_laws import beta_subword
 
 from suturekup import (
+    AbelianizationMap,
     LaurentRing,
     NumberField,
     Presentation,
@@ -20,6 +21,7 @@ from suturekup import (
     parse_word,
     presentation,
     random_datum,
+    sigma,
     twisted_alexander_knot,
     twisted_torsion,
 )
@@ -27,7 +29,7 @@ from suturekup import linalg
 from suturekup.files import load_presentation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.hopf import ExteriorAlgebra
-from suturekup.torsion import crosscheck
+from suturekup.torsion import _fox_block, crosscheck
 
 R1 = LaurentRing(QQ, 1)
 
@@ -210,7 +212,7 @@ def test_trefoil_sl2_oracle_equivalence():
     tor = twisted_torsion(pres, mats, field=field)
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(mats, amap, 2, field)
-    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), inverse_transpose(rep))
+    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), rep.inverse_transpose())
     assert normalize_unit(z_it) == tor.normalized
 
 
@@ -221,7 +223,7 @@ def test_inverse_transpose_relation_figure_eight():
     tor = twisted_torsion(pres, mats, field=field)
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(mats, amap, 2, field)
-    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), inverse_transpose(rep))
+    z_it = evaluate_z(D, ExteriorAlgebra(2, rep.ring), rep.inverse_transpose())
     assert normalize_unit(z_it) == tor.normalized
 
 
@@ -331,3 +333,77 @@ def test_bareiss_unit_step_pays_pending_division(ring, monkeypatch):
         got = bareiss_det(m, ring)
         assert got == want and str(got) == str(want)
     assert calls and all(b == p for b in calls)
+
+
+def _walk_presentation(rng, identity_relator, d=3, num_arcs=2):
+    """Random presentation covering every case the Fox prefix walk handles.
+
+    Relator 0 has arc letters before and after its last closed letter, and
+    one closed generator three times, the last time as g^-1; the others
+    hold every closed generator once and random letters, with both signs,
+    and the last one is the identity when asked for.
+    """
+    m = d + num_arcs
+    arcs = range(d, m)
+    g = rng.randrange(d)
+    first = [(rng.choice(arcs), rng.choice((1, -1))), (g, 1), (rng.choice(arcs), 1),
+             (g, 1), (rng.choice(arcs), 1), (g, -1), (rng.choice(arcs), 1),
+             (rng.choice(arcs), 1)]
+    relators = [Word(first)]
+    for _ in range(1, d):
+        letters = [(k, rng.choice((1, -1))) for k in range(d)]
+        letters += [(rng.randrange(m), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(letters)
+        relators.append(Word(letters))
+    if identity_relator:
+        relators[-1] = Word.identity()
+    return Presentation(m, d, relators, [f"g{k}" for k in range(m)])
+
+
+def _walk_representation(rng, ring, m, n=2):
+    """Random invertible images, with xi in their entries over Q(xi); over a
+    Laurent ring, twisted by random classes."""
+    field = ring.field if isinstance(ring, LaurentRing) else ring
+    # a rational matrix times a unitriangular one with xi above the diagonal
+    above = field.generator() if field.degree > 1 else field.one
+    shear = [[field.one if i == j else above if i < j else field.zero
+              for j in range(n)] for i in range(n)]
+    mats = [linalg.matmul(random_invertible(rng, n, field), shear, field) for _ in range(m)]
+    if not isinstance(ring, LaurentRing):
+        return Representation(ring, n, mats)
+    images = [tuple(rng.randint(-2, 2) for _ in range(ring.nvars)) for _ in range(m)]
+    return Representation.twisted(mats, AbelianizationMap(m, ring.nvars, images, []), n, field)
+
+
+def _reference_blocks(pres, rep, torsion_convention):
+    """The Fox block through FoxMatrix, sigma and apply_to_groupring."""
+    square = fox_matrix(pres, rep.ring.field if isinstance(rep.ring, LaurentRing)
+                        else rep.ring).closed_square()
+    d = len(square)
+    blocks = [[rep.apply_to_groupring(sigma(square[j][i]) if torsion_convention
+                                      else square[i][j]) for j in range(d)]
+              for i in range(d)]
+    return linalg.assemble_blocks(blocks, rep.n, rep.ring)
+
+
+@pytest.mark.parametrize("ring", [QQ, XI, LaurentRing(XI, 1), LaurentRing(XI, 2)],
+                         ids=["QQ", "Q(xi)", "Q(xi)[t]", "Q(xi)[t1,t2]"])
+def test_fox_walk_matches_reference_route(ring):
+    rng = random.Random(4200)
+    nonzero = 0
+    for trial in range(6):
+        pres = _walk_presentation(rng, identity_relator=trial % 2 == 1)
+        rep = _walk_representation(rng, ring, pres.num_generators)
+        walk = _fox_block(pres, rep)
+        assert walk == _reference_blocks(pres, rep, torsion_convention=False)
+        # the torsion convention is the transpose of the walk through rho^-T
+        transposed = linalg.transpose(_fox_block(pres, rep.inverse_transpose()))
+        reference = _reference_blocks(pres, rep, torsion_convention=True)
+        assert transposed == reference
+        if isinstance(ring, LaurentRing):
+            raw = twisted_torsion(pres, rep=rep).raw
+            assert raw == bareiss_det(reference, ring)
+            # an identity relator is a zero row
+            assert raw.is_zero() or trial % 2 == 0
+            nonzero += not raw.is_zero()
+    assert nonzero or not isinstance(ring, LaurentRing), "every torsion vanished"
