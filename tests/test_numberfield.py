@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,3 +160,55 @@ def test_integer_core_matches_fraction_reference(min_poly, data):
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert field.parse(str(ra)) == a
+
+
+DOT_FIELDS = [QQ, NumberField([1, 1, 1]), NumberField([-2, 0, 0, 1])]
+DOT_IDS = ["QQ", "Q(xi)", "x^3-2"]
+
+
+def assert_canonical(e):
+    assert len(e.num) == e.field.degree
+    assert e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+def fold(xs, ys, field):
+    acc = field.zero
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def dot_elements(field):
+    """Elements whose coefficients have mixed denominators, or are all zero."""
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3, 4, 6]))
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(field.element)
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=DOT_IDS)
+@given(data=st.data())
+def test_dot_equals_fold_of_products(field, data):
+    xs = data.draw(st.lists(dot_elements(field), max_size=6))
+    ys = data.draw(st.lists(dot_elements(field), min_size=len(xs), max_size=len(xs)))
+    got = field.dot(xs, ys)
+    assert got == fold(xs, ys, field)
+    assert_canonical(got)
+    # the second half cancels the first exactly
+    cancelled = field.dot(xs + xs, ys + [-y for y in ys])
+    assert cancelled == field.zero
+    assert_canonical(cancelled)
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS, ids=DOT_IDS)
+def test_dot_edge_cases(field):
+    assert field.dot([], []) == field.zero
+    x = field.element([Fraction(k + 1, 2 + k) for k in range(field.degree)])
+    halves = [field.from_rational(Fraction(1, q)) for q in (2, 3, 4, 5, 6)]
+    # every product's denominator differs from the running one
+    got = field.dot([x] * 5, halves)
+    assert got == fold([x] * 5, halves, field)
+    assert_canonical(got)
+    assert field.dot([field.zero, x], [x, field.zero]) == field.zero
+    g = field.element([0] * (field.degree - 1) + [Fraction(1, 3)])
+    top = field.dot([g, g], [g, x])
+    assert top == g * g + g * x
+    assert_canonical(top)
