@@ -133,11 +133,7 @@ def abelianize(num_generators: int, relators) -> AbelianizationMap:
         images = [tuple(int(i == j) for i in range(m)) for j in range(m)]
         return AbelianizationMap(m, m, images, [])
     # columns of A are relator exponent vectors; coker(A) = Z^m / <relators>
-    A = [[0] * len(rels) for _ in range(m)]
-    for j, w in enumerate(rels):
-        sums = w.exponent_sums(m)
-        for i in range(m):
-            A[i][j] = sums[i]
+    A = [list(col) for col in zip(*(w.exponent_sums(m) for w in rels))]
     S, U, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(m, len(rels))) if S[i][i] != 0)
     rank = m - r

@@ -14,7 +14,6 @@ not checkable from crossing data and is trusted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .abelian import AbelianizationMap
 from .words import Word
@@ -23,23 +22,70 @@ CLOSED = "closed"
 ARC = "arc"
 
 
-@dataclass(frozen=True)
-class Crossing:
-    id: str
-    alpha_kind: str          # CLOSED or ARC
-    alpha_index: int         # index into the closed list or the arc list
-    beta_index: int
-    sign: int                # +1 or -1
+class Record:
+    """A value record whose fields are its __slots__, in order.
+
+    Fields come by position or keyword, a missing one from _defaults (a list
+    is copied).  Records equal only same-class records with equal fields and
+    print like dataclasses; a FrozenRecord also hashes and refuses assignment.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            given = {k: list(v) if type(v) is list else v for k, v in self._defaults.items()}
+            given = dict(given, **dict(zip(names, args)), **kwargs)
+            if len(args) > len(names) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Crossing(FrozenRecord):
+    # alpha_kind is CLOSED or ARC, alpha_index indexes the closed list or the
+    # arc list, and sign is +1 or -1
+    __slots__ = ("id", "alpha_kind", "alpha_index", "beta_index", "sign")
 
     @property
     def epsilon(self) -> int:
         return 0 if self.sign == 1 else 1
 
 
-@dataclass(frozen=True)
-class BetaCurve:
-    crossings: tuple          # cyclic order of crossing ids
-    basepoint: int = 0        # basepoint sits just before this position
+class BetaCurve(FrozenRecord):
+    # crossings is the cyclic order of crossing ids; the basepoint sits just
+    # before position basepoint
+    __slots__ = ("crossings", "basepoint")
+    _defaults = {"basepoint": 0}
 
     def from_basepoint(self):
         k = len(self.crossings)
@@ -49,14 +95,11 @@ class BetaCurve:
         return self.crossings[b:] + self.crossings[:b]
 
 
-@dataclass
-class HeegaardDatum:
-    alphas: list              # per closed curve: list of crossing ids
-    arcs: list                # per arc: list of crossing ids
-    betas: list               # list of BetaCurve
-    crossings: dict           # id -> Crossing
-    alpha_names: list = field(default_factory=list)
-    arc_names: list = field(default_factory=list)
+class HeegaardDatum(Record):
+    # alphas and arcs: a list of crossing ids per curve; betas: BetaCurves;
+    # crossings: id -> Crossing
+    __slots__ = ("alphas", "arcs", "betas", "crossings", "alpha_names", "arc_names")
+    _defaults = {"alpha_names": [], "arc_names": []}
 
     @property
     def d(self) -> int:
@@ -91,11 +134,10 @@ class HeegaardDatum:
         )
 
 
-@dataclass(frozen=True)
-class Multipoint:
+class Multipoint(FrozenRecord):
     """One crossing per closed alpha curve, hitting every beta exactly once."""
 
-    crossing_ids: tuple
+    __slots__ = ("crossing_ids",)
 
     def validate(self, D: HeegaardDatum):
         if len(self.crossing_ids) != D.d:
@@ -119,12 +161,9 @@ class Multipoint:
         raise ValueError(f"multipoint misses beta {j}")
 
 
-@dataclass
-class Presentation:
-    num_generators: int
-    closed_count: int
-    relators: list            # list of Word
-    names: list = field(default_factory=list)
+class Presentation(Record):
+    __slots__ = ("num_generators", "closed_count", "relators", "names")  # relators: Words
+    _defaults = {"names": []}
 
     def generator_names(self):
         if self.names:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation
+from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
 from .numberfield import NumberField
 from .words import parse_word
 
@@ -172,13 +172,9 @@ def load_presentation(path) -> Presentation:
 # -- representation files ----------------------------------------------------
 
 
-class RepresentationFile:
-    def __init__(self, field: NumberField, dimension: int, matrices: dict,
-                 meridian: str | None = None):
-        self.field = field
-        self.dimension = dimension
-        self.matrices = matrices          # generator name -> matrix of elements
-        self.meridian = meridian
+class RepresentationFile(Record):
+    __slots__ = ("field", "dimension", "matrices", "meridian")  # matrices by generator name
+    _defaults = {"meridian": None}
 
     def matrices_for(self, names):
         missing = [n for n in names if n not in self.matrices]

@@ -29,11 +29,7 @@ class Element:
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for label, c in terms.items():
-                if not c.is_zero():
-                    self.terms[label] = c
+        self.terms = {label: c for label, c in (terms or {}).items() if not c.is_zero()}
 
     def is_zero(self):
         return not self.terms
@@ -96,11 +92,7 @@ class TensorElement:
     def __init__(self, algebra, k, terms=None):
         self.algebra = algebra
         self.k = k
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                if not c.is_zero():
-                    self.terms[t] = c
+        self.terms = {t: c for t, c in (terms or {}).items() if not c.is_zero()}
 
     def __eq__(self, other):
         return (

@@ -22,13 +22,13 @@ exterior monomials instead of summing the prod_i L_i^n coproduct terms.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 
 from .abelian import abelianize
 from .diagram import (
     CLOSED,
     HeegaardDatum,
     Multipoint,
+    Record,
     beta_letters,
     multipoint_arc_words,
     presentation,
@@ -65,12 +65,12 @@ class SingularRepresentationError(EvaluationError):
                 f"(determinant {self.determinant})")
 
 
-@dataclass
-class EvaluationOptions:
-    homology_orientation_sign: int = 1
+class EvaluationOptions(Record):
+    __slots__ = ("homology_orientation_sign",)
+    _defaults = {"homology_orientation_sign": 1}
 
     def flipped(self) -> "EvaluationOptions":
-        return replace(self, homology_orientation_sign=-self.homology_orientation_sign)
+        return EvaluationOptions(-self.homology_orientation_sign)
 
 
 def _inverse_and_det(matrix, ring, generator):
@@ -285,11 +285,7 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                     pairs = groups[key] = ([], [])
                 pairs[0].append(c)
                 pairs[1].append(neg_f if (mask & above).bit_count() & 1 else f)
-        state = {}
-        for key, (cs, fs) in groups.items():
-            c = ring.dot(cs, fs)
-            if c:
-                state[key] = c
+        state = {key: c for key, (cs, fs) in groups.items() if (c := ring.dot(cs, fs))}
         if not state:
             return ring.zero
     total = state.get(full, ring.zero)

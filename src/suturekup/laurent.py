@@ -154,10 +154,7 @@ class LaurentPoly:
 
     def augmentation(self) -> FieldElement:
         """Sum of all coefficients (the ring map sending every variable to 1)."""
-        total = self.ring.field.zero
-        for c in self.terms.values():
-            total = total + c
-        return total
+        return sum(self.terms.values(), self.ring.field.zero)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -170,10 +167,7 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {tuple(-x for x in e): c.inv()})
 
     def min_exponents(self):
-        if not self.terms:
-            return (0,) * self.ring.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
+        return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.ring.nvars
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])

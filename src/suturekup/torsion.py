@@ -12,12 +12,10 @@ route through group-ring elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .diagram import HeegaardDatum, Presentation, presentation
+from .diagram import HeegaardDatum, Presentation, Record, presentation
 from .hopf import ExteriorAlgebra
 from .kuperberg import EvaluationOptions, Representation, evaluate_z, representation_for
-from .laurent import InexactDivision, LaurentPoly, divide_exact, normalize_unit
+from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import bareiss_det
 from .numberfield import QQ
 from .words import GroupRingElement, Word, fox_derivative
@@ -103,10 +101,8 @@ def _fox_block_det(pres: Presentation, rep):
     return bareiss_det(_fox_block(pres, rep), rep.ring)
 
 
-@dataclass
-class TorsionResult:
-    raw: LaurentPoly
-    normalized: LaurentPoly
+class TorsionResult(Record):
+    __slots__ = ("raw", "normalized")
 
 
 def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
@@ -131,12 +127,9 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
     return TorsionResult(det, normalize_unit(det))
 
 
-@dataclass
-class AlexanderResult:
-    torsion: LaurentPoly
-    boundary_factor: LaurentPoly
-    quotient: LaurentPoly | None
-    exact: bool
+class AlexanderResult(Record):
+    # quotient is None when the division is inexact
+    __slots__ = ("torsion", "boundary_factor", "quotient", "exact")
 
 
 def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
@@ -163,10 +156,8 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
         return AlexanderResult(tor.raw, boundary, None, False)
 
 
-@dataclass
-class CrosscheckReport:
-    z_value: object
-    det_value: object
+class CrosscheckReport(Record):
+    __slots__ = ("z_value", "det_value")
 
     @property
     def passed(self):

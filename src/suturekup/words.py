@@ -133,11 +133,7 @@ class GroupRingElement:
 
     def __init__(self, field: NumberField, terms=None):
         self.field = field
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    self.terms[w] = c
+        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
     def from_word(cls, w: Word, field: NumberField = QQ, coeff=None):

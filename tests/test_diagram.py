@@ -25,6 +25,7 @@ from suturekup.diagram import (
     Crossing,
     HeegaardDatum,
     Multipoint,
+    Presentation,
 )
 from suturekup.fixtures import figure_eight, trefoil
 
@@ -192,3 +193,100 @@ def test_random_datum_deterministic():
     assert a.alphas == b.alphas
     assert a.arcs == b.arcs
     assert [bc.crossings for bc in a.betas] == [bc.crossings for bc in b.betas]
+
+
+# -- the record classes ---------------------------------------------------------
+
+
+def test_records_compare_by_value_within_their_class():
+    assert Crossing("x1", CLOSED, 0, 0, 1) == Crossing("x1", CLOSED, 0, 0, 1)
+    assert Crossing("x1", CLOSED, 0, 0, 1) != Crossing("x1", CLOSED, 0, 0, -1)
+    assert BetaCurve(("x1",), 0) == BetaCurve(("x1",))
+    assert Multipoint(("x1",)) == Multipoint(("x1",))
+    assert trefoil() == trefoil() and trefoil() != figure_eight()
+    pres = presentation(trefoil())
+    assert pres == presentation(trefoil())
+    assert Presentation(1, 1, [Word.generator(0)]) != Presentation(1, 1, [Word.generator(0)], ["g"])
+    # never equal to a tuple of the same values or to another record class
+    assert Multipoint(("x1",)) != (("x1",),)
+    assert BetaCurve(("x1",), 0) != (("x1",), 0)
+    assert Crossing("x1", CLOSED, 0, 0, 1) != ("x1", CLOSED, 0, 0, 1)
+    assert Multipoint(("x1", 0)) != BetaCurve(("x1", 0))
+
+
+def test_frozen_records_hash_by_value_and_refuse_assignment():
+    for make, name in ((lambda: Crossing("x1", CLOSED, 0, 0, 1), "sign"),
+                       (lambda: BetaCurve(("x1", "x2"), 1), "basepoint"),
+                       (lambda: Multipoint(("x1", "x2")), "crossing_ids")):
+        a, b = make(), make()
+        assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        with pytest.raises(AttributeError):
+            setattr(a, name, "other")
+        assert a == b
+
+
+def test_mutable_records_are_unhashable():
+    for record in (trefoil(), Presentation(1, 1, [Word.generator(0)])):
+        with pytest.raises(TypeError):
+            hash(record)
+    D = trefoil()
+    D.alpha_names = ["u"]
+    assert D.generator_names()[0] == "u"
+
+
+def test_record_defaults():
+    assert BetaCurve(("x1", "x2")).basepoint == 0
+    a = HeegaardDatum([], [], [], {})
+    b = HeegaardDatum([], [], [], {})
+    assert a.alpha_names == [] and a.arc_names == []
+    assert a.alpha_names is not b.alpha_names and a.arc_names is not b.arc_names
+    a.alpha_names.append("u")
+    assert b.alpha_names == [] and HeegaardDatum([], [], [], {}).alpha_names == []
+    p, q = Presentation(0, 0, []), Presentation(0, 0, [])
+    assert p.names == [] and p.names is not q.names
+
+
+def test_record_construction_forms():
+    # positional, as bench/gen.py builds its data
+    c = Crossing("c0", CLOSED, 0, 0, -1)
+    beta = BetaCurve(("c0",), 0)
+    D = HeegaardDatum([["c0"]], [], [beta], {"c0": c})
+    assert (c.id, c.alpha_kind, c.alpha_index, c.beta_index, c.sign) == ("c0", CLOSED, 0, 0, -1)
+    assert c.epsilon == 1 and beta.crossings == ("c0",) and D.crossings["c0"] is c
+    # by keyword, and mixed
+    assert Crossing(id="c0", alpha_kind=CLOSED, alpha_index=0, beta_index=0, sign=-1) == c
+    assert BetaCurve(("c0",), basepoint=0) == beta == BetaCurve(crossings=("c0",))
+    named = HeegaardDatum([["c0"]], [], [beta], {"c0": c}, arc_names=[], alpha_names=["u"])
+    assert named.alpha_names == ["u"] and named == HeegaardDatum(
+        [["c0"]], [], [beta], {"c0": c}, ["u"], [])
+    assert validate(D).valid
+    for bad in (lambda: Crossing("c0", CLOSED, 0, 0),
+                lambda: BetaCurve(("c0",), 0, 1),
+                lambda: BetaCurve(("c0",), basepoint=0, offset=1),
+                lambda: BetaCurve(("c0",), crossings=("c0",)),
+                lambda: Multipoint()):
+        with pytest.raises(TypeError):
+            bad()
+
+
+def test_records_copy_and_pickle_by_value():
+    import copy
+    import pickle
+
+    for record in (Crossing("x1", CLOSED, 0, 0, 1), BetaCurve(("x1",), 0),
+                   Multipoint(("x1",)), figure_eight(), presentation(trefoil())):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
+            assert clone == record and type(clone) is type(record)
+    D = figure_eight()
+    assert copy.deepcopy(D).alphas is not D.alphas and copy.copy(D).alphas is D.alphas
+
+
+def test_record_repr_is_the_dataclass_format():
+    assert repr(Crossing("x1", CLOSED, 0, 1, -1)) == (
+        "Crossing(id='x1', alpha_kind='closed', alpha_index=0, beta_index=1, sign=-1)")
+    assert repr(BetaCurve(("x1",))) == "BetaCurve(crossings=('x1',), basepoint=0)"
+    assert repr(Multipoint(("x1",))) == "Multipoint(crossing_ids=('x1',))"
+    assert repr(HeegaardDatum([], [], [], {})) == (
+        "HeegaardDatum(alphas=[], arcs=[], betas=[], crossings={}, "
+        "alpha_names=[], arc_names=[])")

@@ -29,7 +29,14 @@ from suturekup import linalg
 from suturekup.files import load_presentation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.hopf import ExteriorAlgebra
-from suturekup.torsion import _fox_block, crosscheck
+from suturekup.kuperberg import EvaluationOptions
+from suturekup.torsion import (
+    AlexanderResult,
+    CrosscheckReport,
+    TorsionResult,
+    _fox_block,
+    crosscheck,
+)
 
 R1 = LaurentRing(QQ, 1)
 
@@ -407,3 +414,31 @@ def test_fox_walk_matches_reference_route(ring):
             assert raw.is_zero() or trial % 2 == 0
             nonzero += not raw.is_zero()
     assert nonzero or not isinstance(ring, LaurentRing), "every torsion vanished"
+
+
+# -- the result records ---------------------------------------------------------
+
+
+def test_result_records():
+    one, t = R1.one, R1.monomial((1,))
+    # the forms bench/tracing.py uses
+    assert CrosscheckReport(one, one).passed and not CrosscheckReport(one, t).passed
+    report = CrosscheckReport(z_value=one, det_value=t)
+    assert (report.z_value, report.det_value) == (one, t)
+    exact = AlexanderResult(t, one, t, True)
+    assert (exact.torsion, exact.boundary_factor, exact.quotient, exact.exact) == (t, one, t, True)
+    assert AlexanderResult(t, one, None, False).quotient is None
+    assert exact == AlexanderResult(torsion=t, boundary_factor=one, quotient=t, exact=True)
+    assert exact != AlexanderResult(t, one, None, False)
+    assert TorsionResult(t, one) == TorsionResult(raw=t, normalized=one)
+    assert TorsionResult(t, one) != (t, one)
+    assert TorsionResult(t, one) != CrosscheckReport(t, one)
+    assert repr(CrosscheckReport(one, t)) == "CrosscheckReport(z_value=1, det_value=t)"
+    for record in (report, exact, TorsionResult(t, one), EvaluationOptions()):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert EvaluationOptions().homology_orientation_sign == 1
+    assert EvaluationOptions().flipped().homology_orientation_sign == -1
+    assert EvaluationOptions(homology_orientation_sign=-1) == EvaluationOptions().flipped()
+    assert EvaluationOptions(-1).flipped() == EvaluationOptions()
+    assert repr(EvaluationOptions()) == "EvaluationOptions(homology_orientation_sign=1)"
