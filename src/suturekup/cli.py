@@ -24,7 +24,7 @@ from .kuperberg import (
     representation_for,
 )
 from .laurent import normalize_unit
-from .numberfield import QQ
+from .numberfield import QQ, echo
 from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
 from .words import parse_word
 
@@ -34,7 +34,7 @@ SEED_ENV = "SUTURE_KUP_SEED"
 def _parse_hopf(spec: str) -> int:
     kind, _, dim = spec.partition(":")
     if kind != "exterior" or not dim.isdigit():
-        raise ValueError(f"unsupported Hopf algebra {spec!r}; use exterior:N")
+        raise ValueError(f"unsupported Hopf algebra {echo(spec)}; use exterior:N")
     return int(dim)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
-from .numberfield import NumberField
+from .numberfield import NumberField, echo
 from .words import parse_word
 
 
@@ -40,7 +40,7 @@ def _require(data, keys, what):
 def _integer(value, what):
     """value, checked to be an int (not a bool, float or string); ValueError if not."""
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
+        raise ValueError(f"{what} must be an integer, not {echo(value)}")
     return value
 
 
@@ -48,7 +48,7 @@ def _strings(values, what):
     """values, checked to hold only strings; ValueError if not."""
     for value in values:
         if not isinstance(value, str):
-            raise ValueError(f"{what} holds {value!r}, not a string")
+            raise ValueError(f"{what} holds {echo(value)}, not a string")
     return values
 
 
@@ -57,7 +57,7 @@ def _distinct(names, what):
     seen = set()
     for name in names:
         if name in seen:
-            raise ValueError(f"{what} names generator {name!r} twice")
+            raise ValueError(f"{what} names generator {echo(name)} twice")
         seen.add(name)
     return names
 
@@ -116,7 +116,7 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
         for pair in entry["crossings"]:
             if not (isinstance(pair, list) and len(pair) == 2
                     and isinstance(pair[0], str) and type(pair[1]) is int):
-                raise ValueError(f"beta entry {j + 1} key 'crossings' holds {pair!r}, "
+                raise ValueError(f"beta entry {j + 1} key 'crossings' holds {echo(pair)}, "
                                  "not an [id, sign] pair")
             cid, sign = pair
             kind, idx = alpha_ref.get(cid, (CLOSED, -1))
@@ -159,7 +159,7 @@ def presentation_from_data(data: dict) -> Presentation:
     closed = _integer(data.get("closed_count", len(names)), "presentation key 'closed_count'")
     if not 0 <= closed <= len(names):
         raise ValueError(f"presentation key 'closed_count' must lie in 0..{len(names)}, "
-                         f"not {closed}")
+                         f"not {echo(closed)}")
     relators = [parse_word(s, names)
                 for s in _strings(data["relators"], "presentation key 'relators'")]
     return Presentation(len(names), closed, relators, names)
@@ -179,7 +179,7 @@ class RepresentationFile(Record):
     def matrices_for(self, names):
         missing = [n for n in names if n not in self.matrices]
         if missing:
-            raise ValueError(f"representation file misses generators: {missing}")
+            raise ValueError(f"representation file misses generators: {echo(missing)}")
         return [self.matrices[n] for n in names]
 
 
@@ -191,11 +191,11 @@ def representation_from_data(data: dict) -> RepresentationFile:
     for name, rows in data["generators"].items():
         if not (isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
-            raise ValueError(f"matrix for {name!r} is not {n}x{n}")
+            raise ValueError(f"matrix for {echo(name)} is not {n}x{n}")
         matrices[name] = [[field.parse(str(entry)) for entry in row] for row in rows]
     meridian = data.get("meridian")
     if meridian is not None and not isinstance(meridian, str):
-        raise ValueError(f"representation key 'meridian' must be a string, not {meridian!r}")
+        raise ValueError(f"representation key 'meridian' must be a string, not {echo(meridian)}")
     return RepresentationFile(field, n, matrices, meridian)
 
 

@@ -19,44 +19,23 @@ from __future__ import annotations
 
 import itertools
 
-from .numberfield import QQ, accumulate
+from .numberfield import QQ, SparseSum, accumulate
 
 
-class Element:
+class Element(SparseSum):
     """Sparse element of a Hopf superalgebra: {basis label: coefficient}."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
         self.terms = {label: c for label, c in (terms or {}).items() if not c.is_zero()}
 
-    def is_zero(self):
-        return not self.terms
+    def _parent(self):
+        return self.algebra
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Element)
-            and self.algebra == other.algebra
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for label, c in other.terms.items():
-            accumulate(out, label, c)
-        return Element(self.algebra, out)
-
-    def __neg__(self):
-        return Element(self.algebra, {l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if c.is_zero():
-            return Element(self.algebra, {})
-        return Element(self.algebra, {l: x * c for l, x in self.terms.items()})
+    def _like(self, terms):
+        return Element(self.algebra, terms)
 
     def __mul__(self, other):
         H = self.algebra
@@ -84,29 +63,21 @@ class Element:
         )
 
 
-class TensorElement:
+class TensorElement(SparseSum):
     """Sparse element of H^(x)k: {tuple of labels: coefficient}."""
 
-    __slots__ = ("algebra", "k", "terms")
+    __slots__ = ("algebra", "k")
 
     def __init__(self, algebra, k, terms=None):
         self.algebra = algebra
         self.k = k
         self.terms = {t: c for t, c in (terms or {}).items() if not c.is_zero()}
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.algebra == other.algebra
-            and self.k == other.k
-            and self.terms == other.terms
-        )
+    def _parent(self):
+        return self.algebra, self.k
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            accumulate(out, t, c)
-        return TensorElement(self.algebra, self.k, out)
+    def _like(self, terms):
+        return TensorElement(self.algebra, self.k, terms)
 
     def __mul__(self, other):
         """Componentwise product with Koszul signs between the factors."""
@@ -165,22 +136,13 @@ class HopfSuperAlgebra:
         return str(label)
 
     def counit_of(self, e: Element):
-        total = self.ring.zero
-        for l, c in e.terms.items():
-            total = total + self.counit(l) * c
-        return total
+        return sum((self.counit(l) * c for l, c in e.terms.items()), self.ring.zero)
 
     def antipode_of(self, e: Element) -> Element:
-        out = Element(self, {})
-        for l, c in e.terms.items():
-            out = out + self.antipode(l).scale(c)
-        return out
+        return sum((self.antipode(l).scale(c) for l, c in e.terms.items()), Element(self))
 
     def integral_of(self, e: Element):
-        total = self.ring.zero
-        for l, c in e.terms.items():
-            total = total + self.integral(l) * c
-        return total
+        return sum((self.integral(l) * c for l, c in e.terms.items()), self.ring.zero)
 
     def comult_of(self, e: Element) -> TensorElement:
         out = {}

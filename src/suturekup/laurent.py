@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .numberfield import FieldElement, NumberField, accumulate
+from .numberfield import FieldElement, NumberField, SparseSum, accumulate
 
 
 class InexactDivision(ArithmeticError):
@@ -94,51 +94,29 @@ class LaurentRing:
             exps = tuple(int(e) for e in exps)
             if len(exps) != self.nvars:
                 raise ValueError("exponent vector has wrong length")
-            if not c.is_zero():
-                accumulate(out, exps, c)
+            accumulate(out, exps, c)
         return LaurentPoly(self, out)
 
 
-class LaurentPoly:
-    __slots__ = ("ring", "terms")
+class LaurentPoly(SparseSum):
+    __slots__ = ("ring",)
 
     def __init__(self, ring: LaurentRing, terms: dict):
         self.ring = ring
         self.terms = terms
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _parent(self):
+        return self.ring
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+    def _like(self, terms):
+        return LaurentPoly(self.ring, terms)
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        return LaurentPoly(self.ring, out)
-
-    def __neg__(self):
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            if other.is_zero():
-                return self.ring.zero
-            return LaurentPoly(self.ring, {e: c * other for e, c in self.terms.items()})
+            return self.scale(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

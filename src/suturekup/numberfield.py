@@ -26,7 +26,7 @@ class NumberField:
 
     def __init__(self, min_poly):
         if not isinstance(min_poly, (list, tuple)) or any(type(c) is not int for c in min_poly):
-            raise ValueError(f"min_poly must be a list of integers, not {min_poly!r}")
+            raise ValueError(f"min_poly must be a list of integers, not {echo(min_poly)}")
         coeffs = list(min_poly)
         while len(coeffs) > 1 and coeffs[-1] == 0:
             coeffs.pop()
@@ -37,7 +37,7 @@ class NumberField:
         self.degree = len(coeffs) - 1
         root = _integer_root(coeffs) if self.degree >= 2 else None
         if root is not None:
-            raise ValueError(f"min_poly {coeffs} is reducible: x = {root} is a root")
+            raise ValueError(f"min_poly {echo(coeffs)} is reducible: x = {echo(root)} is a root")
         self.min_poly = tuple(coeffs)
         # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1}); the nonzero c_j with their j
         self._tail = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
@@ -157,20 +157,20 @@ class NumberField:
         while pos < len(s):
             m = self._TERM.match(s, pos)
             if not m or m.end() == pos:
-                raise ValueError(f"cannot parse field element {text!r} at {s[pos:]!r}")
+                raise ValueError(f"cannot parse field element {echo(text)} at {echo(s[pos:])}")
             sign, num, exp = m.group("sign"), m.group("num"), m.group("exp")
             if not sign and not first:
-                raise ValueError(f"missing sign in {text!r}")
+                raise ValueError(f"missing sign in {echo(text)}")
             if num is None and exp is None and "x" not in s[pos:m.end()]:
-                raise ValueError(f"empty term in {text!r}")
+                raise ValueError(f"empty term in {echo(text)}")
             has_x = "x" in s[pos:m.end()]
             k = int(exp) if exp is not None else (1 if has_x else 0)
             p = int(num) if num is not None else 1
             q = int(m.group("den") or 1)
             if q == 0:
-                raise ValueError(f"zero denominator in field element {text!r}")
+                raise ValueError(f"zero denominator in field element {echo(text)}")
             if k >= self.degree:
-                raise ValueError(f"term x^{k} exceeds field degree {self.degree}")
+                raise ValueError(f"term x^{echo(k)} exceeds field degree {self.degree}")
             terms.append((k, -p if sign == "-" else p, q))
             pos = m.end()
             first = False
@@ -283,8 +283,8 @@ class FieldElement:
         for c in range(d):
             p = next((r for r in range(c, d) if rows[r][c]), None)
             if p is None:
-                raise ValueError(f"{self} is not invertible: "
-                                 f"min_poly {list(field.min_poly)} is reducible")
+                raise ValueError(f"{echo(self)} is not invertible: "
+                                 f"min_poly {echo(list(field.min_poly))} is reducible")
             rows[c], rows[p] = rows[p], rows[c]
             pivot = rows[c][c]
             for r in range(c + 1, d):
@@ -378,6 +378,56 @@ def accumulate(terms, key, value):
         terms.pop(key, None)
     else:
         terms[key] = s
+
+
+class SparseSum:
+    """A finite formal sum {key: coefficient} with no zero coefficient stored.
+
+    A subclass supplies _parent(), the ring or module that equality compares
+    besides the terms, and _like(terms), a sum over the same parent.
+    """
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._parent() == other._parent()
+                and self.terms == other.terms)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(out, key, c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """Every coefficient times the scalar c."""
+        if c.is_zero():
+            return self._like({})
+        return self._like({key: x * c for key, x in self.terms.items()})
+
+
+# an error message echoes at most this many characters of an input value
+ECHO_CHARS = 40
+
+
+def echo(value) -> str:
+    """value for an error message: a string's repr or another value's, cut to ECHO_CHARS."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) > ECHO_CHARS:
+        text = text[:ECHO_CHARS] + "..."
+    return repr(text) if isinstance(value, str) else text
 
 
 def _integer_root(coeffs):

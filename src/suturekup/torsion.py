@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation
 from .hopf import ExteriorAlgebra
-from .kuperberg import EvaluationOptions, Representation, evaluate_z, representation_for
+from .kuperberg import Representation, evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import bareiss_det
 from .numberfield import QQ
@@ -165,7 +165,7 @@ class CrosscheckReport(Record):
 
 
 def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
-               field=None, opts=None) -> CrosscheckReport:
+               field=None) -> CrosscheckReport:
     """Tensor contraction versus Fox determinant, compared exactly.
 
     The determinant side uses the matrix (i, j) -> d(rel_i)/d(gen_j) over the
@@ -174,6 +174,6 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
     """
     pres = presentation(D)
     rep = representation_for(pres, n, rho_matrices, field, twisted)
-    z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts or EvaluationOptions())
+    z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep)
     det = _fox_block_det(pres, rep)
     return CrosscheckReport(z, det)

@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import re
 
-from .numberfield import FieldElement, NumberField, QQ, accumulate
+from .numberfield import FieldElement, NumberField, QQ, SparseSum, accumulate, echo
 
 MAX_EXPONENT = 10_000
 # an optional sign, then ASCII digits (leading zeros dropped); int() alone
 # would also take "1_000" and stop at its digit limit
 _EXPONENT = re.compile(r"([+-]?)0*([0-9]+)")
-# an error message echoes at most this many characters of a word
-_ECHO_CHARS = 40
-
-
-def _echo(text: str) -> str:
-    return repr(text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "...")
 
 
 class Word:
@@ -105,35 +99,41 @@ def parse_word(text: str, names) -> Word:
     letters = []
     for chunk in s.split("*"):
         if not chunk:
-            raise ValueError(f"empty factor in word {_echo(text)}")
+            raise ValueError(f"empty factor in word {echo(text)}")
         if "^" in chunk:
             name, _, exp = chunk.partition("^")
             match = _EXPONENT.fullmatch(exp)
             if match is None:
-                raise ValueError(f"exponent {_echo(exp)} is not an integer in word {_echo(text)}")
+                raise ValueError(f"exponent {echo(exp)} is not an integer in word {echo(text)}")
             sign, digits = match.groups()
             # the digit count settles a long exponent before int() reads it
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ValueError(f"exponent {_echo(exp)} exceeds {MAX_EXPONENT} in absolute "
-                                 f"value in word {_echo(text)}")
+                raise ValueError(f"exponent {echo(exp)} exceeds {MAX_EXPONENT} in absolute "
+                                 f"value in word {echo(text)}")
             k = int(sign + digits)
         else:
             name, k = chunk, 1
         if name not in index:
-            raise ValueError(f"unknown generator {_echo(name)} in word {_echo(text)}")
+            raise ValueError(f"unknown generator {echo(name)} in word {echo(text)}")
         g = index[name]
         letters.extend([(g, 1 if k > 0 else -1)] * abs(k))
     return Word(letters)
 
 
-class GroupRingElement:
+class GroupRingElement(SparseSum):
     """Finite formal sum of words with number-field coefficients."""
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field",)
 
     def __init__(self, field: NumberField, terms=None):
         self.field = field
         self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+
+    def _parent(self):
+        return self.field
+
+    def _like(self, terms):
+        return GroupRingElement(self.field, terms)
 
     @classmethod
     def from_word(cls, w: Word, field: NumberField = QQ, coeff=None):
@@ -148,33 +148,9 @@ class GroupRingElement:
     def one(cls, field: NumberField = QQ):
         return cls.from_word(Word.identity(), field)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            accumulate(out, w, c)
-        return GroupRingElement(self.field, out)
-
-    def __neg__(self):
-        return GroupRingElement(self.field, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, FieldElement):
-            return GroupRingElement(
-                self.field, {w: c * other for w, c in self.terms.items()}
-            )
+            return self.scale(other)
         if isinstance(other, Word):
             other = GroupRingElement.from_word(other, self.field)
         out = {}

@@ -427,6 +427,42 @@ def test_representation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, 
     assert_one_line_error(capsys, [command, data_path("figure8.json")] + options, message)
 
 
+LONG, Q40 = "q" * 400, "q" * 40
+
+
+@pytest.mark.parametrize("argv, document, path, value, message", [
+    pytest.param(["validate"], "trefoil", ("beta", 0, "crossings", 0), [LONG, "+"],
+                 f"holds ['{Q40[2:]}..., not an [id, sign] pair", id="beta-crossing-id"),
+    pytest.param(["validate"], "trefoil", ("alpha_closed", 0, "crossings", 0), [LONG],
+                 f"holds ['{Q40[2:]}..., not a string", id="alpha-crossing-id"),
+    pytest.param(["validate"], "trefoil", ("beta", 0, "basepoint_index"), LONG,
+                 f"must be an integer, not '{Q40}...'", id="basepoint-index-string"),
+    pytest.param(["twisted-alexander", data_path("figure8.json")], "rep", ("min_poly",),
+                 [1] * 300, "min_poly " + "[1" + ", 1" * 12 + ", ... is reducible",
+                 id="min-poly-of-300-ones"),
+    pytest.param(["twisted-alexander", data_path("figure8.json")], "rep",
+                 ("generators", "alpha", 0, 0), LONG,
+                 f"cannot parse field element '{Q40}...' at '{Q40}...'", id="matrix-entry"),
+    pytest.param(["axioms", "--hopf"], None, None, LONG,
+                 f"unsupported Hopf algebra '{Q40}...'", id="hopf"),
+    pytest.param(["presentation"], "presentation", ("generators",), [LONG, LONG],
+                 f"names generator '{Q40}...' twice", id="generator-twice"),
+])
+def test_long_values_are_echoed_cut(tmp_path, capsys, argv, document, path, value, message):
+    if document is None:
+        argv = argv + [value]
+    else:
+        doc = {"trefoil": lambda: read_json(data_path("trefoil.json")),
+               "rep": lambda: read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]])),
+               "presentation": lambda: {"generators": ["x"], "relators": []}}[document]()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        argv = argv + [write_json(tmp_path, doc)]
+    assert_one_line_error(capsys, argv, message)
+
+
 def test_representation_generators_list_is_one_line_error(tmp_path, capsys):
     rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
     rep["generators"] = list(rep["generators"].values())

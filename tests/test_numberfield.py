@@ -6,7 +6,10 @@ from hypothesis import given, strategies as st
 from numberfield_reference import NumberField as ReferenceField
 
 from suturekup import NumberField, QQ
+from suturekup.hopf import Element, ExteriorAlgebra, TensorElement
+from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.numberfield import _integer_root
+from suturekup.words import GroupRingElement, Word
 
 GAUSS = NumberField([1, 0, 1])        # x^2 + 1
 GOLDEN = NumberField([-1, -1, 1])     # x^2 - x - 1
@@ -212,3 +215,41 @@ def test_dot_edge_cases(field):
     top = field.dot([g, g], [g, x])
     assert top == g * g + g * x
     assert_canonical(top)
+
+
+def _sparse_sums():
+    """For each SparseSum subclass: a nonzero sum, its zero, and a zero over another parent."""
+    two = QQ.from_rational(2)
+    H = ExteriorAlgebra(1)
+    t = LaurentRing(QQ, 1)
+    g = GroupRingElement.from_word(Word.generator(0))
+    return {
+        "Element": (Element(H, {0: two, 1: -QQ.one}), Element(H),
+                    Element(ExteriorAlgebra(2))),
+        "TensorElement": (TensorElement(H, 2, {(0, 1): two, (1, 1): QQ.one}),
+                          TensorElement(H, 2), TensorElement(H, 3)),
+        "GroupRingElement": (g + GroupRingElement.one(), GroupRingElement.zero(),
+                             GroupRingElement.zero(GAUSS)),
+        "LaurentPoly": (t.from_terms({(1,): two, (-1,): QQ.one}), t.zero,
+                        LaurentRing(QQ, 2).zero),
+    }
+
+
+@pytest.mark.parametrize("name", ["Element", "TensorElement", "GroupRingElement",
+                                  "LaurentPoly"])
+def test_sparse_sum_semantics(name):
+    x, zero, other_zero = _sparse_sums()[name]
+    assert x and not zero and x.is_zero() is False and zero.is_zero()
+    assert not (x - x) and x - x == zero
+    assert -(-x) == x and x + zero == x and x != -x
+    assert x.scale(QQ.zero) == zero and x.scale(QQ.one) == x
+    # equality needs the same class and the same parent, not only the same terms
+    assert zero != other_zero and other_zero != zero
+    twin = (Element(ExteriorAlgebra(1), dict(x.terms)) if name == "LaurentPoly"
+            else LaurentPoly(LaurentRing(QQ, 1), dict(x.terms)))
+    assert x != twin and twin != x
+    if name == "LaurentPoly":
+        assert hash(x) == hash(-(-x))
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
