@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 from .abelian import abelianize
 from .diagram import HeegaardDatum, presentation, random_datum, validate
@@ -175,6 +176,7 @@ def cmd_axioms(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="suturekup",
@@ -240,11 +242,9 @@ def main(argv=None) -> int:
         parser.error("crosscheck needs a diagram file or --random N")
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 2
 

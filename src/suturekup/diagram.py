@@ -13,9 +13,8 @@ not checkable from crossing data and is trusted.
 
 from __future__ import annotations
 
-import random
-
 from .abelian import AbelianizationMap
+from .numberfield import echo
 from .words import Word
 
 CLOSED = "closed"
@@ -147,7 +146,7 @@ class Multipoint(FrozenRecord):
         for cid in self.crossing_ids:
             c = D.crossings[cid]
             if c.alpha_kind != CLOSED:
-                raise ValueError(f"multipoint crossing {cid} lies on an arc")
+                raise ValueError(f"multipoint crossing {echo(cid)} lies on an arc")
             alphas_hit.add(c.alpha_index)
             betas_hit.add(c.beta_index)
         if len(alphas_hit) != D.d or len(betas_hit) != D.d:
@@ -192,32 +191,32 @@ def validate(D: HeegaardDatum) -> ValidationReport:
         for idx, curve in enumerate(curves):
             for cid in curve:
                 if cid in seen_alpha:
-                    report.error(f"crossing {cid} listed twice on the alpha side")
+                    report.error(f"crossing {echo(cid)} listed twice on the alpha side")
                 seen_alpha[cid] = (kind, idx)
     seen_beta = {}
     for j, beta in enumerate(D.betas):
         for cid in beta.crossings:
             if cid in seen_beta:
-                report.error(f"crossing {cid} listed twice on the beta side")
+                report.error(f"crossing {echo(cid)} listed twice on the beta side")
             seen_beta[cid] = j
     if set(seen_alpha) != set(seen_beta):
         only_a = sorted(set(seen_alpha) - set(seen_beta))
         only_b = sorted(set(seen_beta) - set(seen_alpha))
         if only_a:
-            report.error(f"crossings missing on the beta side: {only_a}")
+            report.error(f"crossings missing on the beta side: {echo(only_a)}")
         if only_b:
-            report.error(f"crossings missing on the alpha side: {only_b}")
+            report.error(f"crossings missing on the alpha side: {echo(only_b)}")
     if set(D.crossings) != set(seen_alpha) | set(seen_beta):
         report.error("crossing table does not match the curve lists")
     for cid, c in D.crossings.items():
         ref = seen_alpha.get(cid)
         if ref is not None and ref != (c.alpha_kind, c.alpha_index):
-            report.error(f"crossing {cid} has inconsistent alpha reference")
+            report.error(f"crossing {echo(cid)} has inconsistent alpha reference")
         bref = seen_beta.get(cid)
         if bref is not None and bref != c.beta_index:
-            report.error(f"crossing {cid} has inconsistent beta reference")
+            report.error(f"crossing {echo(cid)} has inconsistent beta reference")
         if c.sign not in (1, -1):
-            report.error(f"crossing {cid} has sign {c.sign}")
+            report.error(f"crossing {echo(cid)} has sign {echo(c.sign)}")
     for j, beta in enumerate(D.betas):
         if beta.crossings and not 0 <= beta.basepoint < len(beta.crossings):
             report.error(f"beta {j} basepoint index out of range")
@@ -315,6 +314,7 @@ def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
 
 def random_datum(seed: int, d: int, l: int, max_crossings: int) -> HeegaardDatum:
     """Deterministic pseudo-random valid datum for property tests."""
+    import random
     rng = random.Random(seed)
     alphas = [[] for _ in range(d)]
     arcs = [[] for _ in range(l)]

@@ -3,11 +3,11 @@
 Matrices are lists of rows.  Determinants scale each unit pivot to one and
 take a fraction-free (Bareiss) step only at a non-unit pivot, so every
 division they make is exact in the ring; over a field, where every pivot is
-a unit, this is Gaussian elimination.  Inverses are Gauss-Jordan over a
-field and the adjugate over a Laurent ring, where an invertible matrix has a
-unit (+- monomial) determinant.  Every sum of products, a product entry or an
-elimination update a - f*b, is one ring.dot, which reduces each output
-coefficient once.
+a unit, this is Gaussian elimination.  Inverses are the in-place
+Gauss-Jordan sweep on n x n storage over a field, and the adjugate over a
+Laurent ring, where an invertible matrix has a unit (+- monomial)
+determinant.  Every sum of products, a product entry or an elimination
+update a - f*b, is one ring.dot, which reduces each output coefficient once.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _bareiss(M, ring):
 def inverse_and_det(matrix, ring):
     """Inverse and determinant; SingularMatrix when the matrix is not invertible.
 
-    Over a field both come from one Gauss-Jordan pass.  Over a Laurent ring
+    Over a field both come from one in-place sweep.  Over a Laurent ring
     the determinant must be a unit, and the inverse is the adjugate, with
     cofactors from bareiss_det, times the inverse of that unit.
     """
@@ -137,27 +137,38 @@ def inverse_and_det(matrix, ring):
 
 
 def _gauss_jordan(A, field):
-    """Gauss-Jordan inverse and determinant over a field; raises on singular input."""
+    """Inverse and determinant over a field by the in-place sweep; raises on singular input.
+
+    Pivot p leaves 1/p and the rest of its row over p in place; each other
+    row, with f in p's column, gets a - f*b at the nonzero b of p's row (one
+    two-pair dot each) and -f/p in the column.  Row swaps undo as column swaps.
+    """
     n = len(A)
-    M = [list(row) + ident_row for row, ident_row in zip(A, identity(n, field))]
+    M = [list(row) for row in A]
     one = det = field.one
     dot = field.dot
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if pivot is None:
+    swaps = []
+    for k in range(n):
+        r = next((r for r in range(k, n) if not M[r][k].is_zero()), None)
+        if r is None:
             raise SingularMatrix("singular matrix")
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        # row - f * pivot_row over the pivot row's nonzero entries, each
-        # entry one two-pair dot with the pivot row negated once
-        tail = [(j, -b) for j, b in enumerate(M[col]) if not b.is_zero()]
-        for r in range(n):
-            row, f = M[r], M[r][col]
-            if r != col and not f.is_zero():
-                for j, neg_b in tail:
-                    row[j] = dot((one, f), (row[j], neg_b))
-    return [row[n:] for row in M], det
+        if r != k:
+            M[k], M[r] = M[r], M[k]
+            swaps.append((k, r))
+        pivot_row, p = M[k], M[k][k]
+        det = det * p if k else p
+        pivot_row[k] = inv = p.inv()
+        tail = [(j, b * inv) for j, b in enumerate(pivot_row) if j != k and not b.is_zero()]
+        for j, b in tail:
+            pivot_row[j] = b
+        for row in M:
+            f = row[k]
+            if row is not pivot_row and not f.is_zero():
+                neg_f = -f
+                for j, b in tail:
+                    row[j] = dot((one, neg_f), (row[j], b))
+                row[k] = neg_f * inv
+    for k, r in reversed(swaps):
+        for row in M:
+            row[k], row[r] = row[r], row[k]
+    return M, -det if len(swaps) % 2 else det

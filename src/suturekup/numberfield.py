@@ -159,6 +159,8 @@ class NumberField:
             if not m or m.end() == pos:
                 raise ValueError(f"cannot parse field element {echo(text)} at {echo(s[pos:])}")
             sign, num, exp = m.group("sign"), m.group("num"), m.group("exp")
+            if any(g and len(g) > MAX_DIGITS for g in (num, m.group("den"), exp)):
+                raise ValueError(f"number over {MAX_DIGITS} digits in field element {echo(text)}")
             if not sign and not first:
                 raise ValueError(f"missing sign in {echo(text)}")
             if num is None and exp is None and "x" not in s[pos:m.end()]:
@@ -420,6 +422,8 @@ class SparseSum:
 
 # an error message echoes at most this many characters of an input value
 ECHO_CHARS = 40
+# parse refuses a coefficient, denominator or exponent of more digits before int()
+MAX_DIGITS = 1000
 
 
 def echo(value) -> str:

@@ -1,17 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from importlib import resources
 
 import pytest
 
+import suturekup
 from suturekup import presentation, validate
-from suturekup.cli import main
+from suturekup.cli import build_parser, main
 from suturekup.files import (
     canonical_json,
     diagram_from_data,
     diagram_to_data,
     load_diagram,
+    load_representation,
     presentation_from_data,
     presentation_to_data,
     representation_from_data,
@@ -501,3 +506,68 @@ def test_representation_dimension_mismatch_is_one_line_error(tmp_path, capsys, c
 ])
 def test_unsupported_hopf_is_one_line_error(capsys, argv):
     assert_one_line_error(capsys, argv, "unsupported Hopf algebra")
+
+
+def run_fresh(argv):
+    """Exit code, stdout and stderr of the CLI run in a new interpreter."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(suturekup.__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    done = subprocess.run([sys.executable, "-m", "suturekup.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("failing", [
+    pytest.param(["crosscheck", "--hopf", "exterior:1", "--random", "-1"], id="usage-error"),
+    pytest.param(["kuperberg", data_path("trefoil.json"), "--hopf", "symmetric:1"],
+                 id="input-error"),
+])
+@pytest.mark.parametrize("fail_first", [True, False], ids=["fail-first", "succeed-first"])
+def test_cached_parser_prints_as_a_fresh_process(capsys, failing, fail_first):
+    # main reuses one parser across calls; a failed parse must leave nothing
+    # behind that changes what the next call prints
+    succeeding = ["kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1", "--twisted"]
+    calls = [failing, succeeding] if fail_first else [succeeding, failing]
+    for argv in calls:
+        assert run_in_process(capsys, argv) == run_fresh(argv)
+    assert build_parser() is build_parser()
+
+
+def test_long_crossing_id_is_echoed_cut(tmp_path):
+    doc = read_json(data_path("figure8.json"))
+    doc["beta"][0]["crossings"][0][0] = LONG
+    path = write_json(tmp_path, doc)
+    for argv, first in ((["validate", path], "error: "),
+                        (["kuperberg", path, "--hopf", "exterior:1"], "invalid diagram: ")):
+        code, out, err = run_fresh(argv)
+        assert code == 1
+        lines = (out + err).splitlines()
+        assert lines and lines[0].startswith(first)
+        assert all(len(line) < 200 for line in lines)
+        assert f"crossings missing on the alpha side: ['{Q40[2:]}..." in out + err
+
+
+DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(DIGITS, id="numerator"),
+    pytest.param("1/" + DIGITS, id="denominator"),
+    pytest.param("x^" + DIGITS, id="exponent"),
+])
+def test_over_long_numbers_are_refused_by_digit_count(tmp_path, capsys, entry):
+    rep = write_figure8_rep(tmp_path, [[entry, "1"], ["0", "1"]])
+    message = f"number over 1000 digits in field element '{entry[:40]}...'"
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep], message)
+    with pytest.raises(ValueError) as info:
+        load_representation(rep)
+    assert str(info.value) == message

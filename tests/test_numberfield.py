@@ -253,3 +253,14 @@ def test_sparse_sum_semantics(name):
     else:
         with pytest.raises(TypeError):
             hash(x)
+
+
+def test_parse_settles_long_numbers_by_digit_count():
+    # 1000 digits read as numbers; one more is refused before int() sees it,
+    # whose own limit (4300 digits on CPython 3.11) would name neither entry nor field
+    big = "9" * 1000
+    assert QQ.parse(big) == QQ.from_rational(int(big))
+    assert GAUSS.parse(f"1/{big} + x^{'0' * 999}1") == GAUSS.element([Fraction(1, int(big)), 1])
+    for text in ("9" * 1001, "1/" + "9" * 1001, "x^" + "0" * 1001, "2 - 3/4*x^" + "1" * 5000):
+        with pytest.raises(ValueError, match=r"^number over 1000 digits in field element '"):
+            GAUSS.parse(text)

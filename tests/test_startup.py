@@ -3,7 +3,8 @@
 dataclasses pulls in inspect, ast, dis and tokenize (about 7 ms of import
 time on 2 shared cores, CPython 3.11); the records in diagram.py,
 kuperberg.py, torsion.py and files.py are plain classes so that no suturekup
-process pays for them.
+process pays for them.  random (about 3 ms) is imported only inside
+diagram.random_datum, which only tests and `crosscheck --random` call.
 """
 
 import os
@@ -12,7 +13,7 @@ import sys
 
 import suturekup
 
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "random")
 
 
 def test_import_loads_no_heavy_module():
