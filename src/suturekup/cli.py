@@ -11,19 +11,13 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from functools import cache
 
 from .abelian import abelianize
 from .diagram import HeegaardDatum, presentation, random_datum, validate
 from .files import load_diagram, load_diagram_or_presentation, load_representation
 from .hopf import ExteriorAlgebra, verify_axioms
-from .kuperberg import (
-    EvaluationOptions,
-    SingularRepresentationError,
-    evaluate_z,
-    representation_for,
-)
+from .kuperberg import EvaluationOptions, evaluate_z, representation_for
 from .laurent import normalize_unit
 from .numberfield import QQ, echo
 from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
@@ -34,19 +28,9 @@ SEED_ENV = "SUTURE_KUP_SEED"
 
 def _parse_hopf(spec: str) -> int:
     kind, _, dim = spec.partition(":")
-    if kind != "exterior" or not dim.isdigit():
+    if kind != "exterior" or not (dim.isascii() and dim.isdigit()):
         raise ValueError(f"unsupported Hopf algebra {echo(spec)}; use exterior:N")
     return int(dim)
-
-
-@contextmanager
-def _naming_generators(names):
-    """Let a singular-matrix error raised inside the block name its generator."""
-    try:
-        yield
-    except SingularRepresentationError as exc:
-        exc.name = names[exc.generator]
-        raise
 
 
 def _valid(D):
@@ -119,9 +103,8 @@ def cmd_twisted_alexander(args) -> int:
     names = pres.generator_names()
     matrices = rep_file.matrices_for(names)
     meridian = parse_word(rep_file.meridian, names)
-    with _naming_generators(names):
-        result = twisted_alexander_knot(pres, matrices, meridian,
-                                        rep_file.dimension, rep_file.field)
+    result = twisted_alexander_knot(pres, matrices, meridian,
+                                    rep_file.dimension, rep_file.field)
     print(f"torsion: {normalize_unit(result.torsion)}")
     print(f"boundary_factor: {normalize_unit(result.boundary_factor)}")
     if result.exact:
@@ -133,13 +116,11 @@ def cmd_twisted_alexander(args) -> int:
 
 def cmd_kuperberg(args) -> int:
     D = _valid(load_diagram(args.diagram))
-    names = D.generator_names()
     n = _parse_hopf(args.hopf)
-    field, matrices = _load_representation_file(args, n, names)
+    field, matrices = _load_representation_file(args, n, D.generator_names())
     opts = EvaluationOptions(homology_orientation_sign=args.sign)
-    with _naming_generators(names):
-        rep = representation_for(presentation(D), n, matrices, field, args.twisted)
-        value = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
+    rep = representation_for(presentation(D), n, matrices, field, args.twisted)
+    value = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
     print(value)
     return 0
 
@@ -158,10 +139,8 @@ def cmd_crosscheck(args) -> int:
             failures += not report.passed
         return 1 if failures else 0
     D = _valid(load_diagram(args.diagram))
-    names = D.generator_names()
-    field, matrices = _load_representation_file(args, n, names)
-    with _naming_generators(names):
-        report = crosscheck(D, n, matrices, twisted=bool(args.twisted), field=field)
+    field, matrices = _load_representation_file(args, n, D.generator_names())
+    report = crosscheck(D, n, matrices, twisted=bool(args.twisted), field=field)
     print("PASS" if report.passed else "FAIL")
     print(f"Z = {report.z_value}")
     print(f"det = {report.det_value}")

@@ -277,8 +277,6 @@ def _arc_word(D: HeegaardDatum, j: int, start: int, end: int) -> Word:
     """Crossing word of the beta_j arc from edge position start to edge position end."""
     beta = D.betas[j]
     k = len(beta.crossings)
-    if k == 0:
-        return Word.identity()
     letters = []
     pos = start % k
     while pos != end % k:

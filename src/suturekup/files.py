@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
-from .numberfield import NumberField, echo
+from .numberfield import MAX_DIGITS, NumberField, echo
 from .words import parse_word
 
 
@@ -19,7 +19,14 @@ def canonical_json(data) -> str:
 
 def _read_document(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=_json_int)
+
+
+def _json_int(text):
+    """A JSON integer, refused by its digit count before int() reads it."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"number over {MAX_DIGITS} digits in JSON document: {echo(text)}")
+    return int(text)
 
 
 _TYPE_NAMES = {list: "a list", dict: "an object"}

@@ -123,12 +123,6 @@ class HopfSuperAlgebra:
     cointegral() -> Element, integral(label) -> coeff.
     """
 
-    ring = None
-    labels = ()
-
-    def element(self, terms):
-        return Element(self, terms)
-
     def basis_element(self, label):
         return Element(self, {label: self.ring.one})
 
@@ -145,11 +139,7 @@ class HopfSuperAlgebra:
         return sum((self.integral(l) * c for l, c in e.terms.items()), self.ring.zero)
 
     def comult_of(self, e: Element) -> TensorElement:
-        out = {}
-        for l, c in e.terms.items():
-            for pair, cc in self.comult(l).items():
-                accumulate(out, pair, cc * c)
-        return TensorElement(self, 2, out)
+        return self.iterated_coproduct(e, 2)
 
     def iterated_coproduct(self, e: Element, k: int) -> TensorElement:
         """Left-nested Delta^k; Delta^0 is the counit, Delta^1 the identity."""
@@ -201,9 +191,6 @@ class ExteriorAlgebra(HopfSuperAlgebra):
             and self.n == other.n
             and self.ring == other.ring
         )
-
-    def __hash__(self):
-        return hash(("exterior", self.n, self.ring))
 
     def degree(self, label):
         return bin(label).count("1")

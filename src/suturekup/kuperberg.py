@@ -38,7 +38,7 @@ from .diagram import (
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentRing
 from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul, transpose
-from .numberfield import QQ, accumulate
+from .numberfield import QQ, accumulate, echo
 from .words import Word
 
 
@@ -81,9 +81,22 @@ def _inverse_and_det(matrix, ring, generator):
         raise SingularRepresentationError(generator, bareiss_det(matrix, ring)) from None
 
 
-def _check_shape(matrix, n):
+def _check_shape(matrix, n, ring):
+    """matrix, checked to be n x n with every entry over ring; EvaluationError if not."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise EvaluationError("representation matrix has the wrong size")
+    # a Laurent polynomial carries its ring, a field element its field
+    attr = "ring" if isinstance(ring, LaurentRing) else "field"
+    for row in matrix:
+        for entry in row:
+            if (parent := getattr(entry, attr, None)) is not ring and parent != ring:
+                raise EvaluationError(f"matrix entry {echo(entry)} is over {echo(parent)}, "
+                                      f"not {echo(ring)}")
+
+
+def _entry_field(matrices):
+    """The field of the first matrix entry; QQ when there is none."""
+    return next((getattr(e, "field", QQ) for m in matrices or () for row in m for e in row), QQ)
 
 
 class Representation:
@@ -100,7 +113,7 @@ class Representation:
         self.matrices = [[list(row) for row in m] for m in matrices]
         self.identity = identity(n, ring)
         for m in self.matrices:
-            _check_shape(m, n)
+            _check_shape(m, n, ring)
         if inverses is None:
             pairs = [_inverse_and_det(m, ring, g) for g, m in enumerate(self.matrices)]
             inverses = [inv for inv, _ in pairs]
@@ -112,7 +125,8 @@ class Representation:
     @classmethod
     def trivial(cls, num_generators, n, ring=None):
         ring = ring if ring is not None else QQ
-        return cls(ring, n, [identity(n, ring)] * num_generators)
+        idents = [identity(n, ring)] * num_generators
+        return cls(ring, n, idents, idents, [ring.one] * num_generators)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -121,16 +135,17 @@ class Representation:
         Generator g maps to t^{h(g)} * M_g over the Laurent ring on
         abelianization.rank variables; trivial matrices when None is given.
         Its inverse t^{-h(g)} * M_g^{-1} and determinant t^{n h(g)} * det M_g
-        are taken over the field.
+        are taken over the field, the entries' own when None is given; a
+        singular M_g raises SingularRepresentationError for generator g.
         """
-        field = field if field is not None else QQ
+        field = field if field is not None else _entry_field(field_matrices)
         ring = LaurentRing(field, abelianization.rank)
         ident = identity(n, field)
         mats, inverses, dets = [], [], []
         for g in range(abelianization.num_generators):
             m = ident if field_matrices is None else field_matrices[g]
-            _check_shape(m, n)
-            inv, det = _inverse_and_det(m, field, g)
+            _check_shape(m, n, field)
+            inv, det = (ident, field.one) if m is ident else _inverse_and_det(m, field, g)
             exps = abelianization.gen_images[g]
             neg = tuple(-e for e in exps)
             mats.append([[ring.monomial(exps, c) for c in row] for row in m])
@@ -196,20 +211,29 @@ class Representation:
                 if self.word_matrix(rel) != self.identity]
 
 
-def representation_for(pres, n, rho_matrices=None, field=None, twisted=False):
+def representation_for(pres, n=None, rho_matrices=None, field=None, twisted=False,
+                       amap=None):
     """The representation a presentation is evaluated through.
 
-    The given matrices over field (identity matrices when None, QQ when no
-    field is given); twisted, each generator's matrix times the monomial of
-    its class in the free abelianization, over the Laurent ring.
+    The given n x n matrices (identities when None) over field; n and field
+    default to the entries' (1 and QQ without any); twisted, each matrix times
+    its generator's monomial in amap (pres's free abelianization when None),
+    over the Laurent ring.  SingularRepresentationError names the generator.
     """
-    field = field if field is not None else QQ
-    if twisted:
-        amap = abelianize(pres.num_generators, pres.relators)
-        return Representation.twisted(rho_matrices, amap, n, field)
-    if rho_matrices is None:
-        return Representation.trivial(pres.num_generators, n, field)
-    return Representation(field, n, rho_matrices)
+    if n is None:
+        n = len(rho_matrices[0]) if rho_matrices else 1
+    field = field if field is not None else _entry_field(rho_matrices)
+    try:
+        if twisted:
+            if amap is None:
+                amap = abelianize(pres.num_generators, pres.relators)
+            return Representation.twisted(rho_matrices, amap, n, field)
+        if rho_matrices is None:
+            return Representation.trivial(pres.num_generators, n, field)
+        return Representation(field, n, rho_matrices)
+    except SingularRepresentationError as exc:
+        exc.name = pres.generator_names()[exc.generator]
+        raise
 
 
 def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,

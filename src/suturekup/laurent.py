@@ -147,14 +147,11 @@ class LaurentPoly(SparseSum):
     def min_exponents(self):
         return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.ring.nvars
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def __str__(self):
         if not self.terms:
             return "0"
         pieces = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.terms.items()):
             mono = _monomial_str(exps)
             sign, body = _coeff_str(c, bool(mono))
             term = f"{body}*{mono}" if body and mono else (body or mono or "1")

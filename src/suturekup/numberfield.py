@@ -311,9 +311,6 @@ class FieldElement:
     def inv_unit(self) -> "FieldElement":
         return self.inv()
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation
 from .hopf import ExteriorAlgebra
-from .kuperberg import Representation, evaluate_z, representation_for
+from .kuperberg import evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import bareiss_det
 from .numberfield import QQ
@@ -117,12 +117,7 @@ def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
     as rep, which then replaces rho_matrices, amap, n and field.
     """
     if rep is None:
-        if n is None:
-            n = len(rho_matrices[0]) if rho_matrices else 1
-        if amap is None:
-            rep = representation_for(pres, n, rho_matrices, field, twisted=True)
-        else:
-            rep = Representation.twisted(rho_matrices, amap, n, field)
+        rep = representation_for(pres, n, rho_matrices, field, twisted=True, amap=amap)
     det = _fox_block_det(pres, rep.inverse_transpose())
     return TorsionResult(det, normalize_unit(det))
 
@@ -139,8 +134,6 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
     The twisted Alexander polynomial is the exact quotient when it exists;
     an inexact division is reported, not rationalized.
     """
-    if n is None:
-        n = len(rho_matrices[0]) if rho_matrices else 1
     rep = representation_for(pres, n, rho_matrices, field, twisted=True)
     tor = twisted_torsion(pres, rep=rep)
     ring = rep.ring

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .numberfield import FieldElement, NumberField, QQ, SparseSum, accumulate, echo
+from .numberfield import NumberField, QQ, SparseSum, accumulate, echo
 
 MAX_EXPONENT = 10_000
 # an optional sign, then ASCII digits (leading zeros dropped); int() alone
@@ -149,10 +149,6 @@ class GroupRingElement(SparseSum):
         return cls.from_word(Word.identity(), field)
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement):
-            return self.scale(other)
-        if isinstance(other, Word):
-            other = GroupRingElement.from_word(other, self.field)
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():

@@ -503,6 +503,8 @@ def test_representation_dimension_mismatch_is_one_line_error(tmp_path, capsys, c
     ["kuperberg", data_path("figure8.json"), "--hopf", "symmetric:2"],
     ["crosscheck", "--hopf", "exterior:x", "--random", "1"],
     ["axioms", "--hopf", "exterior"],
+    # str.isdigit takes the superscript, int() does not
+    ["axioms", "--hopf", "exterior:\u00b2"],
 ])
 def test_unsupported_hopf_is_one_line_error(capsys, argv):
     assert_one_line_error(capsys, argv, "unsupported Hopf algebra")
@@ -571,3 +573,28 @@ def test_over_long_numbers_are_refused_by_digit_count(tmp_path, capsys, entry):
     with pytest.raises(ValueError) as info:
         load_representation(rep)
     assert str(info.value) == message
+
+
+def figure8_rep_with_bare_entry(tmp_path, number):
+    """A figure-eight representation file whose first alpha entry is a bare JSON number."""
+    rep = write_figure8_rep(tmp_path, [[0, "1"], ["0", "1"]])
+    with open(rep, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(rep, "w", encoding="utf-8") as fh:
+        fh.write(text.replace('[[0, "1"]', f'[[{number}, "1"]'))
+    return rep
+
+
+@pytest.mark.parametrize("number", [pytest.param(DIGITS, id="positive"),
+                                    pytest.param("-" + DIGITS, id="negative")])
+def test_bare_long_integer_is_refused_by_digit_count(tmp_path, capsys, number):
+    # json.load would hand these digits to int(), whose own limit names nothing
+    rep = figure8_rep_with_bare_entry(tmp_path, number)
+    message = f"number over 1000 digits in JSON document: '{number[:40]}...'"
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep], message)
+
+
+def test_bare_integer_of_max_digits_is_read(tmp_path):
+    big = "9" * 1000
+    rep_file = load_representation(figure8_rep_with_bare_entry(tmp_path, big))
+    assert rep_file.matrices["alpha"][0][0] == rep_file.field.parse(big)

@@ -290,3 +290,39 @@ def test_record_repr_is_the_dataclass_format():
     assert repr(HeegaardDatum([], [], [], {})) == (
         "HeegaardDatum(alphas=[], arcs=[], betas=[], crossings={}, "
         "alpha_names=[], arc_names=[])")
+
+
+def two_curve_datum(**changes):
+    """Closed curves A0 = (x1, x2), A1 = (y1, y2); betas B0 = (x1, y1), B1 = (x2, y2)."""
+    crossings = {cid: Crossing(cid, CLOSED, int(cid[0] == "y"), int(cid[1]) - 1, 1)
+                 for cid in ("x1", "x2", "y1", "y2")}
+    crossings.update(changes)
+    return HeegaardDatum([["x1", "x2"], ["y1", "y2"]], [],
+                         [BetaCurve(("x1", "y1")), BetaCurve(("x2", "y2"))], crossings)
+
+
+@pytest.mark.parametrize("D, message", [
+    pytest.param(HeegaardDatum([["x1"], ["x1"]], [], [BetaCurve(("x1",)), BetaCurve(())],
+                               {"x1": Crossing("x1", CLOSED, 1, 0, 1)}),
+                 "crossing 'x1' listed twice on the alpha side", id="alpha-twice"),
+    pytest.param(two_curve_datum(z9=Crossing("z9", CLOSED, 0, 0, 1)),
+                 "crossing table does not match the curve lists", id="extra-table-entry"),
+    pytest.param(two_curve_datum(x2=Crossing("x2", CLOSED, 1, 1, 1)),
+                 "crossing 'x2' has inconsistent alpha reference", id="alpha-reference"),
+    pytest.param(two_curve_datum(y1=Crossing("y1", CLOSED, 1, 1, 1)),
+                 "crossing 'y1' has inconsistent beta reference", id="beta-reference"),
+])
+def test_validate_reports_inconsistent_tables(D, message):
+    assert validate(two_curve_datum()).valid
+    assert message in validate(D).errors
+
+
+def test_multipoint_must_be_bijective_and_meet_every_beta():
+    D = two_curve_datum()
+    Multipoint(("x1", "y2")).validate(D)
+    for ids in (("x1", "x2"), ("x1", "y1")):
+        with pytest.raises(ValueError, match="multipoint must be bijective on both curve"):
+            Multipoint(ids).validate(D)
+    assert Multipoint(("x1", "y2")).on_beta(D, 1).id == "y2"
+    with pytest.raises(ValueError, match="multipoint misses beta 1"):
+        Multipoint(("x1", "y1")).on_beta(D, 1)

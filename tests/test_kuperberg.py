@@ -2,6 +2,7 @@ import random
 
 import pytest
 from conftest import (
+    data_path,
     figure_eight_sl2,
     homology_diag_matrices,
     random_invertible,
@@ -26,16 +27,20 @@ from suturekup import (
     Word,
     abelianize,
     basepoints_from_multipoint,
+    crosscheck,
     evaluate_z,
     evaluate_z_twisted,
     normalize_unit,
+    parse_word,
     presentation,
     random_datum,
     spinc_correction,
+    twisted_alexander_knot,
 )
 from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
+from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
-from suturekup.kuperberg import SingularRepresentationError
+from suturekup.kuperberg import EvaluationError, SingularRepresentationError
 from suturekup.linalg import matmul
 
 
@@ -369,3 +374,93 @@ def test_singular_matrix_names_its_generator():
     one_plus_t = ring.from_terms({(0,): one, (1,): one})
     with pytest.raises(SingularRepresentationError):
         Representation(ring, 1, [[[one_plus_t]]])
+
+
+def parabolic_matrices(alpha=None):
+    """The figure-eight's shipped Q(xi) matrices, with alpha's replaced when given."""
+    rep_file = load_representation(data_path("figure8_parabolic_rep.json"))
+    if alpha is not None:
+        rep_file.matrices["alpha"] = alpha
+    return rep_file.matrices_for(figure_eight().generator_names())
+
+
+def test_field_comes_from_the_entries():
+    mats = parabolic_matrices()
+    report = crosscheck(figure_eight(), 2, mats, twisted=True)
+    assert report.passed and str(report.z_value) == "1 - 6*t + 10*t^2 - 6*t^3 + t^4"
+    pres = presentation(figure_eight())
+    result = twisted_alexander_knot(pres, mats, parse_word("a", pres.generator_names()), 2)
+    assert str(normalize_unit(result.quotient)) == "1 - 4*t + t^2"
+    x, one = XI.generator(), XI.one
+    assert Representation(XI, 2, [[[x, one], [one, x]]]).dets == [XI.parse("-2 - x")]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: crosscheck(figure_eight(), 2, parabolic_matrices(), twisted=True,
+                                    field=QQ), id="crosscheck-field-QQ"),
+    pytest.param(lambda: Representation(QQ, 2, [[[XI.generator(), XI.one],
+                                                   [XI.one, XI.generator()]]]),
+                 id="constructor-QQ"),
+    pytest.param(lambda: Representation.twisted([[[XI.one]], [[QQ.one]]], abelianize(2, []), 1),
+                 id="mixed-fields"),
+    pytest.param(lambda: Representation(LaurentRing(QQ, 1), 1, [[[LaurentRing(XI, 1).one]]]),
+                 id="laurent-ring"),
+    pytest.param(lambda: Representation(QQ, 1, [[[1]]]), id="int-entry"),
+])
+def test_entries_over_another_field_are_refused(build):
+    with pytest.raises(EvaluationError, match=r"^matrix entry .* is over .*, not "):
+        build()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda D, mats: crosscheck(D, 2, mats), id="crosscheck"),
+    pytest.param(lambda D, mats: crosscheck(D, 2, mats, twisted=True), id="crosscheck-twisted"),
+    pytest.param(lambda D, mats: twisted_alexander_knot(
+        presentation(D), mats, parse_word("a", D.generator_names())), id="twisted-alexander"),
+])
+def test_library_calls_name_the_singular_generator(call):
+    mats = parabolic_matrices(alpha=[[XI.one, XI.one], [XI.one, XI.one]])
+    with pytest.raises(SingularRepresentationError) as info:
+        call(figure_eight(), mats)
+    assert info.value.name == "alpha"
+    assert "generator 'alpha' is not invertible" in str(info.value)
+
+
+@pytest.mark.parametrize("mats", [
+    pytest.param([[[QQ.one]]], id="1x1-for-2x2"),
+    pytest.param([[[QQ.one, QQ.zero], [QQ.zero]]], id="short-row"),
+])
+def test_matrix_of_the_wrong_size_is_refused(mats):
+    with pytest.raises(EvaluationError, match="representation matrix has the wrong size"):
+        Representation(QQ, 2, mats)
+    with pytest.raises(EvaluationError, match="representation matrix has the wrong size"):
+        Representation.twisted(mats, abelianize(1, []), 2)
+
+
+def test_identity_representations_skip_inversion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an identity matrix was inverted")
+
+    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", refuse)
+    amap = abelianize(2, [Word.generator(0) * Word.generator(1)])
+    for rep in (Representation.trivial(3, 2), Representation.twisted(None, amap, 2)):
+        ring = rep.ring
+        for m, inv, det, det_inv in zip(rep.matrices, rep.inverses, rep.dets, rep.det_inverses):
+            assert matmul(m, inv, ring) == rep.identity == matmul(inv, m, ring)
+            assert det == minor_det(m, [0, 1], [0, 1], ring) and det * det_inv == ring.one
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda D: (HeegaardDatum(D.alphas, D.arcs, D.betas[:0], D.crossings),
+                            ExteriorAlgebra(1), Representation.trivial(2, 1), None),
+                 "invalid diagram: unbalanced diagram", id="invalid-diagram"),
+    pytest.param(lambda D: (D, ExteriorAlgebra(1, LaurentRing(QQ, 1)),
+                            Representation.trivial(2, 1), None),
+                 "representation ring does not match the algebra ring", id="ring-mismatch"),
+    pytest.param(lambda D: (D, ExteriorAlgebra(1), Representation.trivial(2, 1),
+                            EvaluationOptions(homology_orientation_sign=2)),
+                 r"homology orientation sign must be \+1 or -1", id="homology-sign"),
+])
+def test_evaluate_z_refuses_bad_input(make, message):
+    with pytest.raises(EvaluationError, match=message):
+        evaluate_z(*make(trefoil()))

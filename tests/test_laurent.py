@@ -168,3 +168,11 @@ def test_dot_edge_cases(ring):
     got = ring.dot([p, m2], [q, ring.one])
     assert got == fold([p, m2], [q, ring.one], ring) == ring.from_rational(Fraction(1, 4))
     assert_canonical(got)
+
+
+def test_exponent_vector_length_and_division_by_zero_are_refused():
+    for build in (lambda: R2.monomial((1,)), lambda: R2.from_terms({(0, 1, 2): QQ.one})):
+        with pytest.raises(ValueError, match="exponent vector has wrong length"):
+            build()
+    with pytest.raises(InexactDivision, match="division by zero"):
+        divide_exact(R1.one, R1.zero)

@@ -15,7 +15,7 @@ import pytest
 from linalg_reference import minor_det
 
 from suturekup import NumberField, QQ, linalg
-from suturekup.linalg import SingularMatrix, identity, inverse_and_det, matmul
+from suturekup.linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul
 from suturekup.numberfield import FieldElement
 
 EISENSTEIN = NumberField([1, 1, 1])
@@ -147,3 +147,8 @@ def test_sweep_counts(field, n, monkeypatch):
     assert counts["inv"] == n
     assert counts["mul"] <= (n - 1) * (2 * n + 1)
     assert counts["dot"] <= n * (n - 1) ** 2
+
+
+def test_determinant_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="determinant needs a square matrix"):
+        bareiss_det([[QQ.one, QQ.zero]], QQ)

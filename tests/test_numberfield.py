@@ -83,6 +83,18 @@ def test_parse_rejects_high_powers():
         GAUSS.parse("x^2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x 1", "missing sign in 'x 1'"),
+    ("1 +", "empty term in '1 +'"),
+    ("-", "empty term in '-'"),
+    ("3/0*x", "zero denominator in field element '3/0*x'"),
+])
+def test_parse_refuses_malformed_terms(text, message):
+    with pytest.raises(ValueError) as info:
+        GAUSS.parse(text)
+    assert str(info.value) == message
+
+
 def test_min_poly_must_be_monic():
     with pytest.raises(ValueError):
         NumberField([1, 2])
