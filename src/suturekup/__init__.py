@@ -11,10 +11,7 @@ from .diagram import (
     BetaCurve,
     Crossing,
     HeegaardDatum,
-    Multipoint,
     Presentation,
-    basepoints_from_multipoint,
-    epsilon_class,
     presentation,
     random_datum,
     relator_word,
@@ -31,7 +28,6 @@ from .kuperberg import (
     Representation,
     evaluate_z,
     evaluate_z_twisted,
-    spinc_correction,
 )
 from .laurent import InexactDivision, LaurentPoly, LaurentRing, divide_exact, normalize_unit
 from .numberfield import NumberField, QQ

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from functools import cache
 
@@ -19,17 +20,21 @@ from .files import load_diagram, load_diagram_or_presentation, load_representati
 from .hopf import ExteriorAlgebra, verify_axioms
 from .kuperberg import EvaluationOptions, evaluate_z, representation_for
 from .laurent import normalize_unit
-from .numberfield import QQ, echo
+from .numberfield import MAX_DIGITS, QQ, echo
 from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
 from .words import parse_word
 
 SEED_ENV = "SUTURE_KUP_SEED"
+# ExteriorAlgebra(N) lists its 2^N basis labels up front
+MAX_HOPF_DIM = 20
 
 
 def _parse_hopf(spec: str) -> int:
     kind, _, dim = spec.partition(":")
     if kind != "exterior" or not (dim.isascii() and dim.isdigit()):
         raise ValueError(f"unsupported Hopf algebra {echo(spec)}; use exterior:N")
+    if len(dim.lstrip("0")) > len(str(MAX_HOPF_DIM)) or int(dim) > MAX_HOPF_DIM:
+        raise ValueError(f"--hopf takes exterior:N with N in 0..{MAX_HOPF_DIM}, not {echo(spec)}")
     return int(dim)
 
 
@@ -129,7 +134,11 @@ def cmd_crosscheck(args) -> int:
     n = _parse_hopf(args.hopf)
     failures = 0
     if args.random:
-        base = int(os.environ.get(SEED_ENV, "0"))
+        text = os.environ.get(SEED_ENV, "0")
+        if not re.fullmatch(f"[+-]?[0-9]{{1,{MAX_DIGITS}}}", text):
+            raise ValueError(f"${SEED_ENV} must be an integer of at most {MAX_DIGITS} digits, "
+                             f"not {echo(text)}")
+        base = int(text)
         for k in range(args.random):
             seed = base + k
             D = random_datum(seed, d=1 + k % 2, l=k % 3, max_crossings=4)

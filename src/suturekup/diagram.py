@@ -13,7 +13,6 @@ not checkable from crossing data and is trusted.
 
 from __future__ import annotations
 
-from .abelian import AbelianizationMap
 from .numberfield import echo
 from .words import Word
 
@@ -122,43 +121,6 @@ class HeegaardDatum(Record):
             return crossing.alpha_index
         return self.d + crossing.alpha_index
 
-    def copy(self) -> "HeegaardDatum":
-        return HeegaardDatum(
-            [list(a) for a in self.alphas],
-            [list(a) for a in self.arcs],
-            [BetaCurve(tuple(b.crossings), b.basepoint) for b in self.betas],
-            dict(self.crossings),
-            list(self.alpha_names),
-            list(self.arc_names),
-        )
-
-
-class Multipoint(FrozenRecord):
-    """One crossing per closed alpha curve, hitting every beta exactly once."""
-
-    __slots__ = ("crossing_ids",)
-
-    def validate(self, D: HeegaardDatum):
-        if len(self.crossing_ids) != D.d:
-            raise ValueError("multipoint must pick one crossing per closed curve")
-        alphas_hit = set()
-        betas_hit = set()
-        for cid in self.crossing_ids:
-            c = D.crossings[cid]
-            if c.alpha_kind != CLOSED:
-                raise ValueError(f"multipoint crossing {echo(cid)} lies on an arc")
-            alphas_hit.add(c.alpha_index)
-            betas_hit.add(c.beta_index)
-        if len(alphas_hit) != D.d or len(betas_hit) != D.d:
-            raise ValueError("multipoint must be bijective on both curve families")
-
-    def on_beta(self, D: HeegaardDatum, j: int) -> Crossing:
-        for cid in self.crossing_ids:
-            c = D.crossings[cid]
-            if c.beta_index == j:
-                return c
-        raise ValueError(f"multipoint misses beta {j}")
-
 
 class Presentation(Record):
     __slots__ = ("num_generators", "closed_count", "relators", "names")  # relators: Words
@@ -256,58 +218,6 @@ def presentation(D: HeegaardDatum) -> Presentation:
         [relator_word(D, j) for j in range(D.d)],
         D.generator_names(),
     )
-
-
-# -- basepoints, multipoints and moves ---------------------------------------
-
-
-def basepoints_from_multipoint(D: HeegaardDatum, x: Multipoint) -> HeegaardDatum:
-    """Place each beta basepoint just before (positive) or after (negative) x_i."""
-    x.validate(D)
-    out = D.copy()
-    for cid in x.crossing_ids:
-        j = D.crossings[cid].beta_index
-        beta = out.betas[j]
-        new_bp = (beta.basepoint + subword_length(D, cid)) % len(beta.crossings)
-        out.betas[j] = BetaCurve(beta.crossings, new_bp)
-    return out
-
-
-def _arc_word(D: HeegaardDatum, j: int, start: int, end: int) -> Word:
-    """Crossing word of the beta_j arc from edge position start to edge position end."""
-    beta = D.betas[j]
-    k = len(beta.crossings)
-    letters = []
-    pos = start % k
-    while pos != end % k:
-        c = D.crossings[beta.crossings[pos]]
-        letters.append((D.generator_of(c), c.sign))
-        pos = (pos + 1) % k
-    return Word(letters)
-
-
-def multipoint_arc_words(D: HeegaardDatum, x: Multipoint, y: Multipoint) -> list:
-    """Per beta curve, the word of its arc from the edge of x's crossing to y's."""
-    x.validate(D)
-    y.validate(D)
-    words = []
-    for j in range(D.d):
-        qx, qy = (D.betas[j].basepoint + subword_length(D, m.on_beta(D, j).id) for m in (x, y))
-        words.append(_arc_word(D, j, qx, qy))
-    return words
-
-
-def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
-                  h: AbelianizationMap):
-    """Sum over beta curves of h(word of the arc from q(x) to q(y)).
-
-    This is the relative class attached to the ordered pair (y, x); it is
-    antisymmetric in its arguments and additive along chains of multipoints.
-    """
-    total = [0] * h.rank
-    for word in multipoint_arc_words(D, x, y):
-        total = [a + b for a, b in zip(total, h.word_image(word))]
-    return tuple(total)
 
 
 def random_datum(seed: int, d: int, l: int, max_crossings: int) -> HeegaardDatum:

@@ -27,10 +27,8 @@ from .abelian import abelianize
 from .diagram import (
     CLOSED,
     HeegaardDatum,
-    Multipoint,
     Record,
     beta_letters,
-    multipoint_arc_words,
     presentation,
     subword_length,
     validate,
@@ -73,10 +71,10 @@ class EvaluationOptions(Record):
         return EvaluationOptions(-self.homology_orientation_sign)
 
 
-def _inverse_and_det(matrix, ring, generator):
-    """Inverse and determinant of a generator's matrix; raises when it has none."""
+def _inverse(matrix, ring, generator):
+    """Inverse of a generator's matrix; raises when it has none."""
     try:
-        return inverse_and_det(matrix, ring)
+        return inverse_and_det(matrix, ring)[0]
     except SingularMatrix:
         raise SingularRepresentationError(generator, bareiss_det(matrix, ring)) from None
 
@@ -103,11 +101,11 @@ class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
     exterior algebra) to every presentation generator.
 
-    Callers that already know the inverses and determinants pass both in;
-    otherwise they are computed.
+    Callers that already know the inverses pass them in; otherwise they are
+    computed.
     """
 
-    def __init__(self, ring, n, matrices, inverses=None, dets=None):
+    def __init__(self, ring, n, matrices, inverses=None):
         self.ring = ring
         self.n = n
         self.matrices = [[list(row) for row in m] for m in matrices]
@@ -115,18 +113,14 @@ class Representation:
         for m in self.matrices:
             _check_shape(m, n, ring)
         if inverses is None:
-            pairs = [_inverse_and_det(m, ring, g) for g, m in enumerate(self.matrices)]
-            inverses = [inv for inv, _ in pairs]
-            dets = [det for _, det in pairs]
+            inverses = [_inverse(m, ring, g) for g, m in enumerate(self.matrices)]
         self.inverses = list(inverses)
-        self.dets = list(dets)
-        self.det_inverses = [d.inv_unit() for d in self.dets]
 
     @classmethod
     def trivial(cls, num_generators, n, ring=None):
         ring = ring if ring is not None else QQ
         idents = [identity(n, ring)] * num_generators
-        return cls(ring, n, idents, idents, [ring.one] * num_generators)
+        return cls(ring, n, idents, idents)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -134,24 +128,23 @@ class Representation:
 
         Generator g maps to t^{h(g)} * M_g over the Laurent ring on
         abelianization.rank variables; trivial matrices when None is given.
-        Its inverse t^{-h(g)} * M_g^{-1} and determinant t^{n h(g)} * det M_g
-        are taken over the field, the entries' own when None is given; a
-        singular M_g raises SingularRepresentationError for generator g.
+        Its inverse t^{-h(g)} * M_g^{-1} is taken over the field, the
+        entries' own when None is given; a singular M_g raises
+        SingularRepresentationError for generator g.
         """
         field = field if field is not None else _entry_field(field_matrices)
         ring = LaurentRing(field, abelianization.rank)
         ident = identity(n, field)
-        mats, inverses, dets = [], [], []
+        mats, inverses = [], []
         for g in range(abelianization.num_generators):
             m = ident if field_matrices is None else field_matrices[g]
             _check_shape(m, n, field)
-            inv, det = (ident, field.one) if m is ident else _inverse_and_det(m, field, g)
+            inv = ident if m is ident else _inverse(m, field, g)
             exps = abelianization.gen_images[g]
             neg = tuple(-e for e in exps)
             mats.append([[ring.monomial(exps, c) for c in row] for row in m])
             inverses.append([[ring.monomial(neg, c) for c in row] for row in inv])
-            dets.append(ring.monomial(tuple(n * e for e in exps), det))
-        return cls(ring, n, mats, inverses=inverses, dets=dets)
+        return cls(ring, n, mats, inverses)
 
     @property
     def num_generators(self):
@@ -168,25 +161,16 @@ class Representation:
     def word_matrix(self, w: Word):
         return self.prefix_matrices(w.letters)[-1]
 
-    def r_of_word(self, w: Word):
-        """Determinant of the word's image (the value of r_H on the automorphism)."""
-        out = self.ring.one
-        for g, e in w.letters:
-            out = out * (self.dets[g] if e == 1 else self.det_inverses[g])
-        return out
-
     def inverse_transpose(self):
         """The representation g -> (rho(g)^-1)^T, from the known inverses.
 
         Its image of a word w is the transpose of rho(w)^-1, so the torsion
         convention's rho(sigma(w)) = rho(w)^-1 is read as a transpose of it.
-        Matrices and inverses swap places, as do dets and det_inverses, so
-        nothing is inverted again.
+        Matrices and inverses swap places, so nothing is inverted again.
         """
         out = copy.copy(self)
         out.matrices = [transpose(inv) for inv in self.inverses]
         out.inverses = [transpose(m) for m in self.matrices]
-        out.dets, out.det_inverses = self.det_inverses, self.dets
         return out
 
     def apply_to_groupring(self, e):
@@ -327,16 +311,3 @@ def evaluate_z_twisted(D: HeegaardDatum, n: int, rho_matrices=None,
     rep = representation_for(presentation(D), n, rho_matrices, field, twisted=True)
     return evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
 
-
-def spinc_correction(D: HeegaardDatum, x: Multipoint, y: Multipoint,
-                     rep: Representation):
-    """Unit relating the evaluations anchored at two multipoints.
-
-    The product over beta curves of r_H(rho(arc word from q(x) to q(y))); the
-    evaluation with basepoints from x equals this factor times the evaluation
-    with basepoints from y.
-    """
-    out = rep.ring.one
-    for word in multipoint_arc_words(D, x, y):
-        out = out * rep.r_of_word(word)
-    return out

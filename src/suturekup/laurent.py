@@ -130,10 +130,6 @@ class LaurentPoly(SparseSum):
             {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
         )
 
-    def augmentation(self) -> FieldElement:
-        """Sum of all coefficients (the ring map sending every variable to 1)."""
-        return sum(self.terms.values(), self.ring.field.zero)
-
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

@@ -1,37 +1,56 @@
 """The paper's transformation laws, kept as a test-only kit.
 
-Diagram moves (basepoint moves, curve reversals, reordering), multipoint
-enumeration, the Fox-calculus consistency check, the exterior extension
-Lambda(T) with its scalar r_H, and the representation transforms the laws
-pair with, all exercised by check_covariance_suite.  The library evaluates
-through HopfAutomorphism.apply_label and Representation.prefix_matrices
-alone; these helpers only state what its values must satisfy.  Former
-methods of HopfAutomorphism and Representation are functions here that take
-the object as their first argument, still named self.
+Diagram moves (basepoint moves, curve reversals, reordering), multipoints
+with the basepoints they anchor and their spin^c correction, the
+Fox-calculus consistency check, the exterior extension Lambda(T) with its
+scalar r_H, the augmentation of a Laurent value, and the representation
+transforms the laws pair with, all exercised by check_covariance_suite.  The
+library evaluates through HopfAutomorphism.apply_label and
+Representation.prefix_matrices alone; these helpers only state what its
+values must satisfy.  Former methods of HopfAutomorphism, Representation
+and LaurentPoly are functions here that take the object as their first
+argument, still named self.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from math import prod
 
+from suturekup.abelian import AbelianizationMap
 from suturekup.diagram import (
     CLOSED,
     BetaCurve,
     Crossing,
+    FrozenRecord,
     HeegaardDatum,
-    Multipoint,
-    _arc_word,
     beta_letters,
     relator_word,
     subword_length,
 )
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
+from suturekup.laurent import LaurentPoly
 from suturekup.linalg import bareiss_det, inverse_and_det, matmul
+from suturekup.numberfield import FieldElement, echo
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
 
 # -- diagram moves and multipoints -------------------------------------------
+
+
+def arc_word(D: HeegaardDatum, j: int, start: int, end: int) -> Word:
+    """Crossing word of the beta_j arc from edge position start to edge position end."""
+    beta = D.betas[j]
+    k = len(beta.crossings)
+    letters = []
+    pos = start % k
+    while pos != end % k:
+        c = D.crossings[beta.crossings[pos]]
+        letters.append((D.generator_of(c), c.sign))
+        pos = (pos + 1) % k
+    return Word(letters)
 
 
 def beta_subword(D: HeegaardDatum, crossing_id: str) -> Word:
@@ -65,16 +84,16 @@ def move_basepoint(D: HeegaardDatum, j: int, new_pos: int):
     beta = D.betas[j]
     k = len(beta.crossings)
     if k == 0:
-        return D.copy(), Word.identity()
-    word = _arc_word(D, j, beta.basepoint, new_pos)
-    out = D.copy()
+        return copy.deepcopy(D), Word.identity()
+    word = arc_word(D, j, beta.basepoint, new_pos)
+    out = copy.deepcopy(D)
     out.betas[j] = BetaCurve(beta.crossings, new_pos % k)
     return out, word
 
 
 def reverse_alpha(D: HeegaardDatum, i: int) -> HeegaardDatum:
     """Reverse closed alpha_i: traversal order reverses, its crossing signs flip."""
-    out = D.copy()
+    out = copy.deepcopy(D)
     out.alphas[i] = list(reversed(out.alphas[i]))
     on_curve = set(out.alphas[i])
     for cid in on_curve:
@@ -86,7 +105,7 @@ def reverse_alpha(D: HeegaardDatum, i: int) -> HeegaardDatum:
 
 def reverse_beta(D: HeegaardDatum, j: int) -> HeegaardDatum:
     """Reverse beta_j keeping the basepoint at the same edge; signs flip."""
-    out = D.copy()
+    out = copy.deepcopy(D)
     beta = out.betas[j]
     k = len(beta.crossings)
     if k:
@@ -101,7 +120,7 @@ def reverse_beta(D: HeegaardDatum, j: int) -> HeegaardDatum:
 
 def rotate_alpha_basepoint(D: HeegaardDatum, i: int, shift: int) -> HeegaardDatum:
     """Move alpha_i's basepoint past `shift` crossings (cyclic rotation)."""
-    out = D.copy()
+    out = copy.deepcopy(D)
     curve = out.alphas[i]
     if curve:
         s = shift % len(curve)
@@ -111,7 +130,7 @@ def rotate_alpha_basepoint(D: HeegaardDatum, i: int, shift: int) -> HeegaardDatu
 
 def swap_alpha_order(D: HeegaardDatum, i: int, k: int) -> HeegaardDatum:
     """Swap closed curves i and k in the ordering (generators are renumbered)."""
-    out = D.copy()
+    out = copy.deepcopy(D)
     out.alphas[i], out.alphas[k] = out.alphas[k], out.alphas[i]
     if out.alpha_names:
         out.alpha_names[i], out.alpha_names[k] = out.alpha_names[k], out.alpha_names[i]
@@ -121,6 +140,30 @@ def swap_alpha_order(D: HeegaardDatum, i: int, k: int) -> HeegaardDatum:
             out.crossings[cid] = Crossing(c.id, c.alpha_kind, remap[c.alpha_index],
                                           c.beta_index, c.sign)
     return out
+
+
+class Multipoint(FrozenRecord):
+    """One crossing per closed alpha curve, hitting every beta exactly once."""
+
+    __slots__ = ("crossing_ids",)
+
+    def validate(self, D: HeegaardDatum):
+        if len(self.crossing_ids) != D.d:
+            raise ValueError("multipoint must pick one crossing per closed curve")
+        crossings = [D.crossings[cid] for cid in self.crossing_ids]
+        for c in crossings:
+            if c.alpha_kind != CLOSED:
+                raise ValueError(f"multipoint crossing {echo(c.id)} lies on an arc")
+        if (len({c.alpha_index for c in crossings}) != D.d
+                or len({c.beta_index for c in crossings}) != D.d):
+            raise ValueError("multipoint must be bijective on both curve families")
+
+    def on_beta(self, D: HeegaardDatum, j: int) -> Crossing:
+        for cid in self.crossing_ids:
+            c = D.crossings[cid]
+            if c.beta_index == j:
+                return c
+        raise ValueError(f"multipoint misses beta {j}")
 
 
 def enumerate_multipoints(D: HeegaardDatum, limit=None):
@@ -144,6 +187,56 @@ def enumerate_multipoints(D: HeegaardDatum, limit=None):
 
     rec(0, frozenset(), [])
     return out
+
+
+def basepoints_from_multipoint(D: HeegaardDatum, x: Multipoint) -> HeegaardDatum:
+    """Place each beta basepoint just before (positive) or after (negative) x_i."""
+    x.validate(D)
+    out = copy.deepcopy(D)
+    for cid in x.crossing_ids:
+        j = D.crossings[cid].beta_index
+        beta = out.betas[j]
+        new_bp = (beta.basepoint + subword_length(D, cid)) % len(beta.crossings)
+        out.betas[j] = BetaCurve(beta.crossings, new_bp)
+    return out
+
+
+def multipoint_arc_words(D: HeegaardDatum, x: Multipoint, y: Multipoint) -> list:
+    """Per beta curve, the word of its arc from the edge of x's crossing to y's."""
+    x.validate(D)
+    y.validate(D)
+    words = []
+    for j in range(D.d):
+        qx, qy = (D.betas[j].basepoint + subword_length(D, m.on_beta(D, j).id) for m in (x, y))
+        words.append(arc_word(D, j, qx, qy))
+    return words
+
+
+def epsilon_class(D: HeegaardDatum, x: Multipoint, y: Multipoint,
+                  h: AbelianizationMap):
+    """Sum over beta curves of h(word of the arc from q(x) to q(y)).
+
+    This is the relative class attached to the ordered pair (y, x); it is
+    antisymmetric in its arguments and additive along chains of multipoints.
+    """
+    images = [h.word_image(word) for word in multipoint_arc_words(D, x, y)]
+    return tuple(map(sum, zip([0] * h.rank, *images)))
+
+
+def spinc_correction(D: HeegaardDatum, x: Multipoint, y: Multipoint,
+                     rep: Representation):
+    """Unit relating the evaluations anchored at two multipoints.
+
+    The product over beta curves of r_H(rho(arc word from q(x) to q(y))); the
+    evaluation with basepoints from x equals this factor times the evaluation
+    with basepoints from y.
+    """
+    return prod((r_of_word(rep, w) for w in multipoint_arc_words(D, x, y)), start=rep.ring.one)
+
+
+def augmentation(self: LaurentPoly) -> FieldElement:
+    """Sum of all coefficients (the ring map sending every variable to 1)."""
+    return sum(self.terms.values(), self.ring.field.zero)
 
 
 # -- exterior automorphisms --------------------------------------------------
@@ -234,6 +327,11 @@ def automorphism(self, w: Word, algebra: ExteriorAlgebra) -> HopfAutomorphism:
     return HopfAutomorphism(algebra, matrix=self.word_matrix(w))
 
 
+def r_of_word(self, w: Word):
+    """Determinant of the word's image (the value of r_H on the automorphism)."""
+    return bareiss_det(self.word_matrix(w), self.ring)
+
+
 def conjugated(self, phi):
     phi_inv = inverse_and_det(phi, self.ring)[0]
     mats = [matmul(matmul(phi, m, self.ring), phi_inv, self.ring)
@@ -242,17 +340,16 @@ def conjugated(self, phi):
 
 
 def with_generator_inverted(self, g):
-    mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
+    mats, inverses = list(self.matrices), list(self.inverses)
     mats[g], inverses[g] = self.inverses[g], self.matrices[g]
-    dets[g] = self.det_inverses[g]
-    return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
+    return Representation(self.ring, self.n, mats, inverses)
 
 
 def with_swapped(self, i, k):
-    mats, inverses, dets = list(self.matrices), list(self.inverses), list(self.dets)
-    for seq in (mats, inverses, dets):
+    mats, inverses = list(self.matrices), list(self.inverses)
+    for seq in (mats, inverses):
         seq[i], seq[k] = seq[k], seq[i]
-    return Representation(self.ring, self.n, mats, inverses=inverses, dets=dets)
+    return Representation(self.ring, self.n, mats, inverses)
 
 
 # -- the covariance suite -----------------------------------------------------
@@ -294,14 +391,14 @@ def check_covariance_suite(D: HeegaardDatum, H: ExteriorAlgebra,
         new_pos = (D.betas[j].basepoint + 1) % k
         moved, word = move_basepoint(D, j, new_pos)
         lhs = base
-        rhs = rep.r_of_word(word) * evaluate_z(moved, H, rep, opts)
+        rhs = r_of_word(rep, word) * evaluate_z(moved, H, rep, opts)
         report.record(f"basepoint move on beta {j}", lhs == rhs)
 
     for i in range(D.d):
         flipped = reverse_alpha(D, i)
         rep2 = with_generator_inverted(rep, i)
         lhs = evaluate_z(flipped, H, rep2, opts.flipped())
-        rhs = rep.dets[i] * base
+        rhs = bareiss_det(rep.matrices[i], rep.ring) * base
         report.record(f"alpha reversal on curve {i}", lhs == rhs)
 
     for j in range(D.d):

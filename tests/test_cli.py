@@ -499,15 +499,31 @@ def test_representation_dimension_mismatch_is_one_line_error(tmp_path, capsys, c
                           "dimension does not match --hopf")
 
 
-@pytest.mark.parametrize("argv", [
-    ["kuperberg", data_path("figure8.json"), "--hopf", "symmetric:2"],
-    ["crosscheck", "--hopf", "exterior:x", "--random", "1"],
-    ["axioms", "--hopf", "exterior"],
+UNSUPPORTED = "unsupported Hopf algebra"
+ABOVE_CAP = "--hopf takes exterior:N with N in 0..20, not "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kuperberg", data_path("figure8.json"), "--hopf", "symmetric:2"], UNSUPPORTED),
+    (["crosscheck", "--hopf", "exterior:x", "--random", "1"], UNSUPPORTED),
+    (["axioms", "--hopf", "exterior"], UNSUPPORTED),
     # str.isdigit takes the superscript, int() does not
-    ["axioms", "--hopf", "exterior:\u00b2"],
+    (["axioms", "--hopf", "exterior:\u00b2"], UNSUPPORTED),
+    (["kuperberg", data_path("trefoil.json"), "--hopf", "exterior:21"], ABOVE_CAP + "'exterior:21'"),
+    # past CPython's 4,300-digit limit for int()
+    (["axioms", "--hopf", "exterior:" + "9" * 5000],
+     ABOVE_CAP + "'exterior:" + "9" * 31 + "...'"),
 ])
-def test_unsupported_hopf_is_one_line_error(capsys, argv):
-    assert_one_line_error(capsys, argv, "unsupported Hopf algebra")
+def test_unsupported_hopf_is_one_line_error(capsys, argv, message):
+    assert_one_line_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("seed, shown", [("abc", "'abc'"), ("1" * 5000, "'" + "1" * 40 + "...'")],
+                         ids=["letters", "5000-digits"])
+def test_malformed_seed_is_one_line_error(monkeypatch, capsys, seed, shown):
+    monkeypatch.setenv("SUTURE_KUP_SEED", seed)
+    assert_one_line_error(capsys, ["crosscheck", "--random", "1", "--hopf", "exterior:1"],
+                          "$SUTURE_KUP_SEED must be an integer", "not " + shown)
 
 
 def run_fresh(argv):

@@ -1,7 +1,10 @@
 import pytest
 from paper_laws import (
+    Multipoint,
+    basepoints_from_multipoint,
     beta_subword,
     enumerate_multipoints,
+    epsilon_class,
     fox_consistency,
     move_basepoint,
     reverse_beta,
@@ -12,8 +15,6 @@ from suturekup import (
     QQ,
     Word,
     abelianize,
-    basepoints_from_multipoint,
-    epsilon_class,
     presentation,
     random_datum,
     relator_word,
@@ -24,7 +25,6 @@ from suturekup.diagram import (
     BetaCurve,
     Crossing,
     HeegaardDatum,
-    Multipoint,
     Presentation,
 )
 from suturekup.fixtures import figure_eight, trefoil

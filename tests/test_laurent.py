@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from paper_laws import augmentation
 
 from suturekup import (
     InexactDivision,
@@ -29,7 +30,7 @@ def test_ring_operations():
     q = poly(R1, {(-1,): 1, (0,): 1})
     assert p * q == poly(R1, {(-1,): 1, (1,): -1})
     assert p + q - q == p
-    assert (p * q).augmentation() == QQ.zero
+    assert augmentation(p * q) == QQ.zero
     assert p * R1.one == p
     assert (p - p).is_zero()
 
