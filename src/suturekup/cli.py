@@ -27,6 +27,7 @@ from .words import parse_word
 SEED_ENV = "SUTURE_KUP_SEED"
 # ExteriorAlgebra(N) lists its 2^N basis labels up front
 MAX_HOPF_DIM = 20
+MAX_AXIOMS_DIM = 6  # verify_axioms: 5.5-8.6 s at N = 6, over 60 s at N = 7 (CPython 3.11)
 
 
 def _parse_hopf(spec: str) -> int:
@@ -158,6 +159,8 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_axioms(args) -> int:
     n = _parse_hopf(args.hopf)
+    if n > MAX_AXIOMS_DIM:
+        raise ValueError(f"axioms takes --hopf exterior:N with N in 0..{MAX_AXIOMS_DIM}, not {n}")
     report = verify_axioms(ExteriorAlgebra(n))
     for line in report.lines():
         print(line)

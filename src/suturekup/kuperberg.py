@@ -14,14 +14,17 @@ its basepoint and fed to the integral.  Crossings with arcs appear inside the
 subwords only.  All arithmetic is exact over the base ring.
 
 Over the supercommutative exterior algebra every map above is an even
-superalgebra morphism, so the evaluator multiplies d*n degree-one forms, one
-per generator of each closed curve, into a sparse state of at most 2^{dn}
-exterior monomials instead of summing the prod_i L_i^n coproduct terms.
+superalgebra morphism, so Z is the top coefficient of the ordered product of
+d*n degree-one forms, one per generator of each closed curve, in a sparse state
+of at most 2^{dn} exterior monomials.  A state key is one int, the packed
+Laurent exponent above the exterior mask, and each form is scaled to integer
+coefficients, so Z is divided by the product of the scales once at the end.
 """
 
 from __future__ import annotations
 
 import copy
+from math import lcm
 
 from .abelian import abelianize
 from .diagram import (
@@ -34,9 +37,9 @@ from .diagram import (
     validate,
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
-from .laurent import LaurentRing
+from .laurent import LaurentPoly, LaurentRing
 from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul, transpose
-from .numberfield import QQ, accumulate, echo
+from .numberfield import QQ, FieldElement, _canonical, accumulate, echo
 from .words import Word
 
 
@@ -220,32 +223,11 @@ def representation_for(pres, n=None, rho_matrices=None, field=None, twisted=Fals
         raise
 
 
-def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
-               opts: EvaluationOptions | None = None):
-    """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
-    opts = opts or EvaluationOptions()
-    report = validate(D)
-    if not report.valid:
-        raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
-    if rep.num_generators < D.num_generators:
-        raise EvaluationError("representation does not cover all generators")
-    ring = H.ring
-    if rep.ring != ring:
-        raise EvaluationError("representation ring does not match the algebra ring")
-
-    c_deg = H.cointegral_degree()
-    sign_factor = opts.homology_orientation_sign if c_deg % 2 else 1
-    if opts.homology_orientation_sign not in (1, -1):
-        raise EvaluationError("homology orientation sign must be +1 or -1")
-
-    # Every map in the contraction is an even superalgebra morphism of the
-    # supercommutative Lambda(V), and c^{(x)d} is the ordered product of the
-    # generators X_k^{(i)}.  So Z is the top coefficient, in Lambda(V^{+d}),
-    # of the ordered product of the degree-one forms
-    #   Phi(X_k^{(i)}) = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k
-    # placed on beta(x); X_r on beta j is the bit j*n + r.  Delta^L of the
-    # primitive X_k puts X_k in one slot with sign +1, and Lambda(T) sends
-    # X_k to column k of T, so each form reads column k of every rho(subword_x).
+def degree_one_forms(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation):
+    """The d*n degree-one forms; form i*n + k is {bit: coefficient} of Phi(X_k^{(i)})
+    = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k, with X_r on beta j at bit
+    j*n + r (Lambda(T) sends X_k to column k of T).  As a dn x dn matrix, row (i, k)
+    and column (j, r), the forms are the transpose of the Fox block through rep."""
     n = H.n
     # rho(subword_x) for each closed crossing x, from one prefix walk per beta
     autos = {}
@@ -262,41 +244,100 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
             form = {}
             for cid in curve:
                 cr = D.crossings[cid]
-                shift = cr.beta_index * n
                 for label, c in autos[cid].apply_label(1 << k).terms.items():
-                    accumulate(form, label << shift, -c if cr.epsilon else c)
+                    accumulate(form, label << cr.beta_index * n, -c if cr.epsilon else c)
             forms.append(form)
+    return forms
 
-    # multiply the forms on the right into a sparse {mask: coeff} state; a
-    # state bit missing from every later form can no longer be filled
-    full = (1 << D.d * n) - 1
-    pending = [0] * (len(forms) + 1)
-    for t in range(len(forms) - 1, -1, -1):
-        pending[t] = pending[t + 1]
-        for bit in forms[t]:
-            pending[t] |= bit
-    state = {0: ring.one}
+
+def _pack(exps, width):
+    """Exponents as one int of balanced base-2^width digits, the first most significant;
+    linear, so packed vectors add exactly while every exponent stays inside +-2^(width-1)."""
+    out = 0
+    for e in exps:
+        out = (out << width) + e
+    return out
+
+
+def _unpack(packed, nvars, width):
+    """The nvars exponents that _pack(..., width) sent to packed."""
+    half, out = 1 << width - 1, []
+    for _ in range(nvars):
+        out.append((packed + half) % (half << 1) - half)
+        packed = (packed - out[-1]) >> width
+    return tuple(reversed(out))
+
+
+def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
+               opts: EvaluationOptions | None = None):
+    """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
+    opts = opts or EvaluationOptions()
+    report = validate(D)
+    if not report.valid:
+        raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
+    if rep.num_generators < D.num_generators:
+        raise EvaluationError("representation does not cover all generators")
+    ring = H.ring
+    if rep.ring != ring:
+        raise EvaluationError("representation ring does not match the algebra ring")
+
+    # the cointegral X_1...X_n of Lambda(V) has degree n
+    sign_factor = opts.homology_orientation_sign if H.n % 2 else 1
+    if opts.homology_orientation_sign not in (1, -1):
+        raise EvaluationError("homology orientation sign must be +1 or -1")
+
+    forms = degree_one_forms(D, H, rep)
+    laurent = isinstance(ring, LaurentRing)
+    field, nvars = (ring.field, ring.nvars) if laurent else (ring, 0)
+    # no exponent of a product of one term per form reaches +-spread
+    spread = 1 + sum(max((abs(x) for p in form.values() for e in p.terms for x in e), default=0)
+                     for form in forms) if laurent else 1
+    width = spread.bit_length() + 1
+
+    # Multiply the forms on the right into a state {(packed exponent << dn) | mask:
+    # coefficient}.  Z is multilinear, so form t is scaled by lam_t, the lcm of its
+    # denominators: the state stays integral, and Z is divided by prod lam_t once.
+    dn = len(forms)
+    full = (1 << dn) - 1
+    later = [0] * dn                        # the bits of the forms after t
+    for t in range(dn - 1, 0, -1):
+        later[t - 1] = later[t] | sum(forms[t])
+    scale, state, dot = 1, {0: field.one}, field.dot
     for t, form in enumerate(forms):
-        # X_A X_b = (-1)^{#(A above b)} X_{A+b}
-        factors = [(bit, full ^ ((bit << 1) - 1), f, -f) for bit, f in form.items()]
-        unreachable = full & ~pending[t + 1]
-        # the (coefficient, +-factor) pairs landing on each mask, summed by
-        # one ring.dot per mask
+        # (bit, exponent vector, field coefficient) of every term of the form
+        ts = ([(bit, e, c) for bit, p in form.items() for e, c in p.terms.items()] if laurent
+              else [(bit, (), c) for bit, c in form.items()])
+        lam = lcm(*[c.den for _, _, c in ts])
+        scale *= lam
+        # X_A X_b = (-1)^{#(A above b)} X_{A+b}; for disjoint A and b the key
+        # of the product is the sum of the keys
+        factors = []
+        for bit, e, c in ts:
+            if lam != 1:
+                c = FieldElement(field, tuple([a * (lam // c.den) for a in c.num]), 1)
+            factors.append((bit, (_pack(e, width) << dn) | bit, full ^ ((bit << 1) - 1), c,
+                            FieldElement(field, tuple([-a for a in c.num]), 1)))
+        # a state bit missing from every later form can no longer be filled
+        unreachable = full & ~later[t]
+        # the (coefficient, +-factor) pairs landing on each key, summed by one dot
         groups = {}
-        for mask, c in state.items():
-            for bit, above, f, neg_f in factors:
-                key = mask | bit
-                if mask & bit or ~key & unreachable:
+        for key, c in state.items():
+            for bit, offset, above, f, neg_f in factors:
+                new = key + offset
+                if key & bit or ~new & unreachable:
                     continue
-                pairs = groups.get(key)
+                pairs = groups.get(new)
                 if pairs is None:
-                    pairs = groups[key] = ([], [])
+                    pairs = groups[new] = ([], [])
                 pairs[0].append(c)
-                pairs[1].append(neg_f if (mask & above).bit_count() & 1 else f)
-        state = {key: c for key, (cs, fs) in groups.items() if (c := ring.dot(cs, fs))}
+                pairs[1].append(neg_f if (key & above).bit_count() & 1 else f)
+        state = {key: c for key, (cs, fs) in groups.items() if (c := dot(cs, fs))}
         if not state:
-            return ring.zero
-    total = state.get(full, ring.zero)
+            break
+    # after dn forms every mask is full
+    top = {_unpack(key >> dn, nvars, width): _canonical(field, c.num, scale)
+           for key, c in state.items()}
+    total = LaurentPoly(ring, top) if laurent else top.get((), ring.zero)
     return -total if sign_factor < 0 else total
 
 

@@ -9,8 +9,8 @@ from importlib import resources
 import pytest
 
 import suturekup
-from suturekup import presentation, validate
-from suturekup.cli import build_parser, main
+from suturekup import cli, hopf, presentation, validate
+from suturekup.cli import MAX_AXIOMS_DIM, MAX_HOPF_DIM, build_parser, main
 from suturekup.files import (
     canonical_json,
     diagram_from_data,
@@ -516,6 +516,23 @@ ABOVE_CAP = "--hopf takes exterior:N with N in 0..20, not "
 ])
 def test_unsupported_hopf_is_one_line_error(capsys, argv, message):
     assert_one_line_error(capsys, argv, message)
+
+
+@pytest.mark.parametrize("dim", [MAX_AXIOMS_DIM + 1, MAX_HOPF_DIM])
+def test_axioms_above_its_cap_is_one_line_error(monkeypatch, capsys, dim):
+    # the axiom check runs past a minute at N = 7; the cap refuses such N
+    # before an exterior algebra is built
+    def refuse(*args):
+        raise AssertionError("an exterior algebra was built")
+
+    monkeypatch.setattr(cli, "ExteriorAlgebra", refuse)
+    assert_one_line_error(capsys, ["axioms", "--hopf", f"exterior:{dim}"],
+                          "axioms", "--hopf", f"0..{MAX_AXIOMS_DIM}, not {dim}")
+
+
+def test_axioms_at_its_cap_is_accepted(monkeypatch):
+    monkeypatch.setattr(cli, "verify_axioms", lambda H: hopf.AxiomReport())
+    assert run_cli("axioms", "--hopf", f"exterior:{MAX_AXIOMS_DIM}") == (0, "")
 
 
 @pytest.mark.parametrize("seed, shown", [("abc", "'abc'"), ("1" * 5000, "'" + "1" * 40 + "...'")],

@@ -1,0 +1,216 @@
+"""The contraction kernel: the forms it reads and its packed, integral state.
+
+The degree-one forms are pinned entry for entry against the Fox block, which
+still checks something where Z = det = 0.  The kernel keys its state by one
+int, (packed exponent << dn) | mask, and scales every form to integer
+coefficients; the packing, the rescaling and the final division are checked
+here on their own, and the values against the enumerator and the Fox side.
+"""
+
+import os
+import random
+from math import gcd
+from operator import add
+
+import pytest
+from conftest import data_path, random_invertible
+from contraction_reference import reference_evaluate_z
+from hypothesis import given
+from hypothesis import strategies as st
+
+from suturekup import QQ, ExteriorAlgebra, kuperberg, presentation, random_datum
+from suturekup.diagram import CLOSED
+from suturekup.files import load_representation
+from suturekup.fixtures import figure_eight, trefoil
+from suturekup.kuperberg import _pack, _unpack, degree_one_forms, evaluate_z, representation_for
+from suturekup.laurent import LaurentRing
+from suturekup.linalg import matmul, transpose
+from suturekup.torsion import _fox_block, _fox_block_det
+
+NONINTEGRAL_REP = os.path.join(os.path.dirname(__file__), "data", "figure8_nonintegral_rep.json")
+
+
+def _acceptance_data():
+    """(seed, datum, n, matrices) of acceptance criterion 3, drawn in its order."""
+    rng = random.Random(20260809)
+    out = []
+    for k in range(50):
+        n = 1 + k % 3
+        D = random_datum(9000 + k, 1 + k % 2, k % 3, 6)
+        out.append((9000 + k, D, n,
+                    [random_invertible(rng, n) for _ in range(presentation(D).num_generators)]))
+    return out
+
+
+ACCEPTANCE = _acceptance_data()
+
+
+def _form_matrix(forms, ring):
+    """The forms as a dn x dn matrix: row i*n + k is form i*n + k, column b is bit 1 << b."""
+    return [[form.get(1 << b, ring.zero) for b in range(len(forms))] for form in forms]
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_forms_are_the_transposed_fox_block(twisted):
+    vacuous = nonzero_block = 0
+    for seed, D, n, mats in ACCEPTANCE:
+        pres = presentation(D)
+        rep = representation_for(pres, n, mats, twisted=twisted)
+        H = ExteriorAlgebra(n, rep.ring)
+        block = _fox_block(pres, rep)
+        assert _form_matrix(degree_one_forms(D, H, rep), rep.ring) == transpose(block), seed
+        if evaluate_z(D, H, rep).is_zero():
+            vacuous += 1
+            nonzero_block += any(x for row in block for x in row)
+    # where Z = det = 0 the identity still compares nonzero entries
+    assert vacuous == 11
+    assert nonzero_block >= 10
+
+
+@st.composite
+def packed_boxes(draw):
+    """(nvars, width, a, b, dn, mask): a, b and a + b inside +-2^(width - 1)."""
+    nvars = draw(st.integers(0, 3))
+    spread = draw(st.one_of(st.integers(1, 64), st.integers(2**64, 2**80)))
+    width = spread.bit_length() + 1
+    half = 1 << width - 1
+    box = st.lists(st.integers(-half + 1, half - 1), min_size=nvars, max_size=nvars)
+    a, total = draw(box), draw(box)
+    b = [s - x for s, x in zip(total, a)]
+    dn = draw(st.integers(0, 24))
+    return nvars, width, tuple(a), tuple(b), dn, draw(st.integers(0, (1 << dn) - 1))
+
+
+@given(packed_boxes())
+def test_pack_round_trip_and_additivity(case):
+    nvars, width, a, b, dn, mask = case
+    assert _unpack(_pack(a, width), nvars, width) == a
+    assert _unpack(_pack(a, width) + _pack(b, width), nvars, width) == tuple(map(add, a, b))
+    # the state key: a mask below the packed exponent leaves it intact
+    key = (_pack(a, width) << dn) | mask
+    assert key >> dn == _pack(a, width) and key & ((1 << dn) - 1) == mask
+
+
+def test_rank_zero_packs_to_zero():
+    assert _pack((), 2) == 0 and _unpack(0, 0, 2) == ()
+
+
+def _rank_data(rank, count):
+    """count small data with rank arcs, d = 1 and 2 in turn, whose free
+    abelianization has that rank, with two crossings on every closed alpha
+    and a closed crossing on every beta."""
+    out, seed = [], 8800
+    while len(out) < count:
+        D = random_datum(seed, 1 + len(out) % 2, rank, 4)
+        on_beta = {c.beta_index for c in D.crossings.values() if c.alpha_kind == CLOSED}
+        rep = representation_for(presentation(D), 1, twisted=True)
+        if (rep.ring.nvars == rank and on_beta == set(range(D.d))
+                and min(map(len, D.alphas)) >= 2):
+            out.append((seed, D))
+        seed += 1
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_twisted_rank_matches_reference_and_fox(rank):
+    nonzero = 0
+    for seed, D in _rank_data(rank, 6):
+        pres = presentation(D)
+        rng = random.Random(seed)
+        for n in (1, 2):
+            mats = [random_invertible(rng, n) for _ in range(pres.num_generators)]
+            rep = representation_for(pres, n, mats, twisted=True)
+            assert rep.ring == LaurentRing(rep.ring.field, rank)
+            H = ExteriorAlgebra(n, rep.ring)
+            z = evaluate_z(D, H, rep)
+            ref = reference_evaluate_z(D, H, rep)
+            det = _fox_block_det(pres, rep)
+            assert z == ref == det
+            assert str(z) == str(ref) == str(det)
+            nonzero += not z.is_zero()
+    assert nonzero
+
+
+def _nonintegral(D):
+    rep_file = load_representation(NONINTEGRAL_REP)
+    return rep_file.field, rep_file.matrices_for(D.generator_names())
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_mixed_denominators_give_lowest_terms(twisted):
+    D = figure_eight()
+    field, mats = _nonintegral(D)
+    pres = presentation(D)
+    rep = representation_for(pres, 2, mats, field, twisted)
+    z = evaluate_z(D, ExteriorAlgebra(2, rep.ring), rep)
+    assert z == _fox_block_det(pres, rep)
+    coeffs = list(z.terms.values()) if twisted else [z]
+    assert any(c.den > 1 for c in coeffs)
+    for c in coeffs:
+        assert c.den > 0 and gcd(c.den, *c.num) == 1
+
+
+def _counting_copies(monkeypatch):
+    """The argument tuples of every FieldElement the kernel builds itself."""
+    made = []
+
+    def build(*args):
+        made.append(args)
+        return real(*args)
+
+    real = kuperberg.FieldElement
+    monkeypatch.setattr(kuperberg, "FieldElement", build)
+    return made
+
+
+def _built_per_evaluation(made, D, n, mats, field, twisted):
+    """(FieldElements the kernel built, terms of the forms) for one evaluation of
+    nonzero Z, which multiplies every form into the state."""
+    pres = presentation(D)
+    rep = representation_for(pres, n, mats, field, twisted)
+    H = ExteriorAlgebra(n, rep.ring)
+    terms = sum(len(p.terms) if twisted else 1
+                for form in degree_one_forms(D, H, rep) for p in form.values())
+    made.clear()
+    z = evaluate_z(D, H, rep)
+    assert z == _fox_block_det(pres, rep) and not z.is_zero()
+    return len(made), terms
+
+
+def _integral_data(twisted):
+    """(datum, n, matrices, field) with integer entries and nonzero Z."""
+    rep_file = load_representation(data_path("figure8_parabolic_rep.json"))
+    out = [(trefoil(), 1, None, None), (figure_eight(), 1, None, None)]
+    if twisted:
+        out.append((figure_eight(), 2, rep_file.matrices_for(figure_eight().generator_names()),
+                    rep_file.field))
+    rng, seed = random.Random(7), 9700
+    while len(out) < 5:
+        D, n = random_datum(seed, 2, 1, 4), 2 + seed % 2
+        mats = [_unimodular(rng, n) for _ in range(D.num_generators)]
+        rep = representation_for(presentation(D), n, mats, twisted=twisted)
+        if evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep):
+            out.append((D, n, mats, None))
+        seed += 1
+    return out
+
+
+def _unimodular(rng, n):
+    """L * U for unit triangular integer L and U, so its inverse is integral too."""
+    def triangular(lower):
+        return [[QQ.from_rational(1 if i == j else rng.randint(-2, 2) if (i > j) == lower else 0)
+                 for j in range(n)] for i in range(n)]
+    return matmul(triangular(True), triangular(False), QQ)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_integral_forms_make_no_rescaling_copies(monkeypatch, twisted):
+    made = _counting_copies(monkeypatch)
+    # every lam_t = 1: the kernel builds only the negated factor of each term
+    for D, n, mats, field in _integral_data(twisted):
+        built, terms = _built_per_evaluation(made, D, n, mats, field, twisted)
+        assert built == terms
+    # the count is live: forms with denominators are rescaled as well
+    field, mats = _nonintegral(figure_eight())
+    built, terms = _built_per_evaluation(made, figure_eight(), 2, mats, field, twisted)
+    assert built > terms
