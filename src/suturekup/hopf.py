@@ -12,7 +12,8 @@ commutative ring (a NumberField or a LaurentRing); zero coefficients are
 never stored.  The exterior algebra on n generators is the concrete instance
 used by the invariant: basis labels are bitmasks over {0..n-1}, degree is the
 popcount, the cointegral is the full monomial and the integral its dual
-functional.
+functional.  Its automorphisms are Lambda(T) for matrices T, computed on a
+label when asked.
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ class HopfSuperAlgebra:
             terms = new_terms
         return TensorElement(self, k, terms)
 
-    def cointegral_degree(self) -> int:
-        deg = self.cointegral().degree()
-        if deg is None:
-            raise ValueError("cointegral is not homogeneous")
-        return deg
-
 
 def _shuffle_sign(mask_a: int, mask_b: int) -> int:
     """Sign of merging the ordered monomial X_A X_B into ascending order."""
@@ -242,40 +237,21 @@ class ExteriorAlgebra(HopfSuperAlgebra):
 
 
 class HopfAutomorphism:
-    """Automorphism given on the basis; exterior ones come from GL(V) matrices."""
+    """Lambda(T) on an exterior algebra, for an n x n matrix T over its ring."""
 
-    def __init__(self, algebra, images=None, matrix=None):
+    def __init__(self, algebra, matrix):
         self.algebra = algebra
-        self._matrix = matrix
-        self._images = dict(images) if images is not None else {}
-        if matrix is None and images is None:
-            raise ValueError("need a matrix or a full image table")
+        self.matrix = matrix
 
     def apply_label(self, label) -> Element:
-        img = self._images.get(label)
-        if img is None:
-            img = self._expand(label)
-            self._images[label] = img
-        return img
-
-    def _expand(self, label) -> Element:
         # Lambda(T) is multiplicative: X_k maps to column k of T, and X_A to
-        # the ordered product of its columns, built through cached prefixes
+        # the ordered product of its columns
         H = self.algebra
-        if self._matrix is None:
-            raise KeyError(f"no image for basis label {label!r}")
         img = None
-        prefix = 0
         for k in range(H.n):
             if label >> k & 1:
-                prefix |= 1 << k
-                cached = self._images.get(prefix)
-                if cached is None:
-                    column = Element(H, {1 << r: row[k]
-                                         for r, row in enumerate(self._matrix)})
-                    cached = column if img is None else img * column
-                    self._images[prefix] = cached
-                img = cached
+                column = Element(H, {1 << r: row[k] for r, row in enumerate(self.matrix)})
+                img = column if img is None else img * column
         return H.unit_element() if img is None else img
 
 

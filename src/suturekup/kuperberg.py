@@ -74,12 +74,12 @@ class EvaluationOptions(Record):
         return EvaluationOptions(-self.homology_orientation_sign)
 
 
-def _inverse(matrix, ring, generator):
-    """Inverse of a generator's matrix; raises when it has none."""
+def _inverse(matrix, field, generator):
+    """Inverse of a generator's matrix over a field; raises when it has none."""
     try:
-        return inverse_and_det(matrix, ring)[0]
+        return inverse_and_det(matrix, field)[0]
     except SingularMatrix:
-        raise SingularRepresentationError(generator, bareiss_det(matrix, ring)) from None
+        raise SingularRepresentationError(generator, bareiss_det(matrix, field)) from None
 
 
 def _check_shape(matrix, n, ring):
@@ -104,8 +104,8 @@ class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
     exterior algebra) to every presentation generator.
 
-    Callers that already know the inverses pass them in; otherwise they are
-    computed.
+    Callers that already know the inverses pass them in; over a field they
+    are otherwise computed, and over a Laurent ring they must be given.
     """
 
     def __init__(self, ring, n, matrices, inverses=None):
@@ -116,6 +116,8 @@ class Representation:
         for m in self.matrices:
             _check_shape(m, n, ring)
         if inverses is None:
+            if isinstance(ring, LaurentRing):
+                raise EvaluationError("a representation over a Laurent ring needs its inverses")
             inverses = [_inverse(m, ring, g) for g, m in enumerate(self.matrices)]
         self.inverses = list(inverses)
 
@@ -237,7 +239,7 @@ def degree_one_forms(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation):
         walk = letters[:max(ends.values(), default=0)]
         prefixes = rep.prefix_matrices([letter for _, letter in walk])
         for cid, end in ends.items():
-            autos[cid] = HopfAutomorphism(H, matrix=prefixes[end])
+            autos[cid] = HopfAutomorphism(H, prefixes[end])
     forms = []
     for curve in D.alphas:
         for k in range(n):

@@ -3,16 +3,16 @@
 Matrices are lists of rows.  Determinants scale each unit pivot to one and
 take a fraction-free (Bareiss) step only at a non-unit pivot, so every
 division they make is exact in the ring; over a field, where every pivot is
-a unit, this is Gaussian elimination.  Inverses are the in-place
-Gauss-Jordan sweep on n x n storage over a field, and the adjugate over a
-Laurent ring, where an invertible matrix has a unit (+- monomial)
-determinant.  Every sum of products, a product entry or an elimination
+a unit, this is Gaussian elimination.  Inverses are taken over a field
+only, by the in-place Gauss-Jordan sweep on n x n storage: a twisted
+representation inverts each rho(g) over its number field and scales by the
+inverse monomial.  Every sum of products, a product entry or an elimination
 update a - f*b, is one ring.dot, which reduces each output coefficient once.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentRing, divide_exact
+from .laurent import divide_exact
 
 
 class SingularMatrix(ValueError):
@@ -112,39 +112,15 @@ def _bareiss(M, ring):
     return -det if sign < 0 else det
 
 
-def inverse_and_det(matrix, ring):
-    """Inverse and determinant; SingularMatrix when the matrix is not invertible.
-
-    Over a field both come from one in-place sweep.  Over a Laurent ring
-    the determinant must be a unit, and the inverse is the adjugate, with
-    cofactors from bareiss_det, times the inverse of that unit.
-    """
-    if not isinstance(ring, LaurentRing):
-        return _gauss_jordan(matrix, ring)
-    det = bareiss_det(matrix, ring)
-    if not det.is_monomial():
-        raise SingularMatrix(f"determinant {det} is not a unit")
-    det_inv = det.inv_unit()
-    n = len(matrix)
-    # entry (i, j) is the (j, i) cofactor: drop row j and column i
-    inverse = [
-        [bareiss_det([row[:i] + row[i + 1:] for r, row in enumerate(matrix) if r != j],
-                     ring) * (det_inv if (i + j) % 2 == 0 else -det_inv)
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return inverse, det
-
-
-def _gauss_jordan(A, field):
-    """Inverse and determinant over a field by the in-place sweep; raises on singular input.
+def inverse_and_det(matrix, field):
+    """Inverse and determinant over a field by the in-place sweep; SingularMatrix if none.
 
     Pivot p leaves 1/p and the rest of its row over p in place; each other
     row, with f in p's column, gets a - f*b at the nonzero b of p's row (one
     two-pair dot each) and -f/p in the column.  Row swaps undo as column swaps.
     """
-    n = len(A)
-    M = [list(row) for row in A]
+    n = len(matrix)
+    M = [list(row) for row in matrix]
     one = det = field.one
     dot = field.dot
     swaps = []

@@ -1,16 +1,16 @@
 """Exact number field arithmetic Q[x]/(m(x)).
 
-A field is described by a monic integer minimal polynomial m of degree D >= 1.
-An m of degree >= 2 with a rational root (by the rational-root test, an
-integer root) is rejected, which settles irreducibility for D <= 3; beyond
-that, inverting a zero divisor of a reducible m raises ValueError.  An
-element is D integers (coefficients of 1, x, ..., x^{D-1}) over one positive
-common denominator, kept in lowest terms, so equal elements have equal
-integers.  Since m is monic with integer coefficients, products reduce modulo
-m without leaving the integers, and inverses come from fraction-free
-elimination on the integer multiplication matrix.  D = 1 recovers the
-rationals.  Elements serialize as "a0 + a1*x + a2*x^2" with rational
-coefficients "p/q".
+A field is described by a monic integer minimal polynomial m of degree D from
+1 to 16, with coefficients of at most 100 digits.  An m of degree >= 2 with a
+rational root (by the rational-root test, an integer root) is rejected, which
+settles irreducibility for D <= 3; beyond that, inverting a zero divisor of a
+reducible m raises ValueError.  An element is D integers (coefficients of 1,
+x, ..., x^{D-1}) over one positive common denominator, kept in lowest terms,
+so equal elements have equal integers.  Since m is monic with integer
+coefficients, products reduce modulo m without leaving the integers, and
+inverses come from fraction-free elimination on the integer multiplication
+matrix.  D = 1 recovers the rationals.  Elements serialize as
+"a0 + a1*x + a2*x^2" with rational coefficients "p/q".
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, sub
+
+
+# NumberField refuses a min_poly beyond these before its integer-root search
+MAX_POLY_DEGREE, MAX_POLY_DIGITS = 16, 100
 
 
 class NumberField:
@@ -35,6 +39,9 @@ class NumberField:
         if coeffs[-1] != 1:
             raise ValueError("min_poly must be monic with integer coefficients")
         self.degree = len(coeffs) - 1
+        if self.degree > MAX_POLY_DEGREE or max(map(abs, coeffs)) >= 10 ** MAX_POLY_DIGITS:
+            raise ValueError(f"min_poly {echo(coeffs)} exceeds degree {MAX_POLY_DEGREE} or "
+                             f"{MAX_POLY_DIGITS}-digit coefficients")
         root = _integer_root(coeffs) if self.degree >= 2 else None
         if root is not None:
             raise ValueError(f"min_poly {echo(coeffs)} is reducible: x = {echo(root)} is a root")

@@ -18,7 +18,7 @@ from .kuperberg import evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import bareiss_det
 from .numberfield import QQ
-from .words import GroupRingElement, Word, fox_derivative
+from .words import Word, fox_derivative
 
 
 class FoxMatrix:
@@ -35,13 +35,6 @@ class FoxMatrix:
             [fox_derivative(rel, i, self.field) for i in range(pres.num_generators)]
             for rel in pres.relators
         ]
-
-    @property
-    def shape(self):
-        return (len(self.rows), self.presentation.num_generators)
-
-    def entry(self, j, i) -> GroupRingElement:
-        return self.rows[j][i]
 
     def closed_square(self):
         """Rows = relators, columns = closed-curve generators; must be square."""
@@ -106,18 +99,15 @@ class TorsionResult(Record):
 
 
 def twisted_torsion(pres: Presentation, rho_matrices=None, amap=None,
-                    n=None, field=None, rep=None) -> TorsionResult:
+                    n=None, field=None) -> TorsionResult:
     """det((rho (x) h)(sigma(A))) over the Laurent ring of the free abelianization.
 
     A is the square closed-generator Fox block in the (generator, relator)
     convention.  Its image through rep is the transpose of the (relator,
     generator) block through rep.inverse_transpose(), so the determinant is
-    taken there; the result is returned raw and normalized up to units.  A
-    twisted representation already built from the same data can be passed
-    as rep, which then replaces rho_matrices, amap, n and field.
+    taken there; the result is returned raw and normalized up to units.
     """
-    if rep is None:
-        rep = representation_for(pres, n, rho_matrices, field, twisted=True, amap=amap)
+    rep = representation_for(pres, n, rho_matrices, field, twisted=True, amap=amap)
     det = _fox_block_det(pres, rep.inverse_transpose())
     return TorsionResult(det, normalize_unit(det))
 
@@ -135,18 +125,16 @@ def twisted_alexander_knot(pres: Presentation, rho_matrices, meridian: Word,
     an inexact division is reported, not rationalized.
     """
     rep = representation_for(pres, n, rho_matrices, field, twisted=True)
-    tor = twisted_torsion(pres, rep=rep)
-    ring = rep.ring
+    torsion = _fox_block_det(pres, rep.inverse_transpose())
     factor = [[a - b for a, b in zip(row, ident_row)]
               for row, ident_row in zip(rep.word_matrix(meridian), rep.identity)]
-    boundary = bareiss_det(factor, ring)
+    boundary = bareiss_det(factor, rep.ring)
     if boundary.is_zero():
         raise ValueError("boundary factor det(t*rho(m) - I) vanishes")
     try:
-        quotient = divide_exact(tor.raw, boundary)
-        return AlexanderResult(tor.raw, boundary, quotient, True)
+        return AlexanderResult(torsion, boundary, divide_exact(torsion, boundary), True)
     except InexactDivision:
-        return AlexanderResult(tor.raw, boundary, None, False)
+        return AlexanderResult(torsion, boundary, None, False)
 
 
 class CrosscheckReport(Record):

@@ -32,7 +32,7 @@ def reference_evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra,
     if rep.ring != ring:
         raise EvaluationError("representation ring does not match the algebra ring")
 
-    c_deg = H.cointegral_degree()
+    c_deg = H.cointegral().degree()
     sign_factor = opts.homology_orientation_sign if c_deg % 2 else 1
     if opts.homology_orientation_sign not in (1, -1):
         raise EvaluationError("homology orientation sign must be +1 or -1")

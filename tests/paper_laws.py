@@ -31,7 +31,7 @@ from suturekup.diagram import (
 )
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
-from suturekup.laurent import LaurentPoly
+from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.linalg import bareiss_det, inverse_and_det, matmul
 from suturekup.numberfield import FieldElement, echo
 from suturekup.words import GroupRingElement, Word, fox_derivative
@@ -273,7 +273,7 @@ def lambda_extend(T, algebra: ExteriorAlgebra) -> HopfAutomorphism:
         raise ValueError("singular matrix cannot extend to an automorphism")
     if not d.is_monomial():
         raise ValueError("determinant is not a unit of the Laurent ring")
-    return HopfAutomorphism(algebra, matrix=[list(row) for row in T])
+    return HopfAutomorphism(algebra, [list(row) for row in T])
 
 
 def r_of(phi: HopfAutomorphism):
@@ -303,12 +303,7 @@ def apply(self, e: Element) -> Element:
 
 def compose(self, other: "HopfAutomorphism") -> "HopfAutomorphism":
     """self after other."""
-    if self._matrix is not None and other._matrix is not None:
-        return HopfAutomorphism(
-            self.algebra, matrix=matmul(self._matrix, other._matrix, self.algebra.ring)
-        )
-    images = {l: apply(self, other.apply_label(l)) for l in self.algebra.labels}
-    return HopfAutomorphism(self.algebra, images=images)
+    return HopfAutomorphism(self.algebra, matmul(self.matrix, other.matrix, self.algebra.ring))
 
 
 def is_identity(self) -> bool:
@@ -324,7 +319,7 @@ def is_identity(self) -> bool:
 
 
 def automorphism(self, w: Word, algebra: ExteriorAlgebra) -> HopfAutomorphism:
-    return HopfAutomorphism(algebra, matrix=self.word_matrix(w))
+    return HopfAutomorphism(algebra, self.word_matrix(w))
 
 
 def r_of_word(self, w: Word):
@@ -333,10 +328,17 @@ def r_of_word(self, w: Word):
 
 
 def conjugated(self, phi):
-    phi_inv = inverse_and_det(phi, self.ring)[0]
-    mats = [matmul(matmul(phi, m, self.ring), phi_inv, self.ring)
-            for m in self.matrices]
-    return Representation(self.ring, self.n, mats)
+    """g -> phi rho(g) phi^-1, for phi invertible over the field of self's ring."""
+    ring = self.ring
+    field = ring.field if isinstance(ring, LaurentRing) else ring
+    phi_inv = inverse_and_det(phi, field)[0]
+    if ring is not field:
+        phi, phi_inv = ([[ring.from_field(c) for c in row] for row in m] for m in (phi, phi_inv))
+
+    def conj(m):
+        return matmul(matmul(phi, m, ring), phi_inv, ring)
+    return Representation(ring, self.n, [conj(m) for m in self.matrices],
+                          [conj(m) for m in self.inverses])
 
 
 def with_generator_inverted(self, g):
@@ -422,6 +424,6 @@ def check_covariance_suite(D: HeegaardDatum, H: ExteriorAlgebra,
         swapped = swap_alpha_order(D, 0, 1)
         rep2 = with_swapped(rep, 0, 1)
         lhs = evaluate_z(swapped, H, rep2, opts)
-        rhs = -base if H.cointegral_degree() % 2 else base
+        rhs = -base if H.cointegral().degree() % 2 else base
         report.record("ordering swap of two closed curves", lhs == rhs)
     return report

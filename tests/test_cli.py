@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from importlib import resources
 
@@ -307,6 +308,18 @@ def test_reducible_min_poly_is_one_line_error(tmp_path, capsys, min_poly, entry,
     assert_one_line_error(capsys, argv, f"min_poly {list(min_poly)}", "reducible")
 
 
+@pytest.mark.parametrize("min_poly", [
+    pytest.param([1] + [0] * 1199 + [1], id="x^1200+1"),
+    pytest.param([int("9" * 999)] * 8 + [1], id="degree-8-999-digits"),
+])
+def test_min_poly_beyond_the_bounds_is_one_line_error(tmp_path, capsys, min_poly):
+    rep = write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]], min_poly=min_poly)
+    start = time.monotonic()
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
+                          "min_poly [", "exceeds degree 16 or 100-digit coefficients")
+    assert time.monotonic() - start < 1.0
+
+
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -443,7 +456,7 @@ LONG, Q40 = "q" * 400, "q" * 40
     pytest.param(["validate"], "trefoil", ("beta", 0, "basepoint_index"), LONG,
                  f"must be an integer, not '{Q40}...'", id="basepoint-index-string"),
     pytest.param(["twisted-alexander", data_path("figure8.json")], "rep", ("min_poly",),
-                 [1] * 300, "min_poly " + "[1" + ", 1" * 12 + ", ... is reducible",
+                 [1] * 300, "min_poly " + "[1" + ", 1" * 12 + ", ... exceeds degree 16",
                  id="min-poly-of-300-ones"),
     pytest.param(["twisted-alexander", data_path("figure8.json")], "rep",
                  ("generators", "alpha", 0, 0), LONG,

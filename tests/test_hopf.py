@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from algebra_doubles import GroupAlgebra, TableHopfSuperAlgebra
@@ -258,7 +259,7 @@ def test_r_of_rejects_non_automorphism():
     bad = {l: H.basis_element(l) for l in H.labels}
     bad[0b11] = H.basis_element(0b11) + H.basis_element(0)
     with pytest.raises(ValueError):
-        r_of(HopfAutomorphism(H, images=bad))
+        r_of(SimpleNamespace(algebra=H, apply_label=bad.__getitem__))
 
 
 def test_mu_composed_with_automorphism_scales_by_r():

@@ -1,7 +1,8 @@
 """The contraction kernel: the forms it reads and its packed, integral state.
 
-The degree-one forms are pinned entry for entry against the Fox block, which
-still checks something where Z = det = 0.  The kernel keys its state by one
+The degree-one forms are pinned entry for entry against the Fox block, on the
+acceptance data and on drawn data, which still checks something where
+Z = det = 0.  The kernel keys its state by one
 int, (packed exponent << dn) | mask, and scales every form to integer
 coefficients; the packing, the rescaling and the final division are checked
 here on their own, and the values against the enumerator and the Fox side.
@@ -15,7 +16,7 @@ from operator import add
 import pytest
 from conftest import data_path, random_invertible
 from contraction_reference import reference_evaluate_z
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suturekup import QQ, ExteriorAlgebra, kuperberg, presentation, random_datum
@@ -65,6 +66,19 @@ def test_forms_are_the_transposed_fox_block(twisted):
     # where Z = det = 0 the identity still compares nonzero entries
     assert vacuous == 11
     assert nonzero_block >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), l=st.integers(0, 2),
+       crossings=st.integers(1, 4), n=st.integers(1, 2), twisted=st.booleans())
+def test_forms_are_the_transposed_fox_block_on_drawn_data(seed, d, l, crossings, n, twisted):
+    D = random_datum(seed, d, l, crossings)
+    pres = presentation(D)
+    rng = random.Random(seed)
+    mats = [random_invertible(rng, n) for _ in range(pres.num_generators)]
+    rep = representation_for(pres, n, mats, twisted=twisted)
+    forms = degree_one_forms(D, ExteriorAlgebra(n, rep.ring), rep)
+    assert _form_matrix(forms, rep.ring) == transpose(_fox_block(pres, rep))
 
 
 @st.composite

@@ -184,8 +184,7 @@ def test_covariance_twisted():
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(None, amap, 2)
     H = ExteriorAlgebra(2, rep.ring)
-    phi = [[rep.ring.from_rational(1), rep.ring.from_rational(1)],
-           [rep.ring.from_rational(0), rep.ring.from_rational(1)]]
+    phi = [[QQ.one, QQ.one], [QQ.zero, QQ.one]]
     report = check_covariance_suite(D, H, rep, conjugator=phi)
     assert report.all_passed, report.failures()
 
@@ -337,9 +336,6 @@ def test_twisted_inverses_over_the_field(n):
         for g, m in enumerate(rep.matrices):
             assert matmul(m, rep.inverses[g], ring) == ident
             assert matmul(rep.inverses[g], m, ring) == ident
-        # the adjugate route agrees exactly
-        fresh = Representation(ring, n, rep.matrices)
-        assert fresh.inverses == rep.inverses
 
 
 def test_given_and_derived_representations_pass_on_inverses():
@@ -349,8 +345,8 @@ def test_given_and_derived_representations_pass_on_inverses():
     for derived in (with_generator_inverted(rep, 1), with_swapped(rep, 0, 2),
                     rep.inverse_transpose(),
                     Representation(rep.ring, 2, rep.matrices, inverses=rep.inverses)):
-        fresh = Representation(rep.ring, 2, derived.matrices)
-        assert derived.inverses == fresh.inverses
+        for m, inv in zip(derived.matrices, derived.inverses):
+            assert matmul(m, inv, rep.ring) == rep.identity == matmul(inv, m, rep.ring)
 
 
 def test_singular_matrix_names_its_generator():
@@ -366,10 +362,11 @@ def test_singular_matrix_names_its_generator():
     assert info.value.generator == 0
     info.value.name = "alpha"
     assert "'alpha'" in str(info.value)
-    # invertible over Q(xi)(t) but not over the Laurent ring: 1 + t is no unit
+    # over a Laurent ring nothing is inverted: the inverses must be given
     ring = LaurentRing(XI, 1)
     one_plus_t = ring.from_terms({(0,): one, (1,): one})
-    with pytest.raises(SingularRepresentationError):
+    with pytest.raises(EvaluationError, match="^a representation over a Laurent ring "
+                                              "needs its inverses$"):
         Representation(ring, 1, [[[one_plus_t]]])
 
 

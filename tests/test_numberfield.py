@@ -124,6 +124,16 @@ def test_min_poly_without_rational_root_accepted(min_poly):
     assert NumberField(min_poly).degree == len(min_poly) - 1
 
 
+def test_min_poly_bounds():
+    # degree 16 and 100-digit coefficients are the largest accepted
+    big = 10**100 - 1
+    assert NumberField([1] + [0] * 15 + [1]).degree == 16
+    assert NumberField([big, 0, 1]).min_poly == (big, 0, 1)
+    for min_poly in ([1] + [0] * 16 + [1], [big + 1, 0, 1], [-big - 1, 0, 1]):
+        with pytest.raises(ValueError, match=r"exceeds degree 16 or 100-digit coefficients$"):
+            NumberField(min_poly)
+
+
 @given(st.lists(st.integers(-6, 6), max_size=3),
        st.lists(st.integers(-30, 30), min_size=1, max_size=3))
 def test_integer_root_search_matches_brute_force(roots, cofactor):

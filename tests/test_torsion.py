@@ -91,7 +91,7 @@ def test_det_multiplicative():
 def test_fox_matrix_trefoil():
     pres = presentation(trefoil())
     fm = fox_matrix(pres)
-    assert fm.shape == (1, 2)
+    assert [len(row) for row in fm.rows] == [2]
     square = fm.closed_square()
     assert len(square) == 1 and len(square[0]) == 1
     # the closed entry is the signed sum of the three subwords
@@ -111,7 +111,7 @@ def test_single_generator_relator_entry():
     fm = fox_matrix(pres)
     from suturekup import GroupRingElement
 
-    assert fm.entry(0, 0) == GroupRingElement.one()
+    assert fm.rows[0][0] == GroupRingElement.one()
 
 
 def test_twisted_torsion_trefoil_trivial():
@@ -368,8 +368,9 @@ def _walk_presentation(rng, identity_relator, d=3, num_arcs=2):
 
 
 def _walk_representation(rng, ring, m, n=2):
-    """Random invertible images, with xi in their entries over Q(xi); over a
-    Laurent ring, twisted by random classes."""
+    """(representation, field matrices, abelianization): random invertible images,
+    with xi in their entries over Q(xi); over a Laurent ring, twisted by random
+    classes, and with no abelianization otherwise."""
     field = ring.field if isinstance(ring, LaurentRing) else ring
     # a rational matrix times a unitriangular one with xi above the diagonal
     above = field.generator() if field.degree > 1 else field.one
@@ -377,9 +378,10 @@ def _walk_representation(rng, ring, m, n=2):
               for j in range(n)] for i in range(n)]
     mats = [linalg.matmul(random_invertible(rng, n, field), shear, field) for _ in range(m)]
     if not isinstance(ring, LaurentRing):
-        return Representation(ring, n, mats)
+        return Representation(ring, n, mats), mats, None
     images = [tuple(rng.randint(-2, 2) for _ in range(ring.nvars)) for _ in range(m)]
-    return Representation.twisted(mats, AbelianizationMap(m, ring.nvars, images, []), n, field)
+    amap = AbelianizationMap(m, ring.nvars, images, [])
+    return Representation.twisted(mats, amap, n, field), mats, amap
 
 
 def _reference_blocks(pres, rep, torsion_convention):
@@ -400,7 +402,7 @@ def test_fox_walk_matches_reference_route(ring):
     nonzero = 0
     for trial in range(6):
         pres = _walk_presentation(rng, identity_relator=trial % 2 == 1)
-        rep = _walk_representation(rng, ring, pres.num_generators)
+        rep, mats, amap = _walk_representation(rng, ring, pres.num_generators)
         walk = _fox_block(pres, rep)
         assert walk == _reference_blocks(pres, rep, torsion_convention=False)
         # the torsion convention is the transpose of the walk through rho^-T
@@ -408,7 +410,7 @@ def test_fox_walk_matches_reference_route(ring):
         reference = _reference_blocks(pres, rep, torsion_convention=True)
         assert transposed == reference
         if isinstance(ring, LaurentRing):
-            raw = twisted_torsion(pres, rep=rep).raw
+            raw = twisted_torsion(pres, mats, amap, rep.n, ring.field).raw
             assert raw == bareiss_det(reference, ring)
             # an identity relator is a zero row
             assert raw.is_zero() or trial % 2 == 0
