@@ -118,7 +118,7 @@ class TensorElement(SparseSum):
 class HopfSuperAlgebra:
     """Base class; subclasses provide the structure tensors over self.ring.
 
-    Required: labels (list), degree(label), mult(a, b) -> Element,
+    Required: labels (a sequence), degree(label), mult(a, b) -> Element,
     comult(label) -> {(l1, l2): coeff}, counit(label) -> coeff,
     antipode(label) -> Element, unit_element() -> Element,
     cointegral() -> Element, integral(label) -> coeff.
@@ -178,7 +178,7 @@ class ExteriorAlgebra(HopfSuperAlgebra):
             raise ValueError("dimension must be >= 0")
         self.n = n
         self.ring = ring if ring is not None else QQ
-        self.labels = list(range(1 << n))
+        self.labels = range(1 << n)
 
     def __eq__(self, other):
         return (

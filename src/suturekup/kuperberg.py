@@ -11,7 +11,9 @@ order, S is applied at negative crossings, the representation of the
 crossing's subword acts on each slot, the slots are reordered from alpha
 order to beta order with Koszul signs, multiplied along each beta curve from
 its basepoint and fed to the integral.  Crossings with arcs appear inside the
-subwords only.  All arithmetic is exact over the base ring.
+subwords only.  All arithmetic is exact over the base ring; a twisted
+rho(w) is t^{h(w)} times a field matrix, so subwords are multiplied over the
+field while their exponent vectors h(w) add up.
 
 Over the supercommutative exterior algebra every map above is an even
 superalgebra morphism, so Z is the top coefficient of the ordered product of
@@ -24,7 +26,9 @@ coefficients, so Z is divided by the product of the scales once at the end.
 from __future__ import annotations
 
 import copy
+from functools import reduce
 from math import lcm
+from operator import add
 
 from .abelian import abelianize
 from .diagram import (
@@ -74,25 +78,27 @@ class EvaluationOptions(Record):
         return EvaluationOptions(-self.homology_orientation_sign)
 
 
-def _inverse(matrix, field, generator):
-    """Inverse of a generator's matrix over a field; raises when it has none."""
-    try:
-        return inverse_and_det(matrix, field)[0]
-    except SingularMatrix:
-        raise SingularRepresentationError(generator, bareiss_det(matrix, field)) from None
-
-
-def _check_shape(matrix, n, ring):
-    """matrix, checked to be n x n with every entry over ring; EvaluationError if not."""
+def _field_part(matrix, n, ring, generator, what="representation matrix"):
+    """(e, M) with matrix = t^e * M for a field matrix M, e = () over a field;
+    EvaluationError unless matrix is n x n over ring and of that form."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise EvaluationError("representation matrix has the wrong size")
     # a Laurent polynomial carries its ring, a field element its field
-    attr = "ring" if isinstance(ring, LaurentRing) else "field"
+    laurent = isinstance(ring, LaurentRing)
     for row in matrix:
         for entry in row:
-            if (parent := getattr(entry, attr, None)) is not ring and parent != ring:
+            if (parent := getattr(entry, "ring" if laurent else "field", None)) != ring:
                 raise EvaluationError(f"matrix entry {echo(entry)} is over {echo(parent)}, "
                                       f"not {echo(ring)}")
+    if not laurent:
+        return (), [list(row) for row in matrix]
+    # a two-term entry shows two exponents, as mixed monomials do
+    exps = sorted({e for row in matrix for x in row for e in x.terms})
+    if len(exps) > 1:
+        raise EvaluationError(f"{what} of generator {generator} is not a monomial times a "
+                              f"field matrix: it has the exponents {echo(exps)}")
+    e = exps[0] if exps else (0,) * ring.nvars
+    return e, [[x.terms.get(e, ring.field.zero) for x in row] for row in matrix]
 
 
 def _entry_field(matrices):
@@ -104,22 +110,34 @@ class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
     exterior algebra) to every presentation generator.
 
+    Generator g is kept as t^{e_g} * M_g (e_g = () over a field) with M_g^-1,
+    so words are walked over the field; ring matrices are lifted on access.
     Callers that already know the inverses pass them in; over a field they
     are otherwise computed, and over a Laurent ring they must be given.
     """
 
     def __init__(self, ring, n, matrices, inverses=None):
-        self.ring = ring
-        self.n = n
-        self.matrices = [[list(row) for row in m] for m in matrices]
-        self.identity = identity(n, ring)
-        for m in self.matrices:
-            _check_shape(m, n, ring)
+        parts = [_field_part(m, n, ring, g) for g, m in enumerate(matrices)]
         if inverses is None:
             if isinstance(ring, LaurentRing):
                 raise EvaluationError("a representation over a Laurent ring needs its inverses")
-            inverses = [_inverse(m, ring, g) for g, m in enumerate(self.matrices)]
-        self.inverses = list(inverses)
+            inverses = []
+            for g, (_, m) in enumerate(parts):
+                try:
+                    inverses.append(inverse_and_det(m, ring)[0])
+                except SingularMatrix:
+                    raise SingularRepresentationError(g, bareiss_det(m, ring)) from None
+        self.ring, self.n, self.field = ring, n, getattr(ring, "field", ring)
+        self.num_generators = len(parts)
+        self.identity = identity(n, ring)
+        self._start = ((0,) * getattr(ring, "nvars", 0), identity(n, self.field))
+        self._images = {}           # (exponent vector, field matrix) of each letter (g, +-1)
+        for g, ((e, m), inv) in enumerate(zip(parts, inverses)):
+            neg, inv = _field_part(inv, n, ring, g, "inverse")
+            if any(map(add, e, neg)):
+                raise EvaluationError(f"inverse of generator {g} has the exponents {neg}, "
+                                      f"not the negatives of {e}")
+            self._images[g, 1], self._images[g, -1] = (e, m), (neg, inv)
 
     @classmethod
     def trivial(cls, num_generators, n, ring=None):
@@ -138,57 +156,65 @@ class Representation:
         SingularRepresentationError for generator g.
         """
         field = field if field is not None else _entry_field(field_matrices)
-        ring = LaurentRing(field, abelianization.rank)
-        ident = identity(n, field)
-        mats, inverses = [], []
-        for g in range(abelianization.num_generators):
-            m = ident if field_matrices is None else field_matrices[g]
-            _check_shape(m, n, field)
-            inv = ident if m is ident else _inverse(m, field, g)
-            exps = abelianization.gen_images[g]
-            neg = tuple(-e for e in exps)
-            mats.append([[ring.monomial(exps, c) for c in row] for row in m])
-            inverses.append([[ring.monomial(neg, c) for c in row] for row in inv])
-        return cls(ring, n, mats, inverses)
+        num, ring = abelianization.num_generators, LaurentRing(field, abelianization.rank)
+        rep = (cls.trivial(num, n, field) if field_matrices is None
+               else cls(field, n, field_matrices[:num]))
+        rep.ring, rep.identity = ring, identity(n, ring)
+        rep._start = ((0,) * ring.nvars, rep._start[1])
+        rep._images = {(g, s): (tuple(s * x for x in abelianization.gen_images[g]), m)
+                       for (g, s), (_, m) in rep._images.items()}
+        return rep
 
     @property
-    def num_generators(self):
-        return len(self.matrices)
+    def matrices(self):
+        """rho(g), and below rho(g)^-1, over the ring for every g, lifted on each access."""
+        return [self.lift(*self._images[g, 1]) for g in range(self.num_generators)]
 
-    def prefix_matrices(self, letters):
-        """Images of every prefix of the (gen, sign) letters, the empty one first."""
-        out = [self.identity]
-        for g, e in letters:
-            m = self.matrices[g] if e == 1 else self.inverses[g]
-            out.append(m if len(out) == 1 else matmul(out[-1], m, self.ring))
+    @property
+    def inverses(self):
+        return [self.lift(*self._images[g, -1]) for g in range(self.num_generators)]
+
+    def wrap(self, terms):
+        """The ring element sum c * t^e over the {e: c} terms; over a field, terms[()]."""
+        ring = self.ring
+        return terms.get((), ring.zero) if ring is self.field else LaurentPoly(ring, terms)
+
+    def lift(self, e, m):
+        """t^e * m over the ring, for a field matrix m."""
+        return [[self.wrap({e: c} if c else {}) for c in row] for row in m]
+
+    def prefix_walk(self, letters):
+        """(e, M) with rho(w) = t^e * M for each prefix w of the letters, the empty one first."""
+        out = [self._start]
+        for letter in letters:
+            e, m = self._images[letter]
+            out.append((e, m) if len(out) == 1 else
+                       (tuple(map(add, out[-1][0], e)), matmul(out[-1][1], m, self.field)))
         return out
 
     def word_matrix(self, w: Word):
-        return self.prefix_matrices(w.letters)[-1]
+        return self.lift(*self.prefix_walk(w.letters)[-1])
 
     def inverse_transpose(self):
         """The representation g -> (rho(g)^-1)^T, from the known inverses.
 
         Its image of a word w is the transpose of rho(w)^-1, so the torsion
         convention's rho(sigma(w)) = rho(w)^-1 is read as a transpose of it.
-        Matrices and inverses swap places, so nothing is inverted again.
+        Letters g and g^-1 swap images, so nothing is inverted again.
         """
         out = copy.copy(self)
-        out.matrices = [transpose(inv) for inv in self.inverses]
-        out.inverses = [transpose(m) for m in self.matrices]
+        out._images = {(g, -s): (e, transpose(m)) for (g, s), (e, m) in self._images.items()}
         return out
 
     def apply_to_groupring(self, e):
-        """Image of a group-ring element as an n x n matrix over the base ring.
-
-        Each word is multiplied out from scratch.  This is the reference
-        route that the tests and the benchmark's oracles use; the Fox block
-        of the torsion and the crosscheck comes from prefix walks instead.
-        """
-        n = self.n
-        out = [[self.ring.zero] * n for _ in range(n)]
+        """Image of a group-ring element over the ring, each word multiplied out through
+        the lifted matrices: the reference route of the tests and the benchmark's
+        oracles, where the Fox block of the torsion and the crosscheck walks prefixes."""
+        n, ring = self.n, self.ring
+        lifted = {letter: self.lift(*image) for letter, image in self._images.items()}
+        out = [[ring.zero] * n for _ in range(n)]
         for w, c in e.terms.items():
-            m = self.word_matrix(w)
+            m = reduce(lambda a, letter: matmul(a, lifted[letter], ring), w.letters, self.identity)
             for i in range(n):
                 for j in range(n):
                     out[i][j] = out[i][j] + m[i][j] * c
@@ -231,24 +257,27 @@ def degree_one_forms(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation):
     j*n + r (Lambda(T) sends X_k to column k of T).  As a dn x dn matrix, row (i, k)
     and column (j, r), the forms are the transpose of the Fox block through rep."""
     n = H.n
-    # rho(subword_x) for each closed crossing x, from one prefix walk per beta
+    # rho(subword_x) = t^e * M for each closed crossing x, from one prefix walk per beta
+    F = H if H.ring == rep.field else ExteriorAlgebra(n, rep.field)
     autos = {}
     for j in range(D.d):
         letters = beta_letters(D, j)
         ends = {c.id: subword_length(D, c.id) for c, _ in letters if c.alpha_kind == CLOSED}
         walk = letters[:max(ends.values(), default=0)]
-        prefixes = rep.prefix_matrices([letter for _, letter in walk])
+        prefixes = rep.prefix_walk([letter for _, letter in walk])
         for cid, end in ends.items():
-            autos[cid] = HopfAutomorphism(H, prefixes[end])
+            e, m = prefixes[end]
+            autos[cid] = (e, HopfAutomorphism(F, m))
     forms = []
     for curve in D.alphas:
         for k in range(n):
-            form = {}
+            form = {}                       # {bit: {exponent: coefficient}}
             for cid in curve:
-                cr = D.crossings[cid]
-                for label, c in autos[cid].apply_label(1 << k).terms.items():
-                    accumulate(form, label << cr.beta_index * n, -c if cr.epsilon else c)
-            forms.append(form)
+                cr, (e, auto) = D.crossings[cid], autos[cid]
+                for label, c in auto.apply_label(1 << k).terms.items():
+                    accumulate(form.setdefault(label << cr.beta_index * n, {}), e,
+                               -c if cr.epsilon else c)
+            forms.append({bit: rep.wrap(p) for bit, p in form.items() if p})
     return forms
 
 

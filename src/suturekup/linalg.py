@@ -33,17 +33,6 @@ def transpose(M):
     return [list(col) for col in zip(*M)]
 
 
-def assemble_blocks(blocks, n, ring):
-    """The dn x dn matrix whose (bi, bj) block of size n is blocks[bi][bj]."""
-    d = len(blocks)
-    big = [[ring.zero] * (d * n) for _ in range(d * n)]
-    for bi in range(d):
-        for bj in range(d):
-            for i, row in enumerate(blocks[bi][bj]):
-                big[bi * n + i][bj * n:bj * n + n] = row
-    return big
-
-
 def bareiss_det(matrix, ring):
     """Exact determinant over a field or Laurent ring, with no fractions.
 

@@ -3,14 +3,14 @@
 A field is described by a monic integer minimal polynomial m of degree D from
 1 to 16, with coefficients of at most 100 digits.  An m of degree >= 2 with a
 rational root (by the rational-root test, an integer root) is rejected, which
-settles irreducibility for D <= 3; beyond that, inverting a zero divisor of a
-reducible m raises ValueError.  An element is D integers (coefficients of 1,
-x, ..., x^{D-1}) over one positive common denominator, kept in lowest terms,
-so equal elements have equal integers.  Since m is monic with integer
-coefficients, products reduce modulo m without leaving the integers, and
-inverses come from fraction-free elimination on the integer multiplication
-matrix.  D = 1 recovers the rationals.  Elements serialize as
-"a0 + a1*x + a2*x^2" with rational coefficients "p/q".
+settles irreducibility for D <= 3, and so is an m that is not squarefree; past
+that, inverting a zero divisor of a reducible m raises ValueError.  An element
+is D integers (coefficients of 1, x, ..., x^{D-1}) over one positive common
+denominator, kept in lowest terms, so equal elements have equal integers.
+Since m is monic with integer coefficients, products reduce modulo m without
+leaving the integers, and inverses come from fraction-free elimination on the
+integer multiplication matrix.  D = 1 recovers the rationals.  Elements
+serialize as "a0 + a1*x + a2*x^2" with rational coefficients "p/q".
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ class NumberField:
         self._tail = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
         self._zero = FieldElement(self, (0,) * self.degree, 1)
         self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
+        # gcd(m, m') = 1, that is m squarefree, exactly when m' is a unit mod m
+        try:
+            self.element([k * c for k, c in enumerate(coeffs)][1:]).inv()
+        except ValueError:
+            raise ValueError(f"min_poly {echo(coeffs)} is not squarefree: it shares a factor "
+                             f"with its derivative") from None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly

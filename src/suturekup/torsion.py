@@ -6,8 +6,9 @@ inverted representation, det((rho (x) h)(sigma(A))), defined up to a unit.
 The same Jacobian without sigma, in the (relator, generator) convention,
 equals the tensor-contraction invariant over an exterior algebra exactly;
 crosscheck computes both sides and compares with no unit slack.  Both read
-the Jacobian from one prefix walk per relator; FoxMatrix is the reference
-route through group-ring elements.
+the Jacobian from one prefix walk per relator over the field, each entry a
+sum of terms t^e * c kept by exponent; FoxMatrix is the reference route
+through group-ring elements, multiplied out over the Laurent ring.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .hopf import ExteriorAlgebra
 from .kuperberg import evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import bareiss_det
-from .numberfield import QQ
+from .numberfield import QQ, accumulate
 from .words import Word, fox_derivative
 
 
@@ -66,21 +67,21 @@ def _fox_block(pres: Presentation, rep):
     last prefix a closed letter needs.
     """
     d = _square_size(pres)
-    n, ring = rep.n, rep.ring
-    big = [[ring.zero] * (d * n) for _ in range(d * n)]
+    n = rep.n
+    big = [[{} for _ in range(d * n)] for _ in range(d * n)]
     for i, rel in enumerate(pres.relators):
         # (prefix index, generator, sign) of every closed letter, in order
         terms = [(pos + (e < 0), g, e) for pos, (g, e) in enumerate(rel.letters) if g < d]
         if not terms:
             continue
-        prefixes = rep.prefix_matrices(rel.letters[:terms[-1][0]])
-        for p, g, e in terms:
-            m = prefixes[p]
+        prefixes = rep.prefix_walk(rel.letters[:terms[-1][0]])
+        for p, g, s in terms:
+            e, m = prefixes[p]
             for r in range(n):
                 row = big[i * n + r]
                 for c, x in enumerate(m[r], g * n):
-                    row[c] = row[c] + x if e > 0 else row[c] - x
-    return big
+                    accumulate(row[c], e, x if s > 0 else -x)
+    return [[rep.wrap(entry) for entry in row] for row in big]
 
 
 def _fox_block_det(pres: Presentation, rep):

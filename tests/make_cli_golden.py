@@ -29,6 +29,10 @@ REPS = (("{data}/trefoil_trivial_rep.json", 1),
         ("{tests}/figure8_nonintegral_rep.json", 2))
 WIRTINGER = "{data}/figure8_wirtinger.json"
 WIRTINGER_REP = "{tests}/figure8_wirtinger_nonintegral_rep.json"
+# one closed alpha and one arc with free abelianization of rank 2, and a
+# representation over Q[x]/(x^2 + x + 1) that names a meridian
+RANK_TWO = "{tests}/rank_two.json"
+RANK_TWO_REP = "{tests}/rank_two_rep.json"
 
 
 def resolve(arg: str) -> str:
@@ -84,6 +88,12 @@ def commands():
             out.append([command, knot])
     for n in (1, 2, 3):
         out.append(["axioms", "--hopf", f"exterior:{n}"])
+    for sign in signs:
+        out.append(["kuperberg", RANK_TWO, "--hopf", "exterior:2", "--rep", RANK_TWO_REP,
+                    "--twisted"] + sign)
+    out.append(["crosscheck", RANK_TWO, "--hopf", "exterior:2", "--rep", RANK_TWO_REP,
+                "--twisted"])
+    out.append(["twisted-alexander", RANK_TWO, RANK_TWO_REP])
     return out
 
 

@@ -6,7 +6,7 @@ Fox-calculus consistency check, the exterior extension Lambda(T) with its
 scalar r_H, the augmentation of a Laurent value, and the representation
 transforms the laws pair with, all exercised by check_covariance_suite.  The
 library evaluates through HopfAutomorphism.apply_label and
-Representation.prefix_matrices alone; these helpers only state what its
+Representation.prefix_walk alone; these helpers only state what its
 values must satisfy.  Former methods of HopfAutomorphism, Representation
 and LaurentPoly are functions here that take the object as their first
 argument, still named self.

@@ -308,6 +308,19 @@ def test_reducible_min_poly_is_one_line_error(tmp_path, capsys, min_poly, entry,
     assert_one_line_error(capsys, argv, f"min_poly {list(min_poly)}", "reducible")
 
 
+@pytest.mark.parametrize("command", ["crosscheck", "twisted-alexander"])
+def test_min_poly_that_is_not_squarefree_is_one_line_error(tmp_path, capsys, command):
+    # (x^2 + 1)^2 on the shipped parabolic matrices once printed PASS and
+    # "quotient: not exact" with exit code 0
+    doc = read_json(data_path("figure8_parabolic_rep.json"))
+    doc["min_poly"] = [1, 0, 2, 0, 1]
+    rep = write_json(tmp_path, doc)
+    options = ([rep] if command == "twisted-alexander"
+               else ["--hopf", "exterior:2", "--rep", rep, "--twisted"])
+    assert_one_line_error(capsys, [command, data_path("figure8.json")] + options,
+                          "min_poly [1, 0, 2, 0, 1]", "not squarefree")
+
+
 @pytest.mark.parametrize("min_poly", [
     pytest.param([1] + [0] * 1199 + [1], id="x^1200+1"),
     pytest.param([int("9" * 999)] * 8 + [1], id="degree-8-999-digits"),

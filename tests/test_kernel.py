@@ -24,9 +24,9 @@ from suturekup.diagram import CLOSED
 from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.kuperberg import _pack, _unpack, degree_one_forms, evaluate_z, representation_for
-from suturekup.laurent import LaurentRing
+from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.linalg import matmul, transpose
-from suturekup.torsion import _fox_block, _fox_block_det
+from suturekup.torsion import _fox_block, _fox_block_det, fox_matrix
 
 NONINTEGRAL_REP = os.path.join(os.path.dirname(__file__), "data", "figure8_nonintegral_rep.json")
 
@@ -66,6 +66,34 @@ def test_forms_are_the_transposed_fox_block(twisted):
     # where Z = det = 0 the identity still compares nonzero entries
     assert vacuous == 11
     assert nonzero_block >= 10
+
+
+def test_walk_stays_at_field_level(monkeypatch):
+    """The forms, the Fox blocks and the word images of the 50 acceptance data,
+    twisted, come out the same with every Laurent product refused."""
+    def walked(D, pres, rep, H):
+        return (degree_one_forms(D, H, rep), _fox_block(pres, rep),
+                _fox_block(pres, rep.inverse_transpose()),
+                [rep.word_matrix(rel) for rel in pres.relators])
+
+    cases = []
+    for seed, D, n, mats in ACCEPTANCE:
+        pres = presentation(D)
+        rep = representation_for(pres, n, mats, twisted=True)
+        H = ExteriorAlgebra(n, rep.ring)
+        cases.append((seed, (D, pres, rep, H), walked(D, pres, rep, H)))
+
+    def refuse(*args):
+        raise AssertionError("the walk multiplied Laurent polynomials")
+
+    monkeypatch.setattr(LaurentRing, "dot", refuse)
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    for seed, args, expected in cases:
+        assert walked(*args) == expected, seed
+    # the patch is live: the reference route multiplies the lifted matrices
+    D, pres, rep, H = cases[0][1]
+    with pytest.raises(AssertionError, match="Laurent"):
+        rep.apply_to_groupring(fox_matrix(pres, rep.field).closed_square()[0][0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,8 @@ from conftest import (
     random_invertible,
     trefoil_braid_sl2,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from linalg_reference import minor_det
 from paper_laws import (
     augmentation,
@@ -22,6 +24,7 @@ from paper_laws import (
 )
 
 from suturekup import (
+    AbelianizationMap,
     EvaluationOptions,
     ExteriorAlgebra,
     LaurentRing,
@@ -364,10 +367,70 @@ def test_singular_matrix_names_its_generator():
     assert "'alpha'" in str(info.value)
     # over a Laurent ring nothing is inverted: the inverses must be given
     ring = LaurentRing(XI, 1)
-    one_plus_t = ring.from_terms({(0,): one, (1,): one})
     with pytest.raises(EvaluationError, match="^a representation over a Laurent ring "
                                               "needs its inverses$"):
-        Representation(ring, 1, [[[one_plus_t]]])
+        Representation(ring, 1, [[[ring.monomial((1,), one)]]])
+
+
+def test_laurent_matrix_splits_into_a_monomial_and_a_field_matrix():
+    ring, x = LaurentRing(XI, 1), XI.generator()
+    matrix, inverse = [[ring.monomial((2,), x)]], [[ring.monomial((-2,), x.inv())]]
+    rep = Representation(ring, 1, [matrix], [inverse])
+    assert (rep.matrices[0], rep.inverses[0]) == (matrix, inverse)
+    assert rep.word_matrix(Word(((0, 1), (0, 1)))) == [[ring.monomial((4,), x * x)]]
+
+
+NOT_MONOMIAL = " is not a monomial times a field matrix: it has the exponents "
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, ring.one]],
+                                     [[t.inv_unit(), ring.zero], [ring.zero, ring.one]]),
+                 "representation matrix of generator 1" + NOT_MONOMIAL + "[(0,), (1,)]",
+                 id="two-exponents"),
+    pytest.param(lambda ring, t, x: ([[t + t * t, ring.zero], [ring.zero, t]],
+                                     [[t.inv_unit(), ring.zero], [ring.zero, t.inv_unit()]]),
+                 "representation matrix of generator 1" + NOT_MONOMIAL + "[(1,), (2,)]",
+                 id="two-term-entry"),
+    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, t]],
+                                     [[t, ring.zero], [ring.zero, t]]),
+                 "inverse of generator 1 has the exponents (1,), not the negatives of (1,)",
+                 id="inverse-exponent"),
+    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, t]],
+                                     [[t.inv_unit(), ring.zero], [ring.zero, x]]),
+                 "inverse of generator 1" + NOT_MONOMIAL + "[(-1,), (0,)]",
+                 id="inverse-two-exponents"),
+])
+def test_malformed_laurent_matrix_names_its_generator(make, message):
+    ring = LaurentRing(XI, 1)
+    t, x = ring.monomial((1,)), ring.from_field(XI.generator())
+    ident = [[ring.one, ring.zero], [ring.zero, ring.one]]
+    matrix, inverse = make(ring, t, x)
+    with pytest.raises(EvaluationError) as info:
+        Representation(ring, 2, [ident, matrix], [ident, inverse])
+    assert str(info.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rank=st.integers(0, 3), n=st.integers(1, 3),
+       field=st.sampled_from([QQ, XI]), seed=st.integers(0, 2**32 - 1))
+def test_word_matrix_is_the_laurent_product(data, rank, n, field, seed):
+    rng = random.Random(seed)
+    m = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * rank)
+    images = [data.draw(exps) for _ in range(m)]
+    mats = [(random_xi_matrix if field is XI else random_invertible)(rng, n) for _ in range(m)]
+    rep = Representation.twisted(mats, AbelianizationMap(m, rank, images, []), n, field)
+    ring = rep.ring
+    lifted, inverses = rep.matrices, rep.inverses
+    for g in range(m):
+        assert lifted[g] == [[ring.monomial(images[g], c) for c in row] for row in mats[g]]
+    letters = st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1)))
+    w = Word(data.draw(st.lists(letters, max_size=8)))
+    expected = rep.identity
+    for g, s in w.letters:
+        expected = matmul(expected, lifted[g] if s == 1 else inverses[g], ring)
+    assert rep.word_matrix(w) == expected
 
 
 def parabolic_matrices(alpha=None):

@@ -2,13 +2,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numberfield_reference import NumberField as ReferenceField
 
 from suturekup import NumberField, QQ
 from suturekup.hopf import Element, ExteriorAlgebra, TensorElement
 from suturekup.laurent import LaurentPoly, LaurentRing
-from suturekup.numberfield import _integer_root
+from suturekup.numberfield import _integer_root, echo
 from suturekup.words import GroupRingElement, Word
 
 GAUSS = NumberField([1, 0, 1])        # x^2 + 1
@@ -118,10 +118,62 @@ def test_min_poly_with_rational_root_rejected(min_poly):
         NumberField(min_poly)
 
 
+# x^4 + 1 is irreducible over Q but reducible mod every prime
 @pytest.mark.parametrize("min_poly", [[0, 1], [5, 1], [1, 0, 1], [1, 1, 1], [-1, -1, 1],
-                                      [-2, 0, 0, 1], [1, 0, 2, 0, 1]])
+                                      [-2, 0, 0, 1], [1, 0, 0, 0, 1]])
 def test_min_poly_without_rational_root_accepted(min_poly):
     assert NumberField(min_poly).degree == len(min_poly) - 1
+
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("min_poly", [
+    pytest.param([1, 0, 2, 0, 1], id="(x^2+1)^2"),
+    pytest.param(_polymul(_polymul([1, 1, 0, 1], [1, 1, 0, 1]), [3, 0, 1]),
+                 id="(x^3+x+1)^2(x^2+3)"),
+    pytest.param(_polymul([2, 0, 1], [2, 0, 1]), id="(x^2+2)^2"),
+])
+def test_min_poly_that_is_not_squarefree_rejected(min_poly):
+    # none of these has a rational root
+    with pytest.raises(ValueError) as info:
+        NumberField(min_poly)
+    assert str(info.value).startswith(f"min_poly {echo(min_poly)} is not squarefree")
+
+
+def _rational_gcd_degree(a, b):
+    """Degree of gcd(a, b) over Q by Euclid on Fractions (constant term first)."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        while len(a) >= len(b):
+            f, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [x - f * b[j - shift] if j >= shift else x for j, x in enumerate(a)][:-1]
+        a, b = b, a or [Fraction(0)]
+    return len(a) - 1
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.lists(st.integers(-9, 9), max_size=4), st.booleans())
+def test_squarefree_test_matches_rational_gcd(low, cofactor, square):
+    # f * g or f^2 * g for monic f and g: refused as not squarefree exactly when
+    # gcd(m, m') over Q is not a constant, once the integer-root test has passed
+    f, g = low + [1], cofactor + [1]
+    m = _polymul(_polymul(f, f) if square else f, g)
+    assume(_integer_root(m) is None)
+    squarefree = _rational_gcd_degree(m, [k * c for k, c in enumerate(m)][1:]) == 0
+    try:
+        NumberField(m)
+    except ValueError as exc:
+        assert not squarefree and "is not squarefree" in str(exc)
+    else:
+        assert squarefree
 
 
 def test_min_poly_bounds():
