@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
-from .numberfield import MAX_DIGITS, NumberField, echo
+from .numberfield import MAX_DIGITS, QQ, NumberField, echo
 from .words import parse_word
 
 
@@ -192,7 +192,8 @@ class RepresentationFile(Record):
 
 def representation_from_data(data: dict) -> RepresentationFile:
     _require(data, {"dimension": object, "generators": dict}, "representation")
-    field = NumberField(data.get("min_poly", [0, 1]))
+    poly = data.get("min_poly", [0, 1])     # [0, True] == [0, 1], and NumberField refuses it
+    field = QQ if poly == [0, 1] and list(map(type, poly)) == [int, int] else NumberField(poly)
     n = _integer(data["dimension"], "representation key 'dimension'")
     matrices = {}
     for name, rows in data["generators"].items():

@@ -19,8 +19,9 @@ Over the supercommutative exterior algebra every map above is an even
 superalgebra morphism, so Z is the top coefficient of the ordered product of
 d*n degree-one forms, one per generator of each closed curve, in a sparse state
 of at most 2^{dn} exterior monomials.  A state key is one int, the packed
-Laurent exponent above the exterior mask, and each form is scaled to integer
-coefficients, so Z is divided by the product of the scales once at the end.
+Laurent exponent above the exterior mask, and so is its value, the scaled
+integral coefficient packed by Kronecker substitution: a product is one int
+multiply-add, and Z is divided by the product of the scales once at the end.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .diagram import (
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentPoly, LaurentRing
 from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul, transpose
-from .numberfield import QQ, FieldElement, _canonical, accumulate, echo
+from .numberfield import QQ, _canonical, accumulate, echo
 from .words import Word
 
 
@@ -325,48 +326,51 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                      for form in forms) if laurent else 1
     width = spread.bit_length() + 1
 
-    # Multiply the forms on the right into a state {(packed exponent << dn) | mask:
-    # coefficient}.  Z is multilinear, so form t is scaled by lam_t, the lcm of its
-    # denominators: the state stays integral, and Z is divided by prod lam_t once.
-    dn = len(forms)
+    # Multiply the forms on the right into a state {(packed exponent << dn) | mask: c}.
+    # Form t is scaled by lam_t, the lcm of its denominators, so c is integral; within
+    # a step c is the int _pack(numerator, cw), and over Q the numerator itself.
+    dn, deg = len(forms), field.degree
     full = (1 << dn) - 1
     later = [0] * dn                        # the bits of the forms after t
     for t in range(dn - 1, 0, -1):
         later[t - 1] = later[t] | sum(forms[t])
-    scale, state, dot = 1, {0: field.one}, field.dot
+    scale, state = 1, {0: [1] + [0] * (deg - 1) if deg > 1 else 1}
     for t, form in enumerate(forms):
         # (bit, exponent vector, field coefficient) of every term of the form
         ts = ([(bit, e, c) for bit, p in form.items() for e, c in p.terms.items()] if laurent
               else [(bit, (), c) for bit, c in form.items()])
         lam = lcm(*[c.den for _, _, c in ts])
         scale *= lam
+        nums = [[a * (lam // c.den) for a in c.num] for _, _, c in ts]
+        fmax = max((abs(a) for num in nums for a in num), default=0)
+        cmax = max(abs(a) for c in state.values() for a in c) if deg > 1 else 1
+        # a key takes at most one product per term, and each digit of a product sums
+        # at most deg products of digits, so no digit of a sum reaches +-2^(cw - 1)
+        cw = (len(ts) * deg * cmax * fmax).bit_length() + 2
+        if deg > 1:
+            state = {key: _pack(c, cw) for key, c in state.items()}
         # X_A X_b = (-1)^{#(A above b)} X_{A+b}; for disjoint A and b the key
         # of the product is the sum of the keys
-        factors = []
-        for bit, e, c in ts:
-            if lam != 1:
-                c = FieldElement(field, tuple([a * (lam // c.den) for a in c.num]), 1)
-            factors.append((bit, (_pack(e, width) << dn) | bit, full ^ ((bit << 1) - 1), c,
-                            FieldElement(field, tuple([-a for a in c.num]), 1)))
+        factors = [(bit, (_pack(e, width) << dn) | bit, full ^ ((bit << 1) - 1), f, -f)
+                   for (bit, e, _), f in zip(ts, [_pack(num, cw) for num in nums])]
         # a state bit missing from every later form can no longer be filled
         unreachable = full & ~later[t]
-        # the (coefficient, +-factor) pairs landing on each key, summed by one dot
-        groups = {}
+        nxt = {}
+        get = nxt.get
         for key, c in state.items():
             for bit, offset, above, f, neg_f in factors:
                 new = key + offset
                 if key & bit or ~new & unreachable:
                     continue
-                pairs = groups.get(new)
-                if pairs is None:
-                    pairs = groups[new] = ([], [])
-                pairs[0].append(c)
-                pairs[1].append(neg_f if (key & above).bit_count() & 1 else f)
-        state = {key: c for key, (cs, fs) in groups.items() if (c := dot(cs, fs))}
+                nxt[new] = get(new, 0) + c * (neg_f if (key & above).bit_count() & 1 else f)
+        # over a larger field each sum's 2 deg - 1 digits are reduced mod min_poly
+        state = ({key: c for key, c in nxt.items() if c} if deg == 1 else
+                 {key: v for key, c in nxt.items()
+                  if any(v := field._reduce(list(_unpack(c, 2 * deg - 1, cw))))})
         if not state:
             break
     # after dn forms every mask is full
-    top = {_unpack(key >> dn, nvars, width): _canonical(field, c.num, scale)
+    top = {_unpack(key >> dn, nvars, width): _canonical(field, tuple(c) if deg > 1 else (c,), scale)
            for key, c in state.items()}
     total = LaurentPoly(ring, top) if laurent else top.get((), ring.zero)
     return -total if sign_factor < 0 else total

@@ -435,6 +435,11 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
     pytest.param("alpha", 5, "kuperberg", "matrix for 'alpha' is not 2x2", id="matrix-int"),
     pytest.param("min_poly", [1, 1.7, 1], "twisted-alexander",
                  "min_poly must be a list of integers", id="min-poly-float"),
+    # equal to [0, 1] in Python, so a shortcut to the shared QQ must check the types
+    pytest.param("min_poly", [0, True], "twisted-alexander",
+                 "min_poly must be a list of integers", id="min-poly-bool-equal-to-q"),
+    pytest.param("min_poly", [0.0, 1], "twisted-alexander",
+                 "min_poly must be a list of integers", id="min-poly-float-equal-to-q"),
     pytest.param("dimension", 2.9, "twisted-alexander",
                  "representation key 'dimension' must be an integer, not 2.9",
                  id="dimension-float"),

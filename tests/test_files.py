@@ -1,7 +1,12 @@
 import pytest
 
-from suturekup import ExteriorAlgebra, LaurentRing, QQ, Representation
-from suturekup.files import canonical_json, detect_input, diagram_from_data
+from suturekup import ExteriorAlgebra, LaurentRing, NumberField, QQ, Representation
+from suturekup.files import (
+    canonical_json,
+    detect_input,
+    diagram_from_data,
+    representation_from_data,
+)
 from suturekup.fixtures import trefoil
 from suturekup.files import diagram_to_data
 
@@ -18,6 +23,16 @@ def test_detect_input(tmp_path):
     bad.write_text("{}")
     with pytest.raises(ValueError):
         detect_input(str(bad))
+
+
+@pytest.mark.parametrize("extra", [{}, {"min_poly": [0, 1]}], ids=["absent", "linear"])
+def test_rational_representation_shares_qq(extra):
+    # Q is one constant; a field of higher degree is built per file
+    doc = {"dimension": 1, "generators": {"a": [["2"]]}, **extra}
+    assert representation_from_data(doc).field is QQ
+    doc["min_poly"] = [1, 1, 1]
+    field = representation_from_data(doc).field
+    assert field == NumberField([1, 1, 1]) and field is not representation_from_data(doc).field
 
 
 def test_iterated_coproduct_rejects_negative():

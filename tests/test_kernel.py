@@ -3,13 +3,16 @@
 The degree-one forms are pinned entry for entry against the Fox block, on the
 acceptance data and on drawn data, which still checks something where
 Z = det = 0.  The kernel keys its state by one
-int, (packed exponent << dn) | mask, and scales every form to integer
-coefficients; the packing, the rescaling and the final division are checked
-here on their own, and the values against the enumerator and the Fox side.
+int, (packed exponent << dn) | mask, scales every form to integer
+coefficients and packs each integral coefficient into one int as well; the
+packing, the rescaling, the final division and the width of the packed
+coefficients are checked here on their own, and the values against the
+enumerator and the Fox side.
 """
 
 import os
 import random
+from fractions import Fraction
 from math import gcd
 from operator import add
 
@@ -19,13 +22,25 @@ from contraction_reference import reference_evaluate_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from suturekup import QQ, ExteriorAlgebra, kuperberg, presentation, random_datum
-from suturekup.diagram import CLOSED
+from suturekup import (
+    QQ,
+    BetaCurve,
+    Crossing,
+    ExteriorAlgebra,
+    HeegaardDatum,
+    NumberField,
+    bareiss_det,
+    kuperberg,
+    presentation,
+    random_datum,
+)
+from suturekup.diagram import ARC, CLOSED
 from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.kuperberg import _pack, _unpack, degree_one_forms, evaluate_z, representation_for
 from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.linalg import matmul, transpose
+from suturekup.numberfield import FieldElement
 from suturekup.torsion import _fox_block, _fox_block_det, fox_matrix
 
 NONINTEGRAL_REP = os.path.join(os.path.dirname(__file__), "data", "figure8_nonintegral_rep.json")
@@ -192,31 +207,22 @@ def test_mixed_denominators_give_lowest_terms(twisted):
         assert c.den > 0 and gcd(c.den, *c.num) == 1
 
 
-def _counting_copies(monkeypatch):
-    """The argument tuples of every FieldElement the kernel builds itself."""
-    made = []
+def _counting(monkeypatch):
+    """{built: FieldElements constructed, canonical: kuperberg._canonical calls}."""
+    counts = {"built": 0, "canonical": 0}
+    init, canonical = FieldElement.__init__, kuperberg._canonical
 
-    def build(*args):
-        made.append(args)
-        return real(*args)
+    def build(self, *args):
+        counts["built"] += 1
+        init(self, *args)
 
-    real = kuperberg.FieldElement
-    monkeypatch.setattr(kuperberg, "FieldElement", build)
-    return made
+    def canon(*args):
+        counts["canonical"] += 1
+        return canonical(*args)
 
-
-def _built_per_evaluation(made, D, n, mats, field, twisted):
-    """(FieldElements the kernel built, terms of the forms) for one evaluation of
-    nonzero Z, which multiplies every form into the state."""
-    pres = presentation(D)
-    rep = representation_for(pres, n, mats, field, twisted)
-    H = ExteriorAlgebra(n, rep.ring)
-    terms = sum(len(p.terms) if twisted else 1
-                for form in degree_one_forms(D, H, rep) for p in form.values())
-    made.clear()
-    z = evaluate_z(D, H, rep)
-    assert z == _fox_block_det(pres, rep) and not z.is_zero()
-    return len(made), terms
+    monkeypatch.setattr(FieldElement, "__init__", build)
+    monkeypatch.setattr(kuperberg, "_canonical", canon)
+    return counts
 
 
 def _integral_data(twisted):
@@ -246,13 +252,98 @@ def _unimodular(rng, n):
 
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
-def test_integral_forms_make_no_rescaling_copies(monkeypatch, twisted):
-    made = _counting_copies(monkeypatch)
-    # every lam_t = 1: the kernel builds only the negated factor of each term
-    for D, n, mats, field in _integral_data(twisted):
-        built, terms = _built_per_evaluation(made, D, n, mats, field, twisted)
-        assert built == terms
-    # the count is live: forms with denominators are rescaled as well
+def test_kernel_builds_field_elements_only_for_z(monkeypatch, twisted):
+    """From the forms to Z the state holds ints: the kernel builds no FieldElement
+    but Z's own coefficients, each brought to lowest terms once by _canonical."""
+    assert not hasattr(kuperberg, "FieldElement")
     field, mats = _nonintegral(figure_eight())
-    built, terms = _built_per_evaluation(made, figure_eight(), 2, mats, field, twisted)
-    assert built > terms
+    # integral forms, and forms with denominators to rescale
+    data = _integral_data(twisted) + [(figure_eight(), 2, mats, field)]
+    counts = _counting(monkeypatch)
+    for D, n, mats, field in data:
+        pres = presentation(D)
+        rep = representation_for(pres, n, mats, field, twisted)
+        H = ExteriorAlgebra(n, rep.ring)
+        forms = degree_one_forms(D, H, rep)
+        monkeypatch.setattr(kuperberg, "degree_one_forms", lambda *args, forms=forms: forms)
+        counts.update(built=0, canonical=0)
+        z = evaluate_z(D, H, rep)
+        terms = len(z.terms) if twisted else 1
+        assert counts == {"built": terms, "canonical": terms}
+        assert z == _fox_block_det(pres, rep) and not z.is_zero()
+    # the count is live: the forms themselves build field elements
+    counts.update(built=0, canonical=0)
+    degree_one_forms(D, H, rep)
+    assert counts["built"] > 0 and counts["canonical"] == 0
+
+
+# Q, Q(xi) with xi^2 + xi + 1 = 0, and Q(2^(1/3)): degrees 1, 2 and 3
+WIDTH_FIELDS = [QQ, NumberField([1, 1, 1]), NumberField([-2, 0, 0, 1])]
+
+
+def _wide_invertible(rng, n, field, digits, den_digits, uniform):
+    """An invertible matrix whose coefficients have numerators of up to `digits`
+    digits over denominators of up to den_digits digits.  With `uniform`, an entry
+    is +-(10^digits - 1)(1 + x + ... + x^(D-1)) / q: the digits of its products
+    all add up with one sign, to the bound the Kronecker width leaves room for."""
+    top = 10 ** digits - 1
+
+    def entry():
+        q = rng.randint(1, 10 ** den_digits)
+        if uniform:
+            return field.element([Fraction(rng.choice((top, -top)), q)] * field.degree)
+        return field.element([Fraction(rng.randint(-top, top), q) for _ in range(field.degree)])
+
+    while True:
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if bareiss_det(m, field):
+            return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from(WIDTH_FIELDS),
+       twisted=st.booleans(), d=st.integers(1, 3), l=st.integers(0, 2),
+       crossings=st.integers(1, 4), n=st.integers(1, 3), digits=st.integers(1, 30),
+       den_digits=st.integers(0, 10), uniform=st.booleans())
+def test_kronecker_width_holds_for_wide_coefficients(seed, field, twisted, d, l, crossings, n,
+                                                     digits, den_digits, uniform):
+    D = random_datum(seed, d, l, crossings)
+    pres = presentation(D)
+    rng = random.Random(seed)
+    mats = [_wide_invertible(rng, n, field, digits, den_digits, uniform)
+            for _ in range(pres.num_generators)]
+    rep = representation_for(pres, n, mats, field, twisted)
+    assert evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep) == _fox_block_det(pres, rep)
+
+
+def _dense_datum(seed, d, length):
+    """d closed curves of the given length, crossing t of curve i on beta (i + t) % d,
+    and one arc crossing every beta just after its basepoint, as the benchmark's
+    dense shapes are laid out; signs and cyclic orders come from the seed."""
+    rng = random.Random(seed)
+    alphas, arc, betas, crossings = [[] for _ in range(d)], [], [], {}
+    for j in range(d):
+        entries = [(CLOSED, i) for i in range(d) for t in range(length) if (i + t) % d == j]
+        rng.shuffle(entries)
+        ids = []
+        for kind, i in [(ARC, 0)] + entries:
+            cid = f"c{len(crossings)}"
+            crossings[cid] = Crossing(cid, kind, i, j, rng.choice((1, -1)))
+            (alphas[i] if kind == CLOSED else arc).append(cid)
+            ids.append(cid)
+        betas.append(BetaCurve(tuple(ids), 0))
+    for curve in alphas:
+        rng.shuffle(curve)
+    return HeegaardDatum(alphas, [arc], betas, crossings)
+
+
+@pytest.mark.parametrize("field", WIDTH_FIELDS[1:], ids=["xi", "cubic"])
+def test_kronecker_width_on_dense_shapes(field):
+    """Twisted (d, n, L) = (4, 3, 3): every key collects many products per step."""
+    D = _dense_datum(4, 4, 3)
+    pres = presentation(D)
+    rng = random.Random(433)
+    mats = [_wide_invertible(rng, 3, field, 30, 0, True) for _ in range(pres.num_generators)]
+    rep = representation_for(pres, 3, mats, field, twisted=True)
+    z = evaluate_z(D, ExteriorAlgebra(3, rep.ring), rep)
+    assert z == _fox_block_det(pres, rep) and not z.is_zero()
