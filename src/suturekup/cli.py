@@ -17,7 +17,7 @@ from functools import cache
 from .abelian import abelianize
 from .diagram import HeegaardDatum, presentation, random_datum, validate
 from .files import load_diagram, load_diagram_or_presentation, load_representation
-from .hopf import ExteriorAlgebra, verify_axioms
+from .hopf import MAX_DIM, ExteriorAlgebra, verify_axioms
 from .kuperberg import EvaluationOptions, evaluate_z, representation_for
 from .laurent import normalize_unit
 from .numberfield import MAX_DIGITS, QQ, echo
@@ -25,8 +25,6 @@ from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
 from .words import parse_word
 
 SEED_ENV = "SUTURE_KUP_SEED"
-# ExteriorAlgebra(N) lists its 2^N basis labels up front
-MAX_HOPF_DIM = 20
 MAX_AXIOMS_DIM = 6  # verify_axioms: 5.5-8.6 s at N = 6, over 60 s at N = 7 (CPython 3.11)
 
 
@@ -34,8 +32,8 @@ def _parse_hopf(spec: str) -> int:
     kind, _, dim = spec.partition(":")
     if kind != "exterior" or not (dim.isascii() and dim.isdigit()):
         raise ValueError(f"unsupported Hopf algebra {echo(spec)}; use exterior:N")
-    if len(dim.lstrip("0")) > len(str(MAX_HOPF_DIM)) or int(dim) > MAX_HOPF_DIM:
-        raise ValueError(f"--hopf takes exterior:N with N in 0..{MAX_HOPF_DIM}, not {echo(spec)}")
+    if len(dim.lstrip("0")) > len(str(MAX_DIM)) or int(dim) > MAX_DIM:
+        raise ValueError(f"--hopf takes exterior:N with N in 0..{MAX_DIM}, not {echo(spec)}")
     return int(dim)
 
 
@@ -231,6 +229,8 @@ def main(argv=None) -> int:
         parser.error(f"--random N must not be negative, not {args.random}")
     if args.command == "crosscheck" and not args.random and not args.diagram:
         parser.error("crosscheck needs a diagram file or --random N")
+    if args.command == "crosscheck" and args.random and (args.diagram or args.rep):
+        parser.error("crosscheck --random N takes no diagram file and no --rep")
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 
 from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
+from .hopf import MAX_DIM
 from .numberfield import MAX_DIGITS, QQ, NumberField, echo
 from .words import parse_word
 
@@ -195,6 +196,9 @@ def representation_from_data(data: dict) -> RepresentationFile:
     poly = data.get("min_poly", [0, 1])     # [0, True] == [0, 1], and NumberField refuses it
     field = QQ if poly == [0, 1] and list(map(type, poly)) == [int, int] else NumberField(poly)
     n = _integer(data["dimension"], "representation key 'dimension'")
+    if not 0 <= n <= MAX_DIM:
+        raise ValueError(f"representation key 'dimension' must lie in 0..{MAX_DIM}, "
+                         f"not {echo(n)}")
     matrices = {}
     for name, rows in data["generators"].items():
         if not (isinstance(rows, list) and len(rows) == n

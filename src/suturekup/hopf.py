@@ -22,6 +22,10 @@ import itertools
 
 from .numberfield import QQ, SparseSum, accumulate
 
+# the largest N of --hopf exterior:N and of a representation file's dimension:
+# ExteriorAlgebra(N) lists its 2^N basis labels up front
+MAX_DIM = 20
+
 
 class Element(SparseSum):
     """Sparse element of a Hopf superalgebra: {basis label: coefficient}."""

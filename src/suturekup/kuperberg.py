@@ -43,7 +43,7 @@ from .diagram import (
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentPoly, LaurentRing
-from .linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul, transpose
+from .linalg import SingularMatrix, identity, inverse, matmul, transpose
 from .numberfield import QQ, _canonical, accumulate, echo
 from .words import Word
 
@@ -53,7 +53,7 @@ class EvaluationError(ValueError):
 
 
 class SingularRepresentationError(EvaluationError):
-    """A generator's matrix is not invertible over the representation's ring.
+    """A generator's matrix is not invertible over the representation's field.
 
     ``generator`` is the generator's index; a caller that knows the
     generator names sets ``name`` to have the message use it.
@@ -79,27 +79,16 @@ class EvaluationOptions(Record):
         return EvaluationOptions(-self.homology_orientation_sign)
 
 
-def _field_part(matrix, n, ring, generator, what="representation matrix"):
-    """(e, M) with matrix = t^e * M for a field matrix M, e = () over a field;
-    EvaluationError unless matrix is n x n over ring and of that form."""
+def _field_matrix(matrix, n, field):
+    """A copy of matrix; EvaluationError unless it is n x n over field."""
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise EvaluationError("representation matrix has the wrong size")
-    # a Laurent polynomial carries its ring, a field element its field
-    laurent = isinstance(ring, LaurentRing)
     for row in matrix:
         for entry in row:
-            if (parent := getattr(entry, "ring" if laurent else "field", None)) != ring:
+            if (parent := getattr(entry, "field", None)) != field:
                 raise EvaluationError(f"matrix entry {echo(entry)} is over {echo(parent)}, "
-                                      f"not {echo(ring)}")
-    if not laurent:
-        return (), [list(row) for row in matrix]
-    # a two-term entry shows two exponents, as mixed monomials do
-    exps = sorted({e for row in matrix for x in row for e in x.terms})
-    if len(exps) > 1:
-        raise EvaluationError(f"{what} of generator {generator} is not a monomial times a "
-                              f"field matrix: it has the exponents {echo(exps)}")
-    e = exps[0] if exps else (0,) * ring.nvars
-    return e, [[x.terms.get(e, ring.field.zero) for x in row] for row in matrix]
+                                      f"not {echo(field)}")
+    return [list(row) for row in matrix]
 
 
 def _entry_field(matrices):
@@ -111,40 +100,36 @@ class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
     exterior algebra) to every presentation generator.
 
-    Generator g is kept as t^{e_g} * M_g (e_g = () over a field) with M_g^-1,
-    so words are walked over the field; ring matrices are lifted on access.
-    Callers that already know the inverses pass them in; over a field they
-    are otherwise computed, and over a Laurent ring they must be given.
+    Generator g is kept as t^{e_g} * M_g with M_g^-1 over the field; e_g = ()
+    until twisted attaches the homology exponents, so words are walked over
+    the field and ring matrices are lifted on access.  Callers that already
+    know the inverses pass them in; otherwise they are computed.
     """
 
-    def __init__(self, ring, n, matrices, inverses=None):
-        parts = [_field_part(m, n, ring, g) for g, m in enumerate(matrices)]
+    def __init__(self, field, n, matrices, inverses=None):
+        matrices = [_field_matrix(m, n, field) for m in matrices]
         if inverses is None:
-            if isinstance(ring, LaurentRing):
-                raise EvaluationError("a representation over a Laurent ring needs its inverses")
             inverses = []
-            for g, (_, m) in enumerate(parts):
+            for g, m in enumerate(matrices):
                 try:
-                    inverses.append(inverse_and_det(m, ring)[0])
+                    inverses.append(inverse(m, field))
                 except SingularMatrix:
-                    raise SingularRepresentationError(g, bareiss_det(m, ring)) from None
-        self.ring, self.n, self.field = ring, n, getattr(ring, "field", ring)
-        self.num_generators = len(parts)
-        self.identity = identity(n, ring)
-        self._start = ((0,) * getattr(ring, "nvars", 0), identity(n, self.field))
+                    raise SingularRepresentationError(g, field.zero) from None
+        else:
+            inverses = [_field_matrix(m, n, field) for m in inverses]
+        self.ring = self.field = field
+        self.n, self.num_generators = n, len(matrices)
+        self.identity = identity(n, field)
+        self._start = ((), identity(n, field))
         self._images = {}           # (exponent vector, field matrix) of each letter (g, +-1)
-        for g, ((e, m), inv) in enumerate(zip(parts, inverses)):
-            neg, inv = _field_part(inv, n, ring, g, "inverse")
-            if any(map(add, e, neg)):
-                raise EvaluationError(f"inverse of generator {g} has the exponents {neg}, "
-                                      f"not the negatives of {e}")
-            self._images[g, 1], self._images[g, -1] = (e, m), (neg, inv)
+        for g, (m, inv) in enumerate(zip(matrices, inverses)):
+            self._images[g, 1], self._images[g, -1] = ((), m), ((), inv)
 
     @classmethod
-    def trivial(cls, num_generators, n, ring=None):
-        ring = ring if ring is not None else QQ
-        idents = [identity(n, ring)] * num_generators
-        return cls(ring, n, idents, idents)
+    def trivial(cls, num_generators, n, field=None):
+        field = field if field is not None else QQ
+        idents = [identity(n, field)] * num_generators
+        return cls(field, n, idents, idents)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -236,6 +221,8 @@ def representation_for(pres, n=None, rho_matrices=None, field=None, twisted=Fals
     its generator's monomial in amap (pres's free abelianization when None),
     over the Laurent ring.  SingularRepresentationError names the generator.
     """
+    if rho_matrices is not None and len(rho_matrices) < pres.num_generators:
+        raise EvaluationError("representation does not cover all generators")
     if n is None:
         n = len(rho_matrices[0]) if rho_matrices else 1
     field = field if field is not None else _entry_field(rho_matrices)

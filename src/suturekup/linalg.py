@@ -101,8 +101,8 @@ def _bareiss(M, ring):
     return -det if sign < 0 else det
 
 
-def inverse_and_det(matrix, field):
-    """Inverse and determinant over a field by the in-place sweep; SingularMatrix if none.
+def inverse(matrix, field):
+    """Inverse over a field by the in-place sweep; SingularMatrix if there is none.
 
     Pivot p leaves 1/p and the rest of its row over p in place; each other
     row, with f in p's column, gets a - f*b at the nonzero b of p's row (one
@@ -110,7 +110,7 @@ def inverse_and_det(matrix, field):
     """
     n = len(matrix)
     M = [list(row) for row in matrix]
-    one = det = field.one
+    one = field.one
     dot = field.dot
     swaps = []
     for k in range(n):
@@ -120,9 +120,8 @@ def inverse_and_det(matrix, field):
         if r != k:
             M[k], M[r] = M[r], M[k]
             swaps.append((k, r))
-        pivot_row, p = M[k], M[k][k]
-        det = det * p if k else p
-        pivot_row[k] = inv = p.inv()
+        pivot_row = M[k]
+        pivot_row[k] = inv = pivot_row[k].inv()
         tail = [(j, b * inv) for j, b in enumerate(pivot_row) if j != k and not b.is_zero()]
         for j, b in tail:
             pivot_row[j] = b
@@ -136,4 +135,4 @@ def inverse_and_det(matrix, field):
     for k, r in reversed(swaps):
         for row in M:
             row[k], row[r] = row[r], row[k]
-    return M, -det if len(swaps) % 2 else det
+    return M

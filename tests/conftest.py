@@ -12,7 +12,7 @@ from suturekup import (
     abelianize,
     presentation,
 )
-from suturekup.linalg import inverse_and_det
+from suturekup.linalg import inverse
 
 
 def data_path(name):
@@ -73,4 +73,4 @@ def figure_eight_sl2():
     one, zero = field.one, field.zero
     X = [[one, one], [zero, one]]
     Y = [[one, zero], [-xi, one]]
-    return field, [inverse_and_det(X, field)[0], Y]
+    return field, [inverse(X, field), Y]

@@ -31,8 +31,8 @@ from suturekup.diagram import (
 )
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
-from suturekup.laurent import LaurentPoly, LaurentRing
-from suturekup.linalg import bareiss_det, inverse_and_det, matmul
+from suturekup.laurent import LaurentPoly
+from suturekup.linalg import bareiss_det, inverse, matmul
 from suturekup.numberfield import FieldElement, echo
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
@@ -327,31 +327,38 @@ def r_of_word(self, w: Word):
     return bareiss_det(self.word_matrix(w), self.ring)
 
 
+def _parts(self):
+    """The exponent vector and field matrix of every generator of self."""
+    return [self._images[g, 1] for g in range(self.num_generators)]
+
+
+def _rebuilt(self, parts):
+    """A representation like self with the given (exponent vector, field matrix) parts."""
+    mats = [m for _, m in parts]
+    if self.ring is self.field:
+        return Representation(self.field, self.n, mats)
+    amap = AbelianizationMap(len(parts), self.ring.nvars, [e for e, _ in parts], [])
+    return Representation.twisted(mats, amap, self.n, self.field)
+
+
 def conjugated(self, phi):
     """g -> phi rho(g) phi^-1, for phi invertible over the field of self's ring."""
-    ring = self.ring
-    field = ring.field if isinstance(ring, LaurentRing) else ring
-    phi_inv = inverse_and_det(phi, field)[0]
-    if ring is not field:
-        phi, phi_inv = ([[ring.from_field(c) for c in row] for row in m] for m in (phi, phi_inv))
-
-    def conj(m):
-        return matmul(matmul(phi, m, ring), phi_inv, ring)
-    return Representation(ring, self.n, [conj(m) for m in self.matrices],
-                          [conj(m) for m in self.inverses])
+    field = self.field
+    phi_inv = inverse(phi, field)
+    return _rebuilt(self, [(e, matmul(matmul(phi, m, field), phi_inv, field))
+                           for e, m in _parts(self)])
 
 
 def with_generator_inverted(self, g):
-    mats, inverses = list(self.matrices), list(self.inverses)
-    mats[g], inverses[g] = self.inverses[g], self.matrices[g]
-    return Representation(self.ring, self.n, mats, inverses)
+    parts = _parts(self)
+    parts[g] = self._images[g, -1]
+    return _rebuilt(self, parts)
 
 
 def with_swapped(self, i, k):
-    mats, inverses = list(self.matrices), list(self.inverses)
-    for seq in (mats, inverses):
-        seq[i], seq[k] = seq[k], seq[i]
-    return Representation(self.ring, self.n, mats, inverses)
+    parts = _parts(self)
+    parts[i], parts[k] = parts[k], parts[i]
+    return _rebuilt(self, parts)
 
 
 # -- the covariance suite -----------------------------------------------------

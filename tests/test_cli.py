@@ -11,7 +11,7 @@ import pytest
 
 import suturekup
 from suturekup import cli, hopf, presentation, validate
-from suturekup.cli import MAX_AXIOMS_DIM, MAX_HOPF_DIM, build_parser, main
+from suturekup.cli import MAX_AXIOMS_DIM, build_parser, main
 from suturekup.files import (
     canonical_json,
     diagram_from_data,
@@ -23,6 +23,7 @@ from suturekup.files import (
     representation_from_data,
 )
 from suturekup.fixtures import figure_eight, trefoil
+from suturekup.hopf import MAX_DIM
 
 
 def data_path(name):
@@ -216,6 +217,19 @@ def test_cmd_crosscheck_negative_random_is_usage_error(capsys):
     assert "--random N must not be negative, not -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inputs", [
+    pytest.param([data_path("figure8.json")], id="diagram"),
+    pytest.param(["--rep", data_path("figure8_parabolic_rep.json")], id="rep"),
+    pytest.param([data_path("figure8.json"), "--rep", data_path("figure8_parabolic_rep.json")],
+                 id="diagram-and-rep"),
+])
+def test_cmd_crosscheck_random_with_inputs_is_usage_error(capsys, inputs):
+    code, out = run_cli("crosscheck", "--random", "2", "--hopf", "exterior:2", *inputs)
+    assert code == 2
+    assert out == ""
+    assert "--random N takes no diagram file and no --rep" in capsys.readouterr().err
+
+
 def test_cmd_axioms():
     code, out = run_cli("axioms", "--hopf", "exterior:3")
     assert code == 0
@@ -357,6 +371,20 @@ def test_representation_missing_key_is_one_line_error(tmp_path, capsys, key):
     assert_one_line_error(capsys, ["kuperberg", data_path("figure8.json"), "--hopf",
                                    "exterior:2", "--rep", write_json(tmp_path, rep)],
                           f"representation misses key {key!r}")
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, -1])
+def test_representation_dimension_out_of_range_is_one_line_error(tmp_path, capsys,
+                                                                monkeypatch, dim):
+    # the range is checked before any n x n identity is built
+    def refuse(*args):
+        raise AssertionError("an identity matrix was built")
+
+    monkeypatch.setattr("suturekup.kuperberg.identity", refuse)
+    pres = write_json(tmp_path, {"generators": [], "closed_count": 0, "relators": []})
+    rep = write_json(tmp_path, {"dimension": dim, "generators": {}, "meridian": "1"}, "rep.json")
+    assert_one_line_error(capsys, ["twisted-alexander", pres, rep],
+                          f"representation key 'dimension' must lie in 0..{MAX_DIM}, not {dim}")
 
 
 def test_beta_entry_without_crossings_is_one_line_error(tmp_path, capsys):
@@ -549,7 +577,7 @@ def test_unsupported_hopf_is_one_line_error(capsys, argv, message):
     assert_one_line_error(capsys, argv, message)
 
 
-@pytest.mark.parametrize("dim", [MAX_AXIOMS_DIM + 1, MAX_HOPF_DIM])
+@pytest.mark.parametrize("dim", [MAX_AXIOMS_DIM + 1, MAX_DIM])
 def test_axioms_above_its_cap_is_one_line_error(monkeypatch, capsys, dim):
     # the axiom check runs past a minute at N = 7; the cap refuses such N
     # before an exterior algebra is built

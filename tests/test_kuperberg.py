@@ -41,6 +41,7 @@ from suturekup import (
     presentation,
     random_datum,
     twisted_alexander_knot,
+    twisted_torsion,
 )
 from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
 from suturekup.files import load_representation
@@ -346,8 +347,7 @@ def test_given_and_derived_representations_pass_on_inverses():
     amap = abelianize(3, [])
     rep = Representation.twisted([random_xi_matrix(rng, 2) for _ in range(3)], amap, 2, XI)
     for derived in (with_generator_inverted(rep, 1), with_swapped(rep, 0, 2),
-                    rep.inverse_transpose(),
-                    Representation(rep.ring, 2, rep.matrices, inverses=rep.inverses)):
+                    rep.inverse_transpose()):
         for m, inv in zip(derived.matrices, derived.inverses):
             assert matmul(m, inv, rep.ring) == rep.identity == matmul(inv, m, rep.ring)
 
@@ -365,50 +365,6 @@ def test_singular_matrix_names_its_generator():
     assert info.value.generator == 0
     info.value.name = "alpha"
     assert "'alpha'" in str(info.value)
-    # over a Laurent ring nothing is inverted: the inverses must be given
-    ring = LaurentRing(XI, 1)
-    with pytest.raises(EvaluationError, match="^a representation over a Laurent ring "
-                                              "needs its inverses$"):
-        Representation(ring, 1, [[[ring.monomial((1,), one)]]])
-
-
-def test_laurent_matrix_splits_into_a_monomial_and_a_field_matrix():
-    ring, x = LaurentRing(XI, 1), XI.generator()
-    matrix, inverse = [[ring.monomial((2,), x)]], [[ring.monomial((-2,), x.inv())]]
-    rep = Representation(ring, 1, [matrix], [inverse])
-    assert (rep.matrices[0], rep.inverses[0]) == (matrix, inverse)
-    assert rep.word_matrix(Word(((0, 1), (0, 1)))) == [[ring.monomial((4,), x * x)]]
-
-
-NOT_MONOMIAL = " is not a monomial times a field matrix: it has the exponents "
-
-
-@pytest.mark.parametrize("make, message", [
-    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, ring.one]],
-                                     [[t.inv_unit(), ring.zero], [ring.zero, ring.one]]),
-                 "representation matrix of generator 1" + NOT_MONOMIAL + "[(0,), (1,)]",
-                 id="two-exponents"),
-    pytest.param(lambda ring, t, x: ([[t + t * t, ring.zero], [ring.zero, t]],
-                                     [[t.inv_unit(), ring.zero], [ring.zero, t.inv_unit()]]),
-                 "representation matrix of generator 1" + NOT_MONOMIAL + "[(1,), (2,)]",
-                 id="two-term-entry"),
-    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, t]],
-                                     [[t, ring.zero], [ring.zero, t]]),
-                 "inverse of generator 1 has the exponents (1,), not the negatives of (1,)",
-                 id="inverse-exponent"),
-    pytest.param(lambda ring, t, x: ([[t, ring.zero], [ring.zero, t]],
-                                     [[t.inv_unit(), ring.zero], [ring.zero, x]]),
-                 "inverse of generator 1" + NOT_MONOMIAL + "[(-1,), (0,)]",
-                 id="inverse-two-exponents"),
-])
-def test_malformed_laurent_matrix_names_its_generator(make, message):
-    ring = LaurentRing(XI, 1)
-    t, x = ring.monomial((1,)), ring.from_field(XI.generator())
-    ident = [[ring.one, ring.zero], [ring.zero, ring.one]]
-    matrix, inverse = make(ring, t, x)
-    with pytest.raises(EvaluationError) as info:
-        Representation(ring, 2, [ident, matrix], [ident, inverse])
-    assert str(info.value) == message
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,6 +439,17 @@ def test_library_calls_name_the_singular_generator(call):
     assert "generator 'alpha' is not invertible" in str(info.value)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda pres, mats: twisted_torsion(pres, mats, n=1), id="twisted-torsion"),
+    pytest.param(lambda pres, mats: twisted_alexander_knot(
+        pres, mats, parse_word("a", pres.generator_names()), 1), id="twisted-alexander"),
+    pytest.param(lambda pres, mats: crosscheck(trefoil(), 1, mats), id="crosscheck"),
+])
+def test_library_calls_with_too_few_matrices_are_refused(call):
+    with pytest.raises(EvaluationError, match="^representation does not cover all generators$"):
+        call(presentation(trefoil()), [[[QQ.one]]])
+
+
 @pytest.mark.parametrize("mats", [
     pytest.param([[[QQ.one]]], id="1x1-for-2x2"),
     pytest.param([[[QQ.one, QQ.zero], [QQ.zero]]], id="short-row"),
@@ -498,7 +465,7 @@ def test_identity_representations_skip_inversion(monkeypatch):
     def refuse(*args):
         raise AssertionError("an identity matrix was inverted")
 
-    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", refuse)
+    monkeypatch.setattr("suturekup.kuperberg.inverse", refuse)
     amap = abelianize(2, [Word.generator(0) * Word.generator(1)])
     for rep in (Representation.trivial(3, 2), Representation.twisted(None, amap, 2)):
         ring = rep.ring
