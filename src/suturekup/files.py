@@ -30,34 +30,51 @@ def _json_int(text):
     return int(text)
 
 
-_TYPE_NAMES = {list: "a list", dict: "an object"}
+# Each document's shape.  A schema is str or int (a value of exactly that type,
+# so a bool is not an int), PAIR (a beta crossing: [id, sign]), [s] (a list whose
+# items match s, where s is not a list) or {key: s} (an object; a key that ends in
+# "?" may be absent).  min_poly and the matrices are checked where they are read.
+PAIR = (str, int)
+_CURVE = {"crossings": [str], "name?": str}
+DIAGRAM = {"alpha_closed": [_CURVE], "arcs": [_CURVE],
+           "beta": [{"crossings": [PAIR], "name?": str, "basepoint_index?": int}]}
+PRESENTATION = {"generators": [str], "closed_count?": int, "relators": [str]}
+REPRESENTATION = {"dimension": int, "generators": {}, "meridian?": str}
+
+_KINDS = {str: "a string", int: "an integer", PAIR: "an [id, sign] pair",
+          list: "a list", dict: "an object"}
 
 
-def _require(data, keys, what):
-    """data, checked to be a JSON object holding each key with its type; ValueError if not."""
+def _fits(value, schema) -> bool:
+    """Whether value is of the kind schema asks for; a container's items are not looked at."""
+    if schema is PAIR:
+        return isinstance(value, list) and len(value) == 2 and \
+            type(value[0]) is str and type(value[1]) is int
+    return type(value) is schema if isinstance(schema, type) else isinstance(value, type(schema))
+
+
+def _check(data, schema, what):
+    """data, walked against an object schema; ValueError naming the first key that does not fit."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key, kind in keys.items():
-        if key not in data:
-            raise ValueError(f"{what} misses key {key!r}")
-        if not isinstance(data[key], kind):
-            raise ValueError(f"{what} key {key!r} must be {_TYPE_NAMES[kind]}")
-    return data
-
-
-def _integer(value, what):
-    """value, checked to be an int (not a bool, float or string); ValueError if not."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {echo(value)}")
-    return value
-
-
-def _strings(values, what):
-    """values, checked to hold only strings; ValueError if not."""
-    for value in values:
-        if not isinstance(value, str):
-            raise ValueError(f"{what} holds {echo(value)}, not a string")
-    return values
+    for key, inner in schema.items():
+        name = key.rstrip("?")
+        if name not in data:
+            if name == key:
+                raise ValueError(f"{what} misses key {name!r}")
+        elif not _fits(data[name], inner):
+            kind = _KINDS[type(inner) if isinstance(inner, (list, dict)) else inner]
+            raise ValueError(f"{what} key {name!r} must be {kind}, not {echo(data[name])}")
+        elif isinstance(inner, dict):
+            _check(data[name], inner, f"{what} key {name!r}")
+        elif isinstance(inner, list) and isinstance(inner[0], dict):
+            for i, entry in enumerate(data[name]):
+                _check(entry, inner[0], f"{name} entry {i + 1}")
+        elif isinstance(inner, list):
+            for entry in data[name]:
+                if not _fits(entry, inner[0]):
+                    raise ValueError(f"{what} key {name!r} holds {echo(entry)}, "
+                                     f"not {_KINDS[inner[0]]}")
 
 
 def _distinct(names, what):
@@ -96,14 +113,7 @@ def diagram_to_data(D: HeegaardDatum) -> dict:
 
 
 def diagram_from_data(data: dict) -> HeegaardDatum:
-    _require(data, dict.fromkeys(("alpha_closed", "arcs", "beta"), list), "diagram")
-    for family in ("alpha_closed", "arcs", "beta"):
-        for i, entry in enumerate(data[family]):
-            _require(entry, {"crossings": list}, f"{family} entry {i + 1}")
-            if not isinstance(entry.get("name", ""), str):
-                raise ValueError(f"{family} entry {i + 1} key 'name' must be a string")
-            if family != "beta":
-                _strings(entry["crossings"], f"{family} entry {i + 1} key 'crossings'")
+    _check(data, DIAGRAM, "diagram")
     alphas = [list(entry["crossings"]) for entry in data["alpha_closed"]]
     arcs = [list(entry["crossings"]) for entry in data["arcs"]]
     alpha_names = [entry.get("name", f"alpha{i + 1}")
@@ -121,18 +131,11 @@ def diagram_from_data(data: dict) -> HeegaardDatum:
     crossings = {}
     for j, entry in enumerate(data["beta"]):
         ids = []
-        for pair in entry["crossings"]:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and type(pair[1]) is int):
-                raise ValueError(f"beta entry {j + 1} key 'crossings' holds {echo(pair)}, "
-                                 "not an [id, sign] pair")
-            cid, sign = pair
+        for cid, sign in entry["crossings"]:
             kind, idx = alpha_ref.get(cid, (CLOSED, -1))
             crossings[cid] = Crossing(cid, kind, idx, j, sign)
             ids.append(cid)
-        basepoint = _integer(entry.get("basepoint_index", 0),
-                             f"beta entry {j + 1} key 'basepoint_index'")
-        betas.append(BetaCurve(tuple(ids), basepoint))
+        betas.append(BetaCurve(tuple(ids), entry.get("basepoint_index", 0)))
     for cid, (kind, idx) in alpha_ref.items():
         if cid not in crossings:
             crossings[cid] = Crossing(cid, kind, idx, -1, 1)
@@ -161,15 +164,13 @@ def presentation_to_data(pres: Presentation) -> dict:
 
 
 def presentation_from_data(data: dict) -> Presentation:
-    _require(data, {"generators": list, "relators": list}, "presentation")
-    names = _distinct(list(_strings(data["generators"], "presentation key 'generators'")),
-                      "presentation key 'generators'")
-    closed = _integer(data.get("closed_count", len(names)), "presentation key 'closed_count'")
+    _check(data, PRESENTATION, "presentation")
+    names = _distinct(list(data["generators"]), "presentation key 'generators'")
+    closed = data.get("closed_count", len(names))
     if not 0 <= closed <= len(names):
         raise ValueError(f"presentation key 'closed_count' must lie in 0..{len(names)}, "
                          f"not {echo(closed)}")
-    relators = [parse_word(s, names)
-                for s in _strings(data["relators"], "presentation key 'relators'")]
+    relators = [parse_word(s, names) for s in data["relators"]]
     return Presentation(len(names), closed, relators, names)
 
 
@@ -192,10 +193,10 @@ class RepresentationFile(Record):
 
 
 def representation_from_data(data: dict) -> RepresentationFile:
-    _require(data, {"dimension": object, "generators": dict}, "representation")
+    _check(data, REPRESENTATION, "representation")
     poly = data.get("min_poly", [0, 1])     # [0, True] == [0, 1], and NumberField refuses it
     field = QQ if poly == [0, 1] and list(map(type, poly)) == [int, int] else NumberField(poly)
-    n = _integer(data["dimension"], "representation key 'dimension'")
+    n = data["dimension"]
     if not 0 <= n <= MAX_DIM:
         raise ValueError(f"representation key 'dimension' must lie in 0..{MAX_DIM}, "
                          f"not {echo(n)}")
@@ -205,10 +206,7 @@ def representation_from_data(data: dict) -> RepresentationFile:
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"matrix for {echo(name)} is not {n}x{n}")
         matrices[name] = [[field.parse(str(entry)) for entry in row] for row in rows]
-    meridian = data.get("meridian")
-    if meridian is not None and not isinstance(meridian, str):
-        raise ValueError(f"representation key 'meridian' must be a string, not {echo(meridian)}")
-    return RepresentationFile(field, n, matrices, meridian)
+    return RepresentationFile(field, n, matrices, data.get("meridian"))
 
 
 def load_representation(path) -> RepresentationFile:
@@ -216,7 +214,8 @@ def load_representation(path) -> RepresentationFile:
 
 
 def _input_kind(data, path) -> str:
-    if "beta" in _require(data, {}, "input document"):
+    _check(data, {}, "input document")
+    if "beta" in data:
         return "diagram"
     if "relators" in data:
         return "presentation"

@@ -13,6 +13,10 @@ import suturekup
 from suturekup import cli, hopf, presentation, validate
 from suturekup.cli import MAX_AXIOMS_DIM, build_parser, main
 from suturekup.files import (
+    DIAGRAM,
+    PAIR,
+    PRESENTATION,
+    REPRESENTATION,
     canonical_json,
     diagram_from_data,
     diagram_to_data,
@@ -477,6 +481,11 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
     pytest.param("meridian", "a^-1" + "0" * 30, "twisted-alexander",
                  "exceeds 10000 in absolute value in word 'a^-1" + "0" * 30 + "'",
                  id="meridian-exponent-too-large"),
+    # a present optional key must hold its type, whichever command reads the file
+    *(pytest.param("meridian", None, command,
+                   "representation key 'meridian' must be a string, not None",
+                   id=f"meridian-null-{command}")
+      for command in ("kuperberg", "crosscheck", "twisted-alexander")),
 ])
 def test_representation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, key, value,
                                                               command, message):
@@ -548,6 +557,94 @@ def test_representation_without_meridian_is_one_line_error(tmp_path, capsys):
     assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"),
                                    write_json(tmp_path, rep)],
                           "must name a meridian")
+
+
+@pytest.mark.parametrize("command", ["homology", "presentation"])
+@pytest.mark.parametrize("document, message", [
+    pytest.param([1, 2], "input document must be a JSON object", id="array"),
+    pytest.param({}, "neither a diagram nor a presentation file", id="empty-object"),
+])
+def test_document_of_neither_kind_is_one_line_error(tmp_path, capsys, command, document,
+                                                    message):
+    assert_one_line_error(capsys, [command, write_json(tmp_path, document)], message)
+
+
+# each schema with a shipped document that matches it and a command that reads that document
+SCHEMA_DOCUMENTS = {
+    "diagram": (DIAGRAM, "figure8.json", ["validate"]),
+    "presentation": (PRESENTATION, "figure8_wirtinger.json", ["presentation"]),
+    "representation": (REPRESENTATION, "figure8_parabolic_rep.json",
+                       ["twisted-alexander", data_path("figure8.json")]),
+}
+JSON_KINDS = {"null": None, "boolean": True, "float": 2.5, "integer": 7, "string": "s",
+              "array": [], "object": {}}
+
+
+def schema_places(schema, path=()):
+    """(path, schema, required) for each key of an object schema and for the first item of
+    each list of non-objects, descending into objects and the first entry of each list."""
+    for key, inner in schema.items():
+        name = key.rstrip("?")
+        yield path + (name,), inner, name == key
+        if isinstance(inner, dict):
+            yield from schema_places(inner, path + (name,))
+        elif isinstance(inner, list) and isinstance(inner[0], dict):
+            yield from schema_places(inner[0], path + (name, 0))
+        elif isinstance(inner, list):
+            yield path + (name, 0), inner[0], False
+
+
+def json_kind(schema):
+    """The JSON kind of the values schema accepts."""
+    if isinstance(schema, (list, dict)):
+        return "array" if isinstance(schema, list) else "object"
+    return {str: "string", int: "integer", PAIR: "array"}[schema]
+
+
+SCHEMA_PLACES = [(document, path, inner, required)
+                 for document, (schema, _, _) in SCHEMA_DOCUMENTS.items()
+                 for path, inner, required in schema_places(schema)]
+DELETE = object()
+
+
+def place_id(document, path):
+    return f"{document}:" + "/".join(map(str, path))
+
+
+def schema_argv(tmp_path, document, path, value):
+    """argv running SCHEMA_DOCUMENTS[document] with the value at path set, or deleted."""
+    _, name, command = SCHEMA_DOCUMENTS[document]
+    doc = read_json(data_path(name))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return command + [write_json(tmp_path, doc)]
+
+
+@pytest.mark.parametrize("document, path, inner", [
+    pytest.param(document, path, inner, id=place_id(document, path))
+    for document, path, inner, _ in SCHEMA_PLACES])
+def test_schema_value_of_another_kind_is_one_line_error(tmp_path, capsys, document, path, inner):
+    # a key's value "must be" its kind; a list item is named by the list's key
+    phrase = (f"key {path[-1]!r} must be" if isinstance(path[-1], str)
+              else f"key {path[-2]!r} holds")
+    for kind, value in JSON_KINDS.items():
+        if kind != json_kind(inner):
+            assert_one_line_error(capsys, schema_argv(tmp_path, document, path, value), phrase)
+
+
+@pytest.mark.parametrize("document, path", [
+    pytest.param(document, path, id=place_id(document, path))
+    for document, path, _, required in SCHEMA_PLACES if required])
+def test_schema_required_key_missing_is_one_line_error(tmp_path, capsys, document, path):
+    # without relators a presentation is no longer told apart from other documents
+    message = ("neither a diagram nor a presentation file"
+               if path == ("relators",) else f"misses key {path[-1]!r}")
+    assert_one_line_error(capsys, schema_argv(tmp_path, document, path, DELETE), message)
 
 
 @pytest.mark.parametrize("command", ["kuperberg", "crosscheck"])
