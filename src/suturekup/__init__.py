@@ -27,7 +27,6 @@ from .kuperberg import (
     EvaluationOptions,
     Representation,
     evaluate_z,
-    evaluate_z_twisted,
 )
 from .laurent import InexactDivision, LaurentPoly, LaurentRing, divide_exact, normalize_unit
 from .numberfield import NumberField, QQ

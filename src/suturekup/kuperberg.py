@@ -37,7 +37,6 @@ from .diagram import (
     HeegaardDatum,
     Record,
     beta_letters,
-    presentation,
     subword_length,
     validate,
 )
@@ -151,15 +150,6 @@ class Representation:
                        for (g, s), (_, m) in rep._images.items()}
         return rep
 
-    @property
-    def matrices(self):
-        """rho(g), and below rho(g)^-1, over the ring for every g, lifted on each access."""
-        return [self.lift(*self._images[g, 1]) for g in range(self.num_generators)]
-
-    @property
-    def inverses(self):
-        return [self.lift(*self._images[g, -1]) for g in range(self.num_generators)]
-
     def wrap(self, terms):
         """The ring element sum c * t^e over the {e: c} terms; over a field, terms[()]."""
         ring = self.ring
@@ -239,14 +229,16 @@ def representation_for(pres, n=None, rho_matrices=None, field=None, twisted=Fals
         raise
 
 
-def degree_one_forms(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation):
-    """The d*n degree-one forms; form i*n + k is {bit: coefficient} of Phi(X_k^{(i)})
+def degree_one_forms(D: HeegaardDatum, rep: Representation):
+    """The d*n degree-one forms; form i*n + k is {bit: {e: c}} of Phi(X_k^{(i)})
     = sum_{x on alpha_i} (-1)^{eps_x} rho(subword_x) X_k, with X_r on beta j at bit
-    j*n + r (Lambda(T) sends X_k to column k of T).  As a dn x dn matrix, row (i, k)
-    and column (j, r), the forms are the transpose of the Fox block through rep."""
-    n = H.n
+    j*n + r (Lambda(T) sends X_k to column k of T): the coefficient at a bit is the sum
+    of the field coefficients c times t^e, e = () when rep is plain, and rep.wrap makes
+    it a ring element.  As a dn x dn matrix, row (i, k) and column (j, r), the wrapped
+    forms are the transpose of the Fox block through rep."""
+    n = rep.n
     # rho(subword_x) = t^e * M for each closed crossing x, from one prefix walk per beta
-    F = H if H.ring == rep.field else ExteriorAlgebra(n, rep.field)
+    F = ExteriorAlgebra(n, rep.field)
     autos = {}
     for j in range(D.d):
         letters = beta_letters(D, j)
@@ -265,7 +257,7 @@ def degree_one_forms(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation):
                 for label, c in auto.apply_label(1 << k).terms.items():
                     accumulate(form.setdefault(label << cr.beta_index * n, {}), e,
                                -c if cr.epsilon else c)
-            forms.append({bit: rep.wrap(p) for bit, p in form.items() if p})
+            forms.append({bit: p for bit, p in form.items() if p})
     return forms
 
 
@@ -296,21 +288,22 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
         raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
     if rep.num_generators < D.num_generators:
         raise EvaluationError("representation does not cover all generators")
-    ring = H.ring
-    if rep.ring != ring:
+    if rep.ring != H.ring:
         raise EvaluationError("representation ring does not match the algebra ring")
+    if rep.n != H.n:
+        raise EvaluationError(f"algebra dimension {H.n} does not match "
+                              f"representation dimension {rep.n}")
 
     # the cointegral X_1...X_n of Lambda(V) has degree n
     sign_factor = opts.homology_orientation_sign if H.n % 2 else 1
     if opts.homology_orientation_sign not in (1, -1):
         raise EvaluationError("homology orientation sign must be +1 or -1")
 
-    forms = degree_one_forms(D, H, rep)
-    laurent = isinstance(ring, LaurentRing)
-    field, nvars = (ring.field, ring.nvars) if laurent else (ring, 0)
+    forms = degree_one_forms(D, rep)
+    field, nvars = rep.field, len(rep._start[0])     # nvars = 0 when rep is plain
     # no exponent of a product of one term per form reaches +-spread
-    spread = 1 + sum(max((abs(x) for p in form.values() for e in p.terms for x in e), default=0)
-                     for form in forms) if laurent else 1
+    spread = 1 + sum(max((abs(x) for p in form.values() for e in p for x in e), default=0)
+                     for form in forms)
     width = spread.bit_length() + 1
 
     # Multiply the forms on the right into a state {(packed exponent << dn) | mask: c}.
@@ -324,8 +317,7 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     scale, state = 1, {0: [1] + [0] * (deg - 1) if deg > 1 else 1}
     for t, form in enumerate(forms):
         # (bit, exponent vector, field coefficient) of every term of the form
-        ts = ([(bit, e, c) for bit, p in form.items() for e, c in p.terms.items()] if laurent
-              else [(bit, (), c) for bit, c in form.items()])
+        ts = [(bit, e, c) for bit, p in form.items() for e, c in p.items()]
         lam = lcm(*[c.den for _, _, c in ts])
         scale *= lam
         nums = [[a * (lam // c.den) for a in c.num] for _, _, c in ts]
@@ -359,18 +351,6 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
     # after dn forms every mask is full
     top = {_unpack(key >> dn, nvars, width): _canonical(field, tuple(c) if deg > 1 else (c,), scale)
            for key, c in state.items()}
-    total = LaurentPoly(ring, top) if laurent else top.get((), ring.zero)
+    total = rep.wrap(top)
     return -total if sign_factor < 0 else total
-
-
-def evaluate_z_twisted(D: HeegaardDatum, n: int, rho_matrices=None,
-                       opts: EvaluationOptions | None = None, field=None):
-    """Laurent-valued invariant over the free abelianization of the diagram group.
-
-    The untwisted matrices (identity when None) are scaled by the monomial of
-    each generator's homology class; callers compare results up to units via
-    laurent.normalize_unit.
-    """
-    rep = representation_for(presentation(D), n, rho_matrices, field, twisted=True)
-    return evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
 

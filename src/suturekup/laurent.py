@@ -56,12 +56,6 @@ class LaurentRing:
             return self.zero
         return LaurentPoly(self, {exps: c})
 
-    def from_field(self, c: FieldElement) -> "LaurentPoly":
-        return self.monomial((0,) * self.nvars, c)
-
-    def from_rational(self, q) -> "LaurentPoly":
-        return self.from_field(self.field.from_rational(q))
-
     def dot(self, xs, ys) -> "LaurentPoly":
         """The sum of x * y over the paired polynomials of xs and ys.
 

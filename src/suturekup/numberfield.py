@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
+from operator import add
 
 
 # NumberField refuses a min_poly beyond these before its integer-root search
@@ -48,8 +48,8 @@ class NumberField:
         self.min_poly = tuple(coeffs)
         # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1}); the nonzero c_j with their j
         self._tail = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
-        self._zero = FieldElement(self, (0,) * self.degree, 1)
-        self._one = FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
+        self.zero = FieldElement(self, (0,) * self.degree, 1)
+        self.one = FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
         # gcd(m, m') = 1, that is m squarefree, exactly when m' is a unit mod m
         try:
             self.element([k * c for k, c in enumerate(coeffs)][1:]).inv()
@@ -82,14 +82,6 @@ class NumberField:
     def from_rational(self, q) -> "FieldElement":
         p, q = (q, 1) if type(q) is int else _ratio(q)
         return _canonical(self, (p,) + (0,) * (self.degree - 1), q)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
 
     def generator(self) -> "FieldElement":
         if self.degree == 1:
@@ -241,12 +233,7 @@ class FieldElement:
                           da * db)
 
     def __sub__(self, other):
-        da, db = self.den, other.den
-        if da == db:
-            return _canonical(self.field, tuple(map(sub, self.num, other.num)), da)
-        return _canonical(self.field,
-                          tuple(a * db - b * da for a, b in zip(self.num, other.num)),
-                          da * db)
+        return self + -other
 
     def __neg__(self):
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)

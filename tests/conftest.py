@@ -6,18 +6,33 @@ from importlib import resources
 from linalg_reference import minor_det
 
 from suturekup import (
+    ExteriorAlgebra,
     NumberField,
     QQ,
     Word,
     abelianize,
+    evaluate_z,
     presentation,
 )
+from suturekup.kuperberg import representation_for
 from suturekup.linalg import inverse
 
 
 def data_path(name):
     """Path of a document shipped in suturekup/data."""
     return str(resources.files("suturekup").joinpath("data", name))
+
+
+def twisted_z(D, n, rho_matrices=None, opts=None, field=None):
+    """Laurent-valued invariant over the free abelianization of D's group, the
+    matrices (identities when None) times their generators' homology monomials."""
+    rep = representation_for(presentation(D), n, rho_matrices, field, twisted=True)
+    return evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
+
+
+def generator_images(rep, sign=1):
+    """rep's image of g^sign over its ring, for every generator g."""
+    return [rep.word_matrix(Word.generator(g, sign)) for g in range(rep.num_generators)]
 
 
 def random_invertible(rng, n, field=QQ, span=3):

@@ -407,7 +407,7 @@ def check_covariance_suite(D: HeegaardDatum, H: ExteriorAlgebra,
         flipped = reverse_alpha(D, i)
         rep2 = with_generator_inverted(rep, i)
         lhs = evaluate_z(flipped, H, rep2, opts.flipped())
-        rhs = bareiss_det(rep.matrices[i], rep.ring) * base
+        rhs = bareiss_det(rep.word_matrix(Word.generator(i)), rep.ring) * base
         report.record(f"alpha reversal on curve {i}", lhs == rhs)
 
     for j in range(D.d):

@@ -8,7 +8,7 @@ import random
 import time
 from contextlib import redirect_stdout
 
-from conftest import homology_diag_matrices, random_invertible
+from conftest import homology_diag_matrices, random_invertible, twisted_z
 from linalg_reference import minor_det
 from paper_laws import (
     augmentation,
@@ -28,7 +28,6 @@ from suturekup import (
     Word,
     abelianize,
     evaluate_z,
-    evaluate_z_twisted,
     fox_derivative,
     normalize_unit,
     presentation,
@@ -62,7 +61,7 @@ def test_criterion_1_trefoil_paper_value():
         ])
     assert code == 0
     assert buf.getvalue() == "t^-1 - 1 + t\n"
-    z = evaluate_z_twisted(trefoil(), 1)
+    z = twisted_z(trefoil(), 1)
     assert str(z) == "t^-1 - 1 + t"
     assert str(normalize_unit(z)) == "1 - t + t^2"
     elapsed = time.monotonic() - start
@@ -72,7 +71,7 @@ def test_criterion_1_trefoil_paper_value():
 
 def test_criterion_2_figure_eight_against_wirtinger_oracle():
     start = time.monotonic()
-    z = evaluate_z_twisted(figure_eight(), 1)
+    z = twisted_z(figure_eight(), 1)
     normalized = normalize_unit(z)
     assert str(normalized) == "1 - 3*t + t^2"
     oracle = twisted_torsion(load_presentation(_fixture_path("figure8_wirtinger.json")))
@@ -156,7 +155,7 @@ def test_criterion_6_augmentation():
     pairs = list(_AUGMENTATION_PAIRS)
     for D in (trefoil(), figure_eight()):
         for n in (1, 2):
-            tz = evaluate_z_twisted(D, n)
+            tz = twisted_z(D, n)
             rep = Representation.trivial(D.num_generators, n)
             z = evaluate_z(D, ExteriorAlgebra(n), rep)
             pairs.append((tz, z))

@@ -221,6 +221,20 @@ def test_cmd_crosscheck_negative_random_is_usage_error(capsys):
     assert "--random N must not be negative, not -3" in capsys.readouterr().err
 
 
+def test_cmd_crosscheck_without_input_is_usage_error(capsys):
+    code, out = run_cli("crosscheck", "--hopf", "exterior:1")
+    assert code == 2
+    assert out == ""
+    assert "crosscheck needs a diagram file or --random N" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("twisted", [[], ["--twisted"]], ids=["plain", "twisted"])
+def test_cmd_crosscheck_at_dimension_zero(twisted):
+    # Lambda(V) on no generators: Z is the empty product, det the empty determinant
+    code, out = run_cli("crosscheck", data_path("figure8.json"), "--hopf", "exterior:0", *twisted)
+    assert (code, out) == (0, "PASS\nZ = 1\ndet = 1\n")
+
+
 @pytest.mark.parametrize("inputs", [
     pytest.param([data_path("figure8.json")], id="diagram"),
     pytest.param(["--rep", data_path("figure8_parabolic_rep.json")], id="rep"),
@@ -472,6 +486,10 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
                  "min_poly must be a list of integers", id="min-poly-bool-equal-to-q"),
     pytest.param("min_poly", [0.0, 1], "twisted-alexander",
                  "min_poly must be a list of integers", id="min-poly-float-equal-to-q"),
+    pytest.param("min_poly", [7], "twisted-alexander",
+                 "min_poly must have degree >= 1", id="min-poly-constant"),
+    pytest.param("min_poly", [0, 0], "twisted-alexander",
+                 "min_poly must have degree >= 1", id="min-poly-zero"),
     pytest.param("dimension", 2.9, "twisted-alexander",
                  "representation key 'dimension' must be an integer, not 2.9",
                  id="dimension-float"),

@@ -61,9 +61,10 @@ def _acceptance_data():
 ACCEPTANCE = _acceptance_data()
 
 
-def _form_matrix(forms, ring):
-    """The forms as a dn x dn matrix: row i*n + k is form i*n + k, column b is bit 1 << b."""
-    return [[form.get(1 << b, ring.zero) for b in range(len(forms))] for form in forms]
+def _form_matrix(forms, rep):
+    """The forms as a dn x dn matrix over rep's ring: row i*n + k is form i*n + k,
+    column b is bit 1 << b."""
+    return [[rep.wrap(form.get(1 << b, {})) for b in range(len(forms))] for form in forms]
 
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
@@ -74,7 +75,7 @@ def test_forms_are_the_transposed_fox_block(twisted):
         rep = representation_for(pres, n, mats, twisted=twisted)
         H = ExteriorAlgebra(n, rep.ring)
         block = _fox_block(pres, rep)
-        assert _form_matrix(degree_one_forms(D, H, rep), rep.ring) == transpose(block), seed
+        assert _form_matrix(degree_one_forms(D, rep), rep) == transpose(block), seed
         if evaluate_z(D, H, rep).is_zero():
             vacuous += 1
             nonzero_block += any(x for row in block for x in row)
@@ -86,8 +87,8 @@ def test_forms_are_the_transposed_fox_block(twisted):
 def test_walk_stays_at_field_level(monkeypatch):
     """The forms, the Fox blocks and the word images of the 50 acceptance data,
     twisted, come out the same with every Laurent product refused."""
-    def walked(D, pres, rep, H):
-        return (degree_one_forms(D, H, rep), _fox_block(pres, rep),
+    def walked(D, pres, rep):
+        return (degree_one_forms(D, rep), _fox_block(pres, rep),
                 _fox_block(pres, rep.inverse_transpose()),
                 [rep.word_matrix(rel) for rel in pres.relators])
 
@@ -95,8 +96,7 @@ def test_walk_stays_at_field_level(monkeypatch):
     for seed, D, n, mats in ACCEPTANCE:
         pres = presentation(D)
         rep = representation_for(pres, n, mats, twisted=True)
-        H = ExteriorAlgebra(n, rep.ring)
-        cases.append((seed, (D, pres, rep, H), walked(D, pres, rep, H)))
+        cases.append((seed, (D, pres, rep), walked(D, pres, rep)))
 
     def refuse(*args):
         raise AssertionError("the walk multiplied Laurent polynomials")
@@ -106,7 +106,7 @@ def test_walk_stays_at_field_level(monkeypatch):
     for seed, args, expected in cases:
         assert walked(*args) == expected, seed
     # the patch is live: the reference route multiplies the lifted matrices
-    D, pres, rep, H = cases[0][1]
+    D, pres, rep = cases[0][1]
     with pytest.raises(AssertionError, match="Laurent"):
         rep.apply_to_groupring(fox_matrix(pres, rep.field).closed_square()[0][0])
 
@@ -120,8 +120,8 @@ def test_forms_are_the_transposed_fox_block_on_drawn_data(seed, d, l, crossings,
     rng = random.Random(seed)
     mats = [random_invertible(rng, n) for _ in range(pres.num_generators)]
     rep = representation_for(pres, n, mats, twisted=twisted)
-    forms = degree_one_forms(D, ExteriorAlgebra(n, rep.ring), rep)
-    assert _form_matrix(forms, rep.ring) == transpose(_fox_block(pres, rep))
+    forms = degree_one_forms(D, rep)
+    assert _form_matrix(forms, rep) == transpose(_fox_block(pres, rep))
 
 
 @st.composite
@@ -264,7 +264,7 @@ def test_kernel_builds_field_elements_only_for_z(monkeypatch, twisted):
         pres = presentation(D)
         rep = representation_for(pres, n, mats, field, twisted)
         H = ExteriorAlgebra(n, rep.ring)
-        forms = degree_one_forms(D, H, rep)
+        forms = degree_one_forms(D, rep)
         monkeypatch.setattr(kuperberg, "degree_one_forms", lambda *args, forms=forms: forms)
         counts.update(built=0, canonical=0)
         z = evaluate_z(D, H, rep)
@@ -273,7 +273,7 @@ def test_kernel_builds_field_elements_only_for_z(monkeypatch, twisted):
         assert z == _fox_block_det(pres, rep) and not z.is_zero()
     # the count is live: the forms themselves build field elements
     counts.update(built=0, canonical=0)
-    degree_one_forms(D, H, rep)
+    degree_one_forms(D, rep)
     assert counts["built"] > 0 and counts["canonical"] == 0
 
 

@@ -4,9 +4,11 @@ import pytest
 from conftest import (
     data_path,
     figure_eight_sl2,
+    generator_images,
     homology_diag_matrices,
     random_invertible,
     trefoil_braid_sl2,
+    twisted_z,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,6 @@ from suturekup import (
     abelianize,
     crosscheck,
     evaluate_z,
-    evaluate_z_twisted,
     normalize_unit,
     parse_word,
     presentation,
@@ -46,7 +47,7 @@ from suturekup import (
 from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
 from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
-from suturekup.kuperberg import EvaluationError, SingularRepresentationError
+from suturekup.kuperberg import EvaluationError, SingularRepresentationError, representation_for
 from suturekup.linalg import identity, matmul
 
 
@@ -55,7 +56,7 @@ def laurent(ring, terms):
 
 
 def test_trefoil_twisted_value():
-    z = evaluate_z_twisted(trefoil(), 1)
+    z = twisted_z(trefoil(), 1)
     ring = z.ring
     assert z == laurent(ring, {(-1,): 1, (0,): -1, (1,): 1})
     assert str(z) == "t^-1 - 1 + t"
@@ -63,7 +64,7 @@ def test_trefoil_twisted_value():
 
 
 def test_figure_eight_twisted_value():
-    z = evaluate_z_twisted(figure_eight(), 1)
+    z = twisted_z(figure_eight(), 1)
     assert str(normalize_unit(z)) == "1 - 3*t + t^2"
 
 
@@ -118,7 +119,7 @@ def test_identity_representation_is_untwisted_specialization():
             H = ExteriorAlgebra(n)
             rep = Representation.trivial(D.num_generators, n)
             z = evaluate_z(D, H, rep)
-            tz = evaluate_z_twisted(D, n)
+            tz = twisted_z(D, n)
             assert augmentation(tz) == z
 
 
@@ -313,7 +314,7 @@ def test_relator_check_warns_for_random_matrices():
 
 def test_twisted_ring_has_free_rank_variables():
     D = figure_eight()
-    z = evaluate_z_twisted(D, 1)
+    z = twisted_z(D, 1)
     assert isinstance(z.ring, LaurentRing)
     assert z.ring.nvars == 1
 
@@ -337,9 +338,10 @@ def test_twisted_inverses_over_the_field(n):
         rep = Representation.twisted(mats, amap, n, XI)
         ring = rep.ring
         ident = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-        for g, m in enumerate(rep.matrices):
-            assert matmul(m, rep.inverses[g], ring) == ident
-            assert matmul(rep.inverses[g], m, ring) == ident
+        inverses = generator_images(rep, -1)
+        for g, m in enumerate(generator_images(rep)):
+            assert matmul(m, inverses[g], ring) == ident
+            assert matmul(inverses[g], m, ring) == ident
 
 
 def test_given_and_derived_representations_pass_on_inverses():
@@ -348,7 +350,7 @@ def test_given_and_derived_representations_pass_on_inverses():
     rep = Representation.twisted([random_xi_matrix(rng, 2) for _ in range(3)], amap, 2, XI)
     for derived in (with_generator_inverted(rep, 1), with_swapped(rep, 0, 2),
                     rep.inverse_transpose()):
-        for m, inv in zip(derived.matrices, derived.inverses):
+        for m, inv in zip(generator_images(derived), generator_images(derived, -1)):
             assert matmul(m, inv, rep.ring) == rep.identity == matmul(inv, m, rep.ring)
 
 
@@ -378,7 +380,7 @@ def test_word_matrix_is_the_laurent_product(data, rank, n, field, seed):
     mats = [(random_xi_matrix if field is XI else random_invertible)(rng, n) for _ in range(m)]
     rep = Representation.twisted(mats, AbelianizationMap(m, rank, images, []), n, field)
     ring = rep.ring
-    lifted, inverses = rep.matrices, rep.inverses
+    lifted, inverses = generator_images(rep), generator_images(rep, -1)
     for g in range(m):
         assert lifted[g] == [[ring.monomial(images[g], c) for c in row] for row in mats[g]]
     letters = st.tuples(st.integers(0, m - 1), st.sampled_from((1, -1)))
@@ -405,7 +407,15 @@ def test_field_comes_from_the_entries():
     result = twisted_alexander_knot(pres, mats, parse_word("a", pres.generator_names()), 2)
     assert str(normalize_unit(result.quotient)) == "1 - 4*t + t^2"
     m = [[XI.generator(), XI.one], [XI.one, XI.generator()]]
-    assert matmul(m, Representation(XI, 2, [m]).inverses[0], XI) == identity(2, XI)
+    assert matmul(m, generator_images(Representation(XI, 2, [m]), -1)[0], XI) == identity(2, XI)
+
+
+def parabolic_twisted(dim):
+    """evaluate_z's arguments on the figure-eight through its shipped matrices, twisted,
+    with an exterior algebra of dimension dim over the representation's ring."""
+    D = figure_eight()
+    rep = representation_for(presentation(D), 2, parabolic_matrices(), twisted=True)
+    return D, ExteriorAlgebra(dim, rep.ring), rep, None
 
 
 @pytest.mark.parametrize("build", [
@@ -469,7 +479,7 @@ def test_identity_representations_skip_inversion(monkeypatch):
     amap = abelianize(2, [Word.generator(0) * Word.generator(1)])
     for rep in (Representation.trivial(3, 2), Representation.twisted(None, amap, 2)):
         ring = rep.ring
-        for m, inv in zip(rep.matrices, rep.inverses):
+        for m, inv in zip(generator_images(rep), generator_images(rep, -1)):
             assert matmul(m, inv, ring) == rep.identity == matmul(inv, m, ring)
 
 
@@ -483,6 +493,12 @@ def test_identity_representations_skip_inversion(monkeypatch):
     pytest.param(lambda D: (D, ExteriorAlgebra(1), Representation.trivial(2, 1),
                             EvaluationOptions(homology_orientation_sign=2)),
                  r"homology orientation sign must be \+1 or -1", id="homology-sign"),
+    pytest.param(lambda D: parabolic_twisted(1),
+                 "^algebra dimension 1 does not match representation dimension 2$",
+                 id="dimension-1-for-2"),
+    pytest.param(lambda D: parabolic_twisted(3),
+                 "^algebra dimension 3 does not match representation dimension 2$",
+                 id="dimension-3-for-2"),
 ])
 def test_evaluate_z_refuses_bad_input(make, message):
     with pytest.raises(EvaluationError, match=message):

@@ -167,7 +167,7 @@ def test_dot_edge_cases(ring):
                          (1,) * ring.nvars: ring.field.from_rational(-3)})
     m2 = ring.monomial((2,) * ring.nvars, ring.field.from_rational(9))
     got = ring.dot([p, m2], [q, ring.one])
-    assert got == fold([p, m2], [q, ring.one], ring) == ring.from_rational(Fraction(1, 4))
+    assert got == fold([p, m2], [q, ring.one], ring) == ring.monomial(one, ring.field.from_rational(Fraction(1, 4)))
     assert_canonical(got)
 
 

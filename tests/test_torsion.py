@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from conftest import data_path, figure_eight_sl2, random_invertible, trefoil_braid_sl2
+from conftest import (
+    data_path,
+    figure_eight_sl2,
+    random_invertible,
+    trefoil_braid_sl2,
+    twisted_z,
+)
 from linalg_reference import minor_det
 from paper_laws import beta_subword
 
@@ -252,9 +258,7 @@ def test_crosscheck_random_gl2():
 def test_abelian_sanity_torsion_vs_z():
     # n = 1 trivial rho: the two routes agree up to unit on the trefoil
     D = trefoil()
-    from suturekup import evaluate_z_twisted
-
-    z = evaluate_z_twisted(D, 1)
+    z = twisted_z(D, 1)
     tor = twisted_torsion(presentation(D))
     assert normalize_unit(z) == tor.normalized
 
