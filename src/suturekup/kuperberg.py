@@ -42,7 +42,7 @@ from .diagram import (
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentPoly, LaurentRing
-from .linalg import SingularMatrix, identity, inverse, matmul, transpose
+from .linalg import SingularMatrix, identity, inverse_and_det, matmul, transpose
 from .numberfield import QQ, _canonical, accumulate, echo
 from .words import Word
 
@@ -111,7 +111,7 @@ class Representation:
             inverses = []
             for g, m in enumerate(matrices):
                 try:
-                    inverses.append(inverse(m, field))
+                    inverses.append(inverse_and_det(m, field)[0])
                 except SingularMatrix:
                     raise SingularRepresentationError(g, field.zero) from None
         else:

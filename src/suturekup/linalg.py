@@ -1,13 +1,13 @@
 """Dense square matrices over a NumberField or a LaurentRing.
 
-Matrices are lists of rows.  Determinants scale each unit pivot to one and
-take a fraction-free (Bareiss) step only at a non-unit pivot, so every
-division they make is exact in the ring; over a field, where every pivot is
-a unit, this is Gaussian elimination.  Inverses are taken over a field
-only, by the in-place Gauss-Jordan sweep on n x n storage: a twisted
-representation inverts each rho(g) over its number field and scales by the
-inverse monomial.  Every sum of products, a product entry or an elimination
-update a - f*b, is one ring.dot, which reduces each output coefficient once.
+Matrices are lists of rows.  bareiss_det scales each unit pivot to one and
+takes a fraction-free (Bareiss) step only at a non-unit pivot, so every
+division it makes is exact in the ring; over a field, where every pivot is
+a unit, this is Gaussian elimination.  Inverses are taken over a field only,
+by the in-place Gauss-Jordan sweep on n x n storage, which also returns the
+signed product of its pivots, the determinant.  Every sum of products, a
+product entry or an elimination update a - f*b, is one ring.dot, which
+reduces each output coefficient once.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def _bareiss(M, ring):
     return -det if sign < 0 else det
 
 
-def inverse(matrix, field):
-    """Inverse over a field by the in-place sweep; SingularMatrix if there is none.
+def inverse_and_det(matrix, field):
+    """Inverse and determinant over a field by the in-place sweep; SingularMatrix if none.
 
     Pivot p leaves 1/p and the rest of its row over p in place; each other
     row, with f in p's column, gets a - f*b at the nonzero b of p's row (one
@@ -110,7 +110,7 @@ def inverse(matrix, field):
     """
     n = len(matrix)
     M = [list(row) for row in matrix]
-    one = field.one
+    one = det = field.one
     dot = field.dot
     swaps = []
     for k in range(n):
@@ -120,8 +120,9 @@ def inverse(matrix, field):
         if r != k:
             M[k], M[r] = M[r], M[k]
             swaps.append((k, r))
-        pivot_row = M[k]
-        pivot_row[k] = inv = pivot_row[k].inv()
+        pivot_row, p = M[k], M[k][k]
+        det = det * p if k else p
+        pivot_row[k] = inv = p.inv()
         tail = [(j, b * inv) for j, b in enumerate(pivot_row) if j != k and not b.is_zero()]
         for j, b in tail:
             pivot_row[j] = b
@@ -135,4 +136,4 @@ def inverse(matrix, field):
     for k, r in reversed(swaps):
         for row in M:
             row[k], row[r] = row[r], row[k]
-    return M
+    return M, -det if len(swaps) % 2 else det

@@ -5,20 +5,23 @@ excluded) is the determinant of the Fox Jacobian evaluated through the
 inverted representation, det((rho (x) h)(sigma(A))), defined up to a unit.
 The same Jacobian without sigma, in the (relator, generator) convention,
 equals the tensor-contraction invariant over an exterior algebra exactly;
-crosscheck computes both sides and compares with no unit slack.  Both read
-the Jacobian from one prefix walk per relator over the field, each entry a
-sum of terms t^e * c kept by exponent; FoxMatrix is the reference route
-through group-ring elements, multiplied out over the Laurent ring.
+crosscheck computes both sides and compares with no unit slack.  Both walk
+prefixes once per relator into n x n blocks of terms t^e * M and eliminate
+whole blocks over the field, leaving bareiss_det the blocks no unit pivot
+reaches; FoxMatrix is the reference route through group-ring elements.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, mul, sub
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation
 from .hopf import ExteriorAlgebra
 from .kuperberg import evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
-from .linalg import bareiss_det
-from .numberfield import QQ, accumulate
+from .linalg import SingularMatrix, bareiss_det, inverse_and_det, matmul
+from .numberfield import QQ
 from .words import Word, fox_derivative
 
 
@@ -58,41 +61,126 @@ def fox_matrix(pres: Presentation, field=None) -> FoxMatrix:
     return FoxMatrix(pres, field)
 
 
-def _fox_block(pres: Presentation, rep):
-    """The dn x dn matrix whose block (i, g) is rep(d rel_i / d gen_g), g closed.
-
-    One prefix walk per relator gives every term: a letter g at position pos
-    adds +rep(prefix_pos) to block (i, g), and a letter g^-1 adds
-    -rep(prefix_pos * g^-1) = -rep(prefix_{pos+1}).  The walk stops at the
-    last prefix a closed letter needs.
-    """
+def _fox_grid(pres: Presentation, rep):
+    """Block rows {g: {e: M}} of the closed Fox block: block (i, g) = rep(d rel_i / d gen_g)
+    is the sum of its terms t^e * M, with no zero block or matrix.  One prefix walk per
+    relator gives every term: a letter g at position pos adds +rep(prefix_pos) to block
+    (i, g), and g^-1 adds -rep(prefix_pos * g^-1) = -rep(prefix_{pos+1}); the walk stops
+    at the last prefix a closed letter needs."""
     d = _square_size(pres)
-    n = rep.n
-    big = [[{} for _ in range(d * n)] for _ in range(d * n)]
-    for i, rel in enumerate(pres.relators):
+    grid = []
+    for rel in pres.relators:
+        row = {}
         # (prefix index, generator, sign) of every closed letter, in order
         terms = [(pos + (e < 0), g, e) for pos, (g, e) in enumerate(rel.letters) if g < d]
-        if not terms:
-            continue
-        prefixes = rep.prefix_walk(rel.letters[:terms[-1][0]])
+        prefixes = rep.prefix_walk(rel.letters[:terms[-1][0]]) if terms else ()
         for p, g, s in terms:
             e, m = prefixes[p]
-            for r in range(n):
-                row = big[i * n + r]
-                for c, x in enumerate(m[r], g * n):
-                    accumulate(row[c], e, x if s > 0 else -x)
-    return [[rep.wrap(entry) for entry in row] for row in big]
+            acc = row.setdefault(g, {}).pop(e, None)
+            m = [[-x for x in r] for r in m] if s < 0 else m
+            m = m if acc is None else [list(map(add, a, b)) for a, b in zip(acc, m)]
+            if acc is None or any(map(any, m)):
+                row[g][e] = m
+        grid.append({g: block for g, block in row.items() if block})
+    return grid
+
+
+def _assemble(rows, cols, rep):
+    """The scalar matrix of the block rows {j: {e: M}} at the block columns cols."""
+    return [[rep.wrap({e: m[r][c] for e, m in row.get(j, {}).items() if m[r][c]})
+             for j in cols for c in range(rep.n)]
+            for row in rows for r in range(rep.n)]
+
+
+def _fox_block(pres: Presentation, rep):
+    """The dn x dn matrix whose block (i, g) is rep(d rel_i / d gen_g), g closed."""
+    return _assemble(_fox_grid(pres, rep), range(_square_size(pres)), rep)
+
+
+def _add_products(block, x, z, field):
+    """block + x * z for blocks {e: M}, with no zero matrix; each entry is one field
+    dot over its entry in block and every pair of terms whose exponents sum to its own."""
+    groups = {}
+    for e1, a in x.items():
+        for e2, b in z.items():
+            groups.setdefault(tuple(map(add, e1, e2)), []).append((a, b))
+    out = dict(block)
+    one, dot = field.one, field.dot
+    for e, pairs in groups.items():
+        xs = [[v for a, _ in pairs for v in a[r]] for r in range(len(pairs[0][0]))]
+        ys = list(zip(*[row for _, b in pairs for row in b]))
+        old = out.pop(e, None) or [[field.zero] * len(ys)] * len(xs)
+        m = [[dot((one, *xr), (o, *yc)) for o, yc in zip(orow, ys)] for xr, orow in zip(xs, old)]
+        if any(map(any, m)):
+            out[e] = m
+    return out
+
+
+def _grid_det(grid, rep):
+    """Determinant of the block matrix with block rows grid, by elimination over the field.
+
+    An empty block row or column gives 0, and a block alone in its column gives its
+    own determinant.  Otherwise the pivot is a one-term t^e * M, M invertible, with
+    the fewest other blocks in its row and column: with Z_j = -t^-e * M^-1 * B_pj for
+    each block of the pivot row, block (r, j) of every other row r gains X_r * Z_j.
+    bareiss_det takes the blocks left.  A pivot moved to the front passes n rows or
+    columns per block row or column before it, each flipping the sign."""
+    n, ring, field = rep.n, rep.ring, rep.field
+    rows, left = {i: dict(row) for i, row in enumerate(grid)}, list(range(len(grid)))
+    factors, passed = [], 0
+    while n and rows:  # at n = 0 the scalar matrix left is 0 x 0
+        cols = {j: [i for i, row in rows.items() if j in row] for j in left}
+        if not all(rows.values()) or not all(cols.values()):
+            return ring.zero
+        lone = next(((c[0], j) for j, c in cols.items() if len(c) == 1), None)
+        if lone:
+            p, q = lone
+            block = rows[p][q]
+            if len(block) == 1:
+                (e, m), = block.items()
+                m_det = bareiss_det(m, field)
+            else:
+                e, m_det = None, bareiss_det(_assemble([{q: block}], [q], rep), ring)
+        else:
+            for _, p, q in sorted((len(row) + len(cols[j]), i, j) for i, row in rows.items()
+                                  for j, block in row.items() if len(block) == 1):
+                (e, m), = rows[p][q].items()
+                try:
+                    inv, m_det = inverse_and_det(m, field)
+                    break
+                except SingularMatrix:
+                    pass
+            else:
+                break
+            neg_inv = [[-x for x in r] for r in inv]
+            zs = {j: {tuple(map(sub, f, e)): matmul(neg_inv, mf, field) for f, mf in block.items()}
+                  for j, block in rows[p].items() if j != q}
+            for r in set(cols[q]) - {p}:
+                row = rows[r]
+                row.update({j: _add_products(row.get(j, {}), row[q], z, field)
+                            for j, z in zs.items()})
+                rows[r] = {j: block for j, block in row.items() if block}
+        if m_det.is_zero():
+            return ring.zero
+        # det(t^e * M) = t^(n e) * det(M)
+        factors.append(m_det if e is None else rep.wrap({tuple(n * x for x in e): m_det}))
+        passed += list(rows).index(p) + left.index(q)
+        del rows[p]
+        left.remove(q)
+        for row in rows.values():
+            row.pop(q, None)
+    if rows:
+        factors.append(bareiss_det(_assemble(rows.values(), left, rep), ring))
+    det = reduce(mul, factors or [ring.one])
+    return -det if n * passed % 2 else det
 
 
 def _fox_block_det(pres: Presentation, rep):
-    """Determinant of the closed Fox block evaluated through rep.
-
-    This is the crosscheck convention, d rel_i / d gen_j at block (i, j).
-    The torsion convention, rep(sigma(d rel_j / d gen_i)) at block (i, j), is
-    the transpose of this block through rep.inverse_transpose(), since
-    rep(sigma(w)) = rep(w)^-1; callers pass that representation instead.
-    """
-    return bareiss_det(_fox_block(pres, rep), rep.ring)
+    """Determinant of the closed Fox block through rep, in the crosscheck convention
+    d rel_i / d gen_j at block (i, j).  The torsion convention, rep(sigma(d rel_j / d gen_i))
+    at block (i, j), is the transpose of this block through rep.inverse_transpose(), since
+    rep(sigma(w)) = rep(w)^-1; callers pass that representation instead."""
+    return _grid_det(_fox_grid(pres, rep), rep)
 
 
 class TorsionResult(Record):

@@ -1,21 +1,27 @@
 """Shared builders for the test suite."""
 
+import random
 from fractions import Fraction
 from importlib import resources
 
 from linalg_reference import minor_det
 
 from suturekup import (
+    BetaCurve,
+    Crossing,
     ExteriorAlgebra,
+    HeegaardDatum,
     NumberField,
     QQ,
     Word,
     abelianize,
     evaluate_z,
     presentation,
+    random_datum,
 )
+from suturekup.diagram import ARC, CLOSED
 from suturekup.kuperberg import representation_for
-from suturekup.linalg import inverse
+from suturekup.linalg import inverse_and_det
 
 
 def data_path(name):
@@ -88,4 +94,37 @@ def figure_eight_sl2():
     one, zero = field.one, field.zero
     X = [[one, one], [zero, one]]
     Y = [[one, zero], [-xi, one]]
-    return field, [inverse(X, field), Y]
+    return field, [inverse_and_det(X, field)[0], Y]
+
+
+def dense_datum(seed, d, length):
+    """d closed curves of the given length, crossing t of curve i on beta (i + t) % d,
+    and one arc crossing every beta just after its basepoint, as the benchmark's
+    dense shapes are laid out; signs and cyclic orders come from the seed."""
+    rng = random.Random(seed)
+    alphas, arc, betas, crossings = [[] for _ in range(d)], [], [], {}
+    for j in range(d):
+        entries = [(CLOSED, i) for i in range(d) for t in range(length) if (i + t) % d == j]
+        rng.shuffle(entries)
+        ids = []
+        for kind, i in [(ARC, 0)] + entries:
+            cid = f"c{len(crossings)}"
+            crossings[cid] = Crossing(cid, kind, i, j, rng.choice((1, -1)))
+            (alphas[i] if kind == CLOSED else arc).append(cid)
+            ids.append(cid)
+        betas.append(BetaCurve(tuple(ids), 0))
+    for curve in alphas:
+        rng.shuffle(curve)
+    return HeegaardDatum(alphas, [arc], betas, crossings)
+
+
+def acceptance_data():
+    """(seed, datum, n, matrices) of acceptance criterion 3, drawn in its order."""
+    rng = random.Random(20260809)
+    out = []
+    for k in range(50):
+        n = 1 + k % 3
+        D = random_datum(9000 + k, 1 + k % 2, k % 3, 6)
+        out.append((9000 + k, D, n,
+                    [random_invertible(rng, n) for _ in range(presentation(D).num_generators)]))
+    return out

@@ -32,7 +32,7 @@ from suturekup.diagram import (
 from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
 from suturekup.laurent import LaurentPoly
-from suturekup.linalg import bareiss_det, inverse, matmul
+from suturekup.linalg import bareiss_det, inverse_and_det, matmul
 from suturekup.numberfield import FieldElement, echo
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
@@ -344,7 +344,7 @@ def _rebuilt(self, parts):
 def conjugated(self, phi):
     """g -> phi rho(g) phi^-1, for phi invertible over the field of self's ring."""
     field = self.field
-    phi_inv = inverse(phi, field)
+    phi_inv, _ = inverse_and_det(phi, field)
     return _rebuilt(self, [(e, matmul(matmul(phi, m, field), phi_inv, field))
                            for e, m in _parts(self)])
 

@@ -135,7 +135,7 @@ def test_contraction_calls_no_determinant(monkeypatch):
         raise AssertionError("the contraction expanded a coproduct")
 
     monkeypatch.setattr(linalg, "_bareiss", refuse)
-    monkeypatch.setattr("suturekup.kuperberg.inverse", refuse)
+    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", refuse)
     monkeypatch.setattr(ExteriorAlgebra, "iterated_coproduct", no_expansion)
     got = evaluate_z(D, H, rep)
     assert got == want and str(got) == "1 - 6*t + 10*t^2 - 6*t^3 + t^4"

@@ -17,24 +17,21 @@ from math import gcd
 from operator import add
 
 import pytest
-from conftest import data_path, random_invertible
+from conftest import acceptance_data, data_path, dense_datum, random_invertible
 from contraction_reference import reference_evaluate_z
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suturekup import (
     QQ,
-    BetaCurve,
-    Crossing,
     ExteriorAlgebra,
-    HeegaardDatum,
     NumberField,
     bareiss_det,
     kuperberg,
     presentation,
     random_datum,
 )
-from suturekup.diagram import ARC, CLOSED
+from suturekup.diagram import CLOSED
 from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.kuperberg import _pack, _unpack, degree_one_forms, evaluate_z, representation_for
@@ -46,19 +43,7 @@ from suturekup.torsion import _fox_block, _fox_block_det, fox_matrix
 NONINTEGRAL_REP = os.path.join(os.path.dirname(__file__), "data", "figure8_nonintegral_rep.json")
 
 
-def _acceptance_data():
-    """(seed, datum, n, matrices) of acceptance criterion 3, drawn in its order."""
-    rng = random.Random(20260809)
-    out = []
-    for k in range(50):
-        n = 1 + k % 3
-        D = random_datum(9000 + k, 1 + k % 2, k % 3, 6)
-        out.append((9000 + k, D, n,
-                    [random_invertible(rng, n) for _ in range(presentation(D).num_generators)]))
-    return out
-
-
-ACCEPTANCE = _acceptance_data()
+ACCEPTANCE = acceptance_data()
 
 
 def _form_matrix(forms, rep):
@@ -316,31 +301,10 @@ def test_kronecker_width_holds_for_wide_coefficients(seed, field, twisted, d, l,
     assert evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep) == _fox_block_det(pres, rep)
 
 
-def _dense_datum(seed, d, length):
-    """d closed curves of the given length, crossing t of curve i on beta (i + t) % d,
-    and one arc crossing every beta just after its basepoint, as the benchmark's
-    dense shapes are laid out; signs and cyclic orders come from the seed."""
-    rng = random.Random(seed)
-    alphas, arc, betas, crossings = [[] for _ in range(d)], [], [], {}
-    for j in range(d):
-        entries = [(CLOSED, i) for i in range(d) for t in range(length) if (i + t) % d == j]
-        rng.shuffle(entries)
-        ids = []
-        for kind, i in [(ARC, 0)] + entries:
-            cid = f"c{len(crossings)}"
-            crossings[cid] = Crossing(cid, kind, i, j, rng.choice((1, -1)))
-            (alphas[i] if kind == CLOSED else arc).append(cid)
-            ids.append(cid)
-        betas.append(BetaCurve(tuple(ids), 0))
-    for curve in alphas:
-        rng.shuffle(curve)
-    return HeegaardDatum(alphas, [arc], betas, crossings)
-
-
 @pytest.mark.parametrize("field", WIDTH_FIELDS[1:], ids=["xi", "cubic"])
 def test_kronecker_width_on_dense_shapes(field):
     """Twisted (d, n, L) = (4, 3, 3): every key collects many products per step."""
-    D = _dense_datum(4, 4, 3)
+    D = dense_datum(4, 4, 3)
     pres = presentation(D)
     rng = random.Random(433)
     mats = [_wide_invertible(rng, 3, field, 30, 0, True) for _ in range(pres.num_generators)]

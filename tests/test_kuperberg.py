@@ -475,7 +475,7 @@ def test_identity_representations_skip_inversion(monkeypatch):
     def refuse(*args):
         raise AssertionError("an identity matrix was inverted")
 
-    monkeypatch.setattr("suturekup.kuperberg.inverse", refuse)
+    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", refuse)
     amap = abelianize(2, [Word.generator(0) * Word.generator(1)])
     for rep in (Representation.trivial(3, 2), Representation.twisted(None, amap, 2)):
         ring = rep.ring

@@ -1,10 +1,11 @@
 """The Gauss-Jordan sweep that inverts matrices over a field.
 
-Its inverse is checked by multiplying back on both sides, over QQ and
-Q(xi) with xi^2 + xi + 1 = 0, and a matrix is singular exactly when the
-permutation expansion of linalg_reference vanishes.  Zero diagonals and
-permutation matrices force row swaps, whose undoing as column swaps those
-checks see.
+Its inverse is checked by multiplying back on both sides and its
+determinant against the permutation expansion of linalg_reference, over QQ
+and Q(xi) with xi^2 + xi + 1 = 0, and a matrix is singular exactly when
+that expansion vanishes.  Zero diagonals and permutation matrices force row
+swaps, whose undoing as column swaps and whose sign on the determinant
+those checks see.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import pytest
 from linalg_reference import minor_det
 
 from suturekup import NumberField, QQ, linalg
-from suturekup.linalg import SingularMatrix, bareiss_det, identity, inverse, matmul
+from suturekup.linalg import SingularMatrix, bareiss_det, identity, inverse_and_det, matmul
 from suturekup.numberfield import FieldElement
 
 EISENSTEIN = NumberField([1, 1, 1])
@@ -38,11 +39,12 @@ def det_reference(m, field):
 
 
 def assert_inverse(m, field):
-    m_inv = inverse(m, field)
+    m_inv, det = inverse_and_det(m, field)
     n = len(m)
+    assert det == det_reference(m, field)
     assert matmul(m, m_inv, field) == identity(n, field)
     assert matmul(m_inv, m, field) == identity(n, field)
-    return m_inv
+    return m_inv, det
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -54,7 +56,7 @@ def test_inverse_on_both_sides(field, n):
         m = random_matrix(rng, n, field)
         if det_reference(m, field).is_zero():
             with pytest.raises(SingularMatrix):
-                inverse(m, field)
+                inverse_and_det(m, field)
             continue
         assert_inverse(m, field)
         checked += 1
@@ -65,7 +67,10 @@ def test_inverse_on_both_sides(field, n):
 def test_permutation_matrices(field, n):
     for perm in itertools.permutations(range(n)):
         m = [[field.one if perm[i] == j else field.zero for j in range(n)] for i in range(n)]
-        assert assert_inverse(m, field) == [list(col) for col in zip(*m)]
+        m_inv, det = assert_inverse(m, field)
+        assert m_inv == [list(col) for col in zip(*m)]
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        assert det == (-field.one if inversions % 2 else field.one)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -78,10 +83,11 @@ def test_zero_diagonals_force_swaps(field):
                 m[i][i] = field.zero
             if not det_reference(m, field).is_zero():
                 assert_inverse(m, field)
-    # every leading pivot sits below the diagonal: three swaps
+    # every leading pivot sits below the diagonal: three swaps, det = -(2*3*5*7)
     q = [[field.from_rational(x) for x in row] for row in
          [[0, 0, 0, 7], [2, 0, 0, 1], [1, 3, 0, 0], [0, 1, 5, 0]]]
-    assert_inverse(q, field)
+    _, det = assert_inverse(q, field)
+    assert det == field.from_rational(-210)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -98,17 +104,17 @@ def test_singular_matrix_raises(field, rows):
     m = [[field.from_rational(x) for x in row] for row in rows]
     assert det_reference(m, field).is_zero()
     with pytest.raises(SingularMatrix, match="singular matrix"):
-        inverse(m, field)
+        inverse_and_det(m, field)
 
 
 def test_empty_matrix():
-    assert inverse([], QQ) == []
+    assert inverse_and_det([], QQ) == ([], QQ.one)
 
 
 def test_input_matrix_is_left_unchanged():
     m = random_matrix(random.Random(3), 4, EISENSTEIN, zeros=0.0)
     copy = [list(row) for row in m]
-    inverse(m, EISENSTEIN)
+    inverse_and_det(m, EISENSTEIN)
     assert m == copy
 
 
@@ -118,8 +124,8 @@ def test_sweep_counts(field, n, monkeypatch):
     # n field inversions, one per pivot, and no n x 2n augmented matrix: the
     # sweep builds no identity to carry beside the matrix.  A dense pivot
     # makes at most 2(n - 1) products (its row over p and -f/p per other row)
-    # and no determinant product, and at most (n - 1)^2 two-pair dots, one per
-    # nonzero entry outside its row and column
+    # plus one for det, the product of the pivots after the first; and at most
+    # (n - 1)^2 two-pair dots, one per nonzero entry outside its row and column
     counts = {"inv": 0, "mul": 0, "dot": 0}
     real_inv, real_mul, real_dot = FieldElement.inv, FieldElement.__mul__, NumberField.dot
 
@@ -133,14 +139,14 @@ def test_sweep_counts(field, n, monkeypatch):
         raise AssertionError("the sweep built an identity matrix")
 
     m = random_matrix(random.Random(n), n, field, zeros=0.0)
-    want = inverse(m, field)
+    want = inverse_and_det(m, field)
     monkeypatch.setattr(FieldElement, "inv", counting("inv", real_inv))
     monkeypatch.setattr(FieldElement, "__mul__", counting("mul", real_mul))
     monkeypatch.setattr(NumberField, "dot", counting("dot", real_dot))
     monkeypatch.setattr(linalg, "identity", refuse)
-    assert inverse(m, field) == want
+    assert inverse_and_det(m, field) == want
     assert counts["inv"] == n
-    assert counts["mul"] <= 2 * n * (n - 1)
+    assert counts["mul"] <= (n - 1) * (2 * n + 1)
     assert counts["dot"] <= n * (n - 1) ** 2
 
 

@@ -35,12 +35,13 @@ from suturekup import linalg
 from suturekup.files import load_presentation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.hopf import ExteriorAlgebra
-from suturekup.kuperberg import EvaluationOptions
+from suturekup.kuperberg import EvaluationOptions, representation_for
 from suturekup.torsion import (
     AlexanderResult,
     CrosscheckReport,
     TorsionResult,
     _fox_block,
+    _fox_block_det,
     crosscheck,
 )
 
@@ -431,6 +432,35 @@ def test_fox_walk_matches_reference_route(ring):
             assert raw.is_zero() or trial % 2 == 0
             nonzero += not raw.is_zero()
     assert nonzero or not isinstance(ring, LaurentRing), "every torsion vanished"
+
+
+def _draw_presentation(rng, d, num_arcs):
+    """d relators of up to five random letters over d closed generators and
+    num_arcs arcs; with arcs, about a third of the relators hold arc letters only."""
+    m = d + num_arcs
+    relators = []
+    for _ in range(d):
+        pool = range(d, m) if num_arcs and rng.random() < 0.35 else range(m)
+        relators.append(Word([(rng.choice(pool), rng.choice((1, -1)))
+                              for _ in range(rng.randint(0, 5))]))
+    return Presentation(m, d, relators, [f"g{k}" for k in range(m)])
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_fox_block_det_at_dimension_zero(twisted):
+    # at n = 0 the Fox block is 0 x 0 whatever the relators hold, so its
+    # determinant is the empty product, also when a relator has no closed letter
+    rng = random.Random(4300 + twisted)
+    no_closed_letter = 0
+    for _ in range(40):
+        pres = _draw_presentation(rng, rng.randint(1, 4), rng.randint(0, 2))
+        no_closed_letter += any(all(g >= pres.closed_count for g, _ in rel.letters)
+                                for rel in pres.relators)
+        rep = representation_for(pres, 0, None, rng.choice((QQ, XI)), twisted)
+        for r in (rep, rep.inverse_transpose()):
+            assert _fox_block(pres, r) == []
+            assert _fox_block_det(pres, r) == rep.ring.one
+    assert no_closed_letter > 10
 
 
 # -- the result records ---------------------------------------------------------
