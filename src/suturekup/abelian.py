@@ -10,44 +10,29 @@ def smith_normal_form(matrix):
 
     A is given as a list of rows.  U and V are unimodular; S is diagonal with
     invariant factors d1 | d2 | ... > 0 followed by zeros.  Pivots are chosen
-    by minimal absolute value to limit entry growth.
+    by minimal absolute value, the first in row-major order, to limit entry
+    growth.  Every operation runs on one array T = [[A, I_m], [I_n, 0]]: a row
+    operation on its first m rows acts on S and U alike, a column operation on
+    its first n columns on S and V alike, and S, U, V are its blocks at the end.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    S = [list(map(int, row)) for row in matrix]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            S[i], S[j] = S[j], S[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in S:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+    T = [list(map(int, row)) + [0] * i + [1] + [0] * (m - 1 - i) for i, row in enumerate(matrix)]
+    T += [[0] * j + [1] + [0] * (n - 1 - j + m) for j in range(n)]
 
     def add_row(src, dst, q):
         # row dst += q * row src
         if q:
-            for k in range(n):
-                S[dst][k] += q * S[src][k]
-            for k in range(m):
-                U[dst][k] += q * U[src][k]
+            T[dst] = [a + q * b for a, b in zip(T[dst], T[src])]
 
     def add_col(src, dst, q):
         if q:
-            for row in S:
-                row[dst] += q * row[src]
-            for row in V:
+            for row in T:
                 row[dst] += q * row[src]
 
-    def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
+    def swap_cols(i, j):
+        for row in T:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while True:
@@ -55,49 +40,44 @@ def smith_normal_form(matrix):
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                v = abs(S[i][j])
+                v = abs(T[i][j])
                 if v and (best is None or v < best):
                     best = v
                     pivot = (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        T[t], T[pivot[0]] = T[pivot[0]], T[t]
+        if pivot[1] != t:
+            swap_cols(t, pivot[1])
         while True:
             # euclidean reduction of row/column t against the pivot
             moved = False
             for i in range(t + 1, m):
-                if S[i][t]:
-                    add_row(t, i, -(S[i][t] // S[t][t]))
-                    if S[i][t]:
-                        swap_rows(t, i)
+                if T[i][t]:
+                    add_row(t, i, -(T[i][t] // T[t][t]))
+                    if T[i][t]:
+                        T[t], T[i] = T[i], T[t]
                         moved = True
             for j in range(t + 1, n):
-                if S[t][j]:
-                    add_col(t, j, -(S[t][j] // S[t][t]))
-                    if S[t][j]:
+                if T[t][j]:
+                    add_col(t, j, -(T[t][j] // T[t][t]))
+                    if T[t][j]:
                         swap_cols(t, j)
                         moved = True
             if moved:
                 continue
             # pivot must divide every remaining entry; otherwise fold the
-            # offending row in and restart the reduction at this step
-            offender = None
-            p = S[t][t]
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if S[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # first offending row in and restart the reduction at this step
+            p = T[t][t]
+            offender = next((i for i in range(t + 1, m) for j in range(t + 1, n) if T[i][j] % p),
+                            None)
             if offender is None:
                 break
             add_row(offender, t, 1)
-        if S[t][t] < 0:
-            negate_row(t)
+        if T[t][t] < 0:
+            T[t] = [-x for x in T[t]]
         t += 1
-    return S, U, V
+    return [row[:n] for row in T[:m]], [row[n:] for row in T[:m]], [row[:n] for row in T[m:]]
 
 
 class AbelianizationMap:
@@ -129,11 +109,9 @@ def abelianize(num_generators: int, relators) -> AbelianizationMap:
     """
     m = num_generators
     rels = list(relators)
-    if not rels:
-        images = [tuple(int(i == j) for i in range(m)) for j in range(m)]
-        return AbelianizationMap(m, m, images, [])
     # columns of A are relator exponent vectors; coker(A) = Z^m / <relators>
-    A = [list(col) for col in zip(*(w.exponent_sums(m) for w in rels))]
+    sums = [w.exponent_sums(m) for w in rels]
+    A = [[s[i] for s in sums] for i in range(m)]
     S, U, _ = smith_normal_form(A)
     r = sum(1 for i in range(min(m, len(rels))) if S[i][i] != 0)
     rank = m - r

@@ -58,16 +58,15 @@ class SingularRepresentationError(EvaluationError):
     generator names sets ``name`` to have the message use it.
     """
 
-    def __init__(self, generator, determinant):
-        super().__init__(generator, determinant)
+    def __init__(self, generator):
+        super().__init__(generator)
         self.generator = generator
-        self.determinant = determinant
         self.name = None
 
     def __str__(self):
         label = repr(self.name) if self.name is not None else str(self.generator)
         return (f"representation matrix of generator {label} is not invertible "
-                f"(determinant {self.determinant})")
+                "(determinant 0)")
 
 
 class EvaluationOptions(Record):
@@ -113,7 +112,7 @@ class Representation:
                 try:
                     inverses.append(inverse_and_det(m, field)[0])
                 except SingularMatrix:
-                    raise SingularRepresentationError(g, field.zero) from None
+                    raise SingularRepresentationError(g) from None
         else:
             inverses = [_field_matrix(m, n, field) for m in inverses]
         self.ring = self.field = field

@@ -33,6 +33,10 @@ WIRTINGER_REP = "{tests}/figure8_wirtinger_nonintegral_rep.json"
 # representation over Q[x]/(x^2 + x + 1) that names a meridian
 RANK_TWO = "{tests}/rank_two.json"
 RANK_TWO_REP = "{tests}/rank_two_rep.json"
+# presentations whose Smith normal form takes the column swap, the column swap
+# and the offender fold, and torsion 2 10 with a non-unit free image
+SNF_BRANCHES = ("{tests}/homology_column_swap.json", "{tests}/homology_offender_fold.json",
+                "{tests}/homology_torsion_2_10.json")
 
 
 def resolve(arg: str) -> str:
@@ -94,6 +98,8 @@ def commands():
     out.append(["crosscheck", RANK_TWO, "--hopf", "exterior:2", "--rep", RANK_TWO_REP,
                 "--twisted"])
     out.append(["twisted-alexander", RANK_TWO, RANK_TWO_REP])
+    for pres in SNF_BRANCHES:
+        out.append(["homology", pres])
     return out
 
 

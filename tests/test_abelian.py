@@ -1,6 +1,10 @@
 import random
 
-from suturekup import Word, abelianize, smith_normal_form
+import pytest
+import snf_reference
+from conftest import acceptance_data
+
+from suturekup import Word, abelianize, presentation, smith_normal_form
 
 
 def mat_mul(A, B):
@@ -79,6 +83,10 @@ def test_abelianize_free():
     amap = abelianize(1, [])
     assert amap.rank == 1
     assert amap.gen_images == [(1,)]
+    for m in (0, 2, 3):
+        amap = abelianize(m, [])
+        assert (amap.rank, amap.torsion) == (m, [])
+        assert amap.gen_images == [tuple(int(i == j) for i in range(m)) for j in range(m)]
 
 
 def test_abelianize_torsion():
@@ -99,3 +107,45 @@ def test_abelianize_relator_images_vanish():
         amap = abelianize(num, rels)
         for w in rels:
             assert amap.word_image(w) == (0,) * amap.rank
+
+
+def relator_matrix(pres):
+    """abelianize's input for pres: one row per generator, one column per relator."""
+    sums = [w.exponent_sums(pres.num_generators) for w in pres.relators]
+    return [[s[i] for s in sums] for i in range(pres.num_generators)]
+
+
+def drawn_matrices(count, seed):
+    """m x n integer matrices with m, n in 0..7 (m x 0 is m empty rows), entries
+    mostly 0, +-1, +-2 with some 3, 5, -7 and 12."""
+    rng = random.Random(seed)
+    entries = [0] * 6 + [1, -1, 2, -2] * 2 + [3, 5, -7, 12]
+    for _ in range(count):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        yield [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+
+
+def test_snf_matches_reference_on_drawn_matrices():
+    shapes = set()
+    for A in drawn_matrices(2500, 25):
+        shapes.add((len(A), len(A[0]) if A else 0))
+        assert smith_normal_form(A) == snf_reference.smith_normal_form(A), A
+    assert {(0, 0), (7, 0), (3, 7), (7, 7)} <= shapes
+
+
+@pytest.mark.parametrize("A", [
+    [[2, 3]],                    # takes the column swap
+    [[2, 3], [0, 0]],            # the same in abelianize's shape (x^2, x^3 over x, y)
+    [[2, 0], [0, 3], [0, 0]],    # the column swap and the offender fold (x^2, y^3 over x, y, z)
+    [[4, 6], [6, 4], [0, 10]],   # torsion 2 10 (x^4 y^6, x^6 y^4 z^10 over x, y, z)
+    [[], [], []],
+    [],
+])
+def test_snf_matches_reference_on_hand_cases(A):
+    assert smith_normal_form(A) == snf_reference.smith_normal_form(A)
+
+
+def test_snf_matches_reference_on_acceptance_data():
+    for seed, D, _, _ in acceptance_data():
+        A = relator_matrix(presentation(D))
+        assert smith_normal_form(A) == snf_reference.smith_normal_form(A), seed

@@ -7,7 +7,7 @@ change of printed output or exit code.
 import json
 
 import pytest
-from make_cli_golden import GOLDEN, run
+from make_cli_golden import GOLDEN, commands, run
 
 from suturekup.cli import SEED_ENV
 
@@ -23,3 +23,7 @@ def test_cli_output_matches_golden(monkeypatch, record):
 def test_golden_prints_non_integral_coefficients():
     printed = "".join(r["stdout"] for r in RECORDS)
     assert "(-2420331595/1017546201 - 2520344437/1017546201*x)" in printed
+
+
+def test_golden_file_matches_its_generator():
+    assert [r["argv"] for r in RECORDS] == commands()

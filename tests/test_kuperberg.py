@@ -361,12 +361,13 @@ def test_singular_matrix_names_its_generator():
     amap = abelianize(2, [])
     with pytest.raises(SingularRepresentationError) as info:
         Representation.twisted([ident, rank_one], amap, 2, XI)
-    assert info.value.generator == 1 and info.value.determinant.is_zero()
+    assert info.value.generator == 1
     with pytest.raises(SingularRepresentationError) as info:
         Representation(XI, 2, [rank_one, ident])
     assert info.value.generator == 0
     info.value.name = "alpha"
-    assert "'alpha'" in str(info.value)
+    assert str(info.value) == ("representation matrix of generator 'alpha' is not invertible "
+                               "(determinant 0)")
 
 
 @settings(max_examples=60, deadline=None)
