@@ -200,12 +200,14 @@ def representation_from_data(data: dict) -> RepresentationFile:
     if not 0 <= n <= MAX_DIM:
         raise ValueError(f"representation key 'dimension' must lie in 0..{MAX_DIM}, "
                          f"not {echo(n)}")
-    matrices = {}
+    matrices, parsed = {}, {}       # parsed: each distinct entry text's element, shared
     for name, rows in data["generators"].items():
         if not (isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"matrix for {echo(name)} is not {n}x{n}")
-        matrices[name] = [[field.parse(str(entry)) for entry in row] for row in rows]
+        matrices[name] = [[parsed[text] if (text := str(entry)) in parsed
+                           else parsed.setdefault(text, field.parse(text)) for entry in row]
+                          for row in rows]
     return RepresentationFile(field, n, matrices, data.get("meridian"))
 
 

@@ -98,36 +98,39 @@ class Representation:
     """Assignment of an invertible matrix (hence a Hopf automorphism of an
     exterior algebra) to every presentation generator.
 
-    Generator g is kept as t^{e_g} * M_g with M_g^-1 over the field; e_g = ()
-    until twisted attaches the homology exponents, so words are walked over
-    the field and ring matrices are lifted on access.  Callers that already
-    know the inverses pass them in; otherwise they are computed.
+    Generator g is kept as t^{e_g} * M_g with M_g^-1 and det M_g over the
+    field; e_g = () until twisted attaches the homology exponents, so words
+    are walked over the field and ring matrices are lifted on access.
+    Callers that already know each matrix's (inverse, determinant) pass them
+    in as sweeps; otherwise one sweep per matrix computes them.
     """
 
-    def __init__(self, field, n, matrices, inverses=None):
+    def __init__(self, field, n, matrices, sweeps=None):
         matrices = [_field_matrix(m, n, field) for m in matrices]
-        if inverses is None:
-            inverses = []
+        if sweeps is None:
+            sweeps = []
             for g, m in enumerate(matrices):
                 try:
-                    inverses.append(inverse_and_det(m, field)[0])
+                    sweeps.append(inverse_and_det(m, field))
                 except SingularMatrix:
                     raise SingularRepresentationError(g) from None
         else:
-            inverses = [_field_matrix(m, n, field) for m in inverses]
+            sweeps = [(_field_matrix(inv, n, field), det) for inv, det in sweeps]
         self.ring = self.field = field
         self.n, self.num_generators = n, len(matrices)
         self.identity = identity(n, field)
         self._start = ((), identity(n, field))
         self._images = {}           # (exponent vector, field matrix) of each letter (g, +-1)
-        for g, (m, inv) in enumerate(zip(matrices, inverses)):
+        for g, (m, (inv, _)) in enumerate(zip(matrices, sweeps)):
             self._images[g, 1], self._images[g, -1] = ((), m), ((), inv)
+        # letter (g, s) has a field matrix of determinant _dets[g]^(s * _det_power)
+        self._dets, self._det_power = [det for _, det in sweeps], 1
 
     @classmethod
     def trivial(cls, num_generators, n, field=None):
         field = field if field is not None else QQ
-        idents = [identity(n, field)] * num_generators
-        return cls(field, n, idents, idents)
+        ident = identity(n, field)
+        return cls(field, n, [ident] * num_generators, [(ident, field.one)] * num_generators)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -167,6 +170,22 @@ class Representation:
                        (tuple(map(add, out[-1][0], e)), matmul(out[-1][1], m, self.field)))
         return out
 
+    def word_inverse_and_det(self, letters):
+        """(M^-1, det M) over the field, for rho(w) = t^e * M and w the word of the letters.
+
+        M^-1 is the walk of the inverted letters in reverse order, since
+        rho(w)^-1 = rho(w^-1); det M is the product of the letters' determinants,
+        with one field inversion for all the inverted generators' determinants.
+        """
+        inverse = self.prefix_walk([(g, -s) for g, s in reversed(letters)])[-1][1]
+        det, over = self.field.one, None
+        for g, s in letters:
+            if s == self._det_power:
+                det = det * self._dets[g]
+            else:
+                over = self._dets[g] if over is None else over * self._dets[g]
+        return inverse, det if over is None else det * over.inv()
+
     def word_matrix(self, w: Word):
         return self.lift(*self.prefix_walk(w.letters)[-1])
 
@@ -179,6 +198,7 @@ class Representation:
         """
         out = copy.copy(self)
         out._images = {(g, -s): (e, transpose(m)) for (g, s), (e, m) in self._images.items()}
+        out._det_power = -self._det_power
         return out
 
     def apply_to_groupring(self, e):

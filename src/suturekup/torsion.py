@@ -8,7 +8,9 @@ equals the tensor-contraction invariant over an exterior algebra exactly;
 crosscheck computes both sides and compares with no unit slack.  Both walk
 prefixes once per relator into n x n blocks of terms t^e * M and eliminate
 whole blocks over the field, leaving bareiss_det the blocks no unit pivot
-reaches; FoxMatrix is the reference route through group-ring elements.
+reaches; a block made by one letter takes its pivot inverse and determinant
+from the representation's walk, not from a sweep.  FoxMatrix is the
+reference route through group-ring elements.
 """
 
 from __future__ import annotations
@@ -62,19 +64,23 @@ def fox_matrix(pres: Presentation, field=None) -> FoxMatrix:
 
 
 def _fox_grid(pres: Presentation, rep):
-    """Block rows {g: {e: M}} of the closed Fox block: block (i, g) = rep(d rel_i / d gen_g)
-    is the sum of its terms t^e * M, with no zero block or matrix.  One prefix walk per
-    relator gives every term: a letter g at position pos adds +rep(prefix_pos) to block
-    (i, g), and g^-1 adds -rep(prefix_pos * g^-1) = -rep(prefix_{pos+1}); the walk stops
-    at the last prefix a closed letter needs."""
+    """Block rows {g: {e: M}} of the closed Fox block, and the origins of its blocks.
+
+    Block (i, g) = rep(d rel_i / d gen_g) is the sum of its terms t^e * M, with no zero
+    block or matrix.  One prefix walk per relator gives every term: a letter g at
+    position pos adds +rep(prefix_pos) to block (i, g), and g^-1 adds
+    -rep(prefix_pos * g^-1) = -rep(prefix_{pos+1}); the walk stops at the last prefix a
+    closed letter needs.  origins[i, g] = (prefix letters, sign) for each block made by
+    exactly one letter, which is then sign * rep(prefix)."""
     d = _square_size(pres)
-    grid = []
-    for rel in pres.relators:
+    grid, origins = [], {}
+    for i, rel in enumerate(pres.relators):
         row = {}
         # (prefix index, generator, sign) of every closed letter, in order
         terms = [(pos + (e < 0), g, e) for pos, (g, e) in enumerate(rel.letters) if g < d]
         prefixes = rep.prefix_walk(rel.letters[:terms[-1][0]]) if terms else ()
         for p, g, s in terms:
+            origins[i, g] = None if g in row else (rel.letters[:p], s)
             e, m = prefixes[p]
             acc = row.setdefault(g, {}).pop(e, None)
             m = [[-x for x in r] for r in m] if s < 0 else m
@@ -82,7 +88,7 @@ def _fox_grid(pres: Presentation, rep):
             if acc is None or any(map(any, m)):
                 row[g][e] = m
         grid.append({g: block for g, block in row.items() if block})
-    return grid
+    return grid, {key: origin for key, origin in origins.items() if origin}
 
 
 def _assemble(rows, cols, rep):
@@ -94,7 +100,7 @@ def _assemble(rows, cols, rep):
 
 def _fox_block(pres: Presentation, rep):
     """The dn x dn matrix whose block (i, g) is rep(d rel_i / d gen_g), g closed."""
-    return _assemble(_fox_grid(pres, rep), range(_square_size(pres)), rep)
+    return _assemble(_fox_grid(pres, rep)[0], range(_square_size(pres)), rep)
 
 
 def _add_products(block, x, z, field):
@@ -116,7 +122,23 @@ def _add_products(block, x, z, field):
     return out
 
 
-def _grid_det(grid, rep):
+def _pivot(m, origin, rep):
+    """(-M^-1, det M) of a pivot block's field matrix M, SingularMatrix if M has none.
+
+    A block with an origin (prefix letters, sign), M = sign * rep(prefix), takes both
+    from the representation's walk: (sign * M)^-1 = sign * M^-1 and
+    det(sign * M) = sign^n * det M.  Any other block takes them from a sweep."""
+    if origin is None:
+        inv, det = inverse_and_det(m, rep.field)
+        return [[-x for x in r] for r in inv], det
+    letters, sign = origin
+    inv, det = rep.word_inverse_and_det(letters)
+    if sign > 0:
+        return [[-x for x in r] for r in inv], det
+    return inv, -det if rep.n % 2 else det
+
+
+def _grid_det(grid, rep, origins=None):
     """Determinant of the block matrix with block rows grid, by elimination over the field.
 
     An empty block row or column gives 0, and a block alone in its column gives its
@@ -124,9 +146,12 @@ def _grid_det(grid, rep):
     the fewest other blocks in its row and column: with Z_j = -t^-e * M^-1 * B_pj for
     each block of the pivot row, block (r, j) of every other row r gains X_r * Z_j.
     bareiss_det takes the blocks left.  A pivot moved to the front passes n rows or
-    columns per block row or column before it, each flipping the sign."""
+    columns per block row or column before it, each flipping the sign.  origins, as
+    _fox_grid gives them, lets a block no Schur step has updated take M^-1 and det M
+    from the representation's walk (_pivot) instead of a sweep."""
     n, ring, field = rep.n, rep.ring, rep.field
     rows, left = {i: dict(row) for i, row in enumerate(grid)}, list(range(len(grid)))
+    origins = dict(origins or ())
     factors, passed = [], 0
     while n and rows:  # at n = 0 the scalar matrix left is 0 x 0
         cols = {j: [i for i, row in rows.items() if j in row] for j in left}
@@ -138,7 +163,8 @@ def _grid_det(grid, rep):
             block = rows[p][q]
             if len(block) == 1:
                 (e, m), = block.items()
-                m_det = bareiss_det(m, field)
+                m_det = (_pivot(m, origins[p, q], rep)[1] if (p, q) in origins
+                         else bareiss_det(m, field))
             else:
                 e, m_det = None, bareiss_det(_assemble([{q: block}], [q], rep), ring)
         else:
@@ -146,13 +172,12 @@ def _grid_det(grid, rep):
                                   for j, block in row.items() if len(block) == 1):
                 (e, m), = rows[p][q].items()
                 try:
-                    inv, m_det = inverse_and_det(m, field)
+                    neg_inv, m_det = _pivot(m, origins.get((p, q)), rep)
                     break
                 except SingularMatrix:
                     pass
             else:
                 break
-            neg_inv = [[-x for x in r] for r in inv]
             zs = {j: {tuple(map(sub, f, e)): matmul(neg_inv, mf, field) for f, mf in block.items()}
                   for j, block in rows[p].items() if j != q}
             for r in set(cols[q]) - {p}:
@@ -160,6 +185,8 @@ def _grid_det(grid, rep):
                 row.update({j: _add_products(row.get(j, {}), row[q], z, field)
                             for j, z in zs.items()})
                 rows[r] = {j: block for j, block in row.items() if block}
+                for j in zs:
+                    origins.pop((r, j), None)
         if m_det.is_zero():
             return ring.zero
         # det(t^e * M) = t^(n e) * det(M)
@@ -180,7 +207,8 @@ def _fox_block_det(pres: Presentation, rep):
     d rel_i / d gen_j at block (i, j).  The torsion convention, rep(sigma(d rel_j / d gen_i))
     at block (i, j), is the transpose of this block through rep.inverse_transpose(), since
     rep(sigma(w)) = rep(w)^-1; callers pass that representation instead."""
-    return _grid_det(_fox_grid(pres, rep), rep)
+    grid, origins = _fox_grid(pres, rep)
+    return _grid_det(grid, rep, origins)
 
 
 class TorsionResult(Record):

@@ -91,17 +91,22 @@ def free_reduce(letters) -> tuple:
 
 
 def parse_word(text: str, names) -> Word:
-    """Parse the word grammar over the given generator names ("1" = identity)."""
+    """Parse the word grammar over the given generator names ("1" = identity).
+
+    Whitespace around a factor, its name, "*" and "^" is ignored; whitespace inside
+    a generator name or an exponent is refused, never read as gluing two tokens.
+    """
     index = {name: i for i, name in enumerate(names)}
-    s = text.replace(" ", "")
-    if s in ("", "1"):
+    if text.strip() in ("", "1"):
         return Word.identity()
     letters = []
-    for chunk in s.split("*"):
-        if not chunk:
+    for chunk in text.split("*"):
+        if not chunk.strip():
             raise ValueError(f"empty factor in word {echo(text)}")
-        if "^" in chunk:
-            name, _, exp = chunk.partition("^")
+        name, caret, exp = (part.strip() for part in chunk.partition("^"))
+        if len(name.split()) > 1:
+            raise ValueError(f"generator name {echo(name)} holds whitespace in word {echo(text)}")
+        if caret:
             match = _EXPONENT.fullmatch(exp)
             if match is None:
                 raise ValueError(f"exponent {echo(exp)} is not an integer in word {echo(text)}")
@@ -112,7 +117,7 @@ def parse_word(text: str, names) -> Word:
                                  f"value in word {echo(text)}")
             k = int(sign + digits)
         else:
-            name, k = chunk, 1
+            k = 1
         if name not in index:
             raise ValueError(f"unknown generator {echo(name)} in word {echo(text)}")
         g = index[name]

@@ -6,9 +6,9 @@ against the permutation expansion of their scalar matrix at tiny sizes and
 against bareiss_det of it at larger ones, over three fields, with 0, 1 and
 2 Laurent variables and over the field itself.  On the benchmark's dense
 twisted shapes, the scalar remainder that bareiss_det sees over the Laurent
-ring is at most one n x n block.  On the acceptance data the Fox determinant
-equals bareiss_det of the scalar Fox block, plain and twisted, in both
-conventions.
+ring is at most one n x n block, and no block made by one letter is swept.
+On the acceptance data the Fox determinant equals bareiss_det of the scalar
+Fox block, plain and twisted, in both conventions.
 """
 
 import random
@@ -208,6 +208,40 @@ def test_dense_shapes_leave_at_most_one_block_to_bareiss(d, n, monkeypatch):
             assert _fox_block_det(pres, r) == want
             monkeypatch.setattr(torsion, "bareiss_det", real)
     assert max(sizes, default=0) <= n
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_one_occurrence_blocks_are_never_swept(d, n, monkeypatch):
+    # a block made by one letter takes its inverse and determinant from the walk;
+    # only blocks a Schur step made or updated reach the sweep
+    swept, grids = [], []
+    real_inverse, real_grid = torsion.inverse_and_det, torsion._fox_grid
+
+    def inverse_and_det(m, f):
+        swept.append(m)
+        return real_inverse(m, f)
+
+    def fox_grid(pres, rep):
+        grids.append(real_grid(pres, rep))
+        return grids[-1]
+
+    monkeypatch.setattr(torsion, "inverse_and_det", inverse_and_det)
+    monkeypatch.setattr(torsion, "_fox_grid", fox_grid)
+    rng = random.Random(4800 + 10 * d + n)
+    walked = 0
+    for seed in range(3):
+        pres = presentation(dense_datum(100 * d + 10 * n + seed, d, 2))
+        mats = [_invertible(rng, XI, n) for _ in range(pres.num_generators)]
+        rep = representation_for(pres, n, mats, XI, twisted=True)
+        for r in (rep, rep.inverse_transpose()):
+            del swept[:], grids[:]
+            assert _fox_block_det(pres, r) == bareiss_det(_fox_block(pres, r), r.ring)
+            grid, origins = grids[0]
+            singles = [m for (i, g) in origins for m in grid[i][g].values()]
+            assert not [m for m in swept if any(m is single for single in singles)]
+            walked += len(origins)
+    assert walked
 
 
 def test_acceptance_data_match_the_scalar_fox_block():

@@ -477,6 +477,27 @@ def test_presentation_value_of_wrong_type_is_one_line_error(tmp_path, capsys, ke
     assert_one_line_error(capsys, ["presentation", write_json(tmp_path, doc)], message)
 
 
+def test_whitespace_inside_a_generator_name_is_one_line_error(tmp_path, capsys):
+    doc = write_json(tmp_path, {"generators": ["a", "b", "ab"], "relators": ["a b"]})
+    assert_one_line_error(capsys, ["presentation", doc],
+                          "generator name 'a b' holds whitespace in word 'a b'")
+    rep = read_json(write_figure8_rep(tmp_path, [["1", "1"], ["0", "1"]]))
+    rep["meridian"] = "al pha"
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"),
+                                   write_json(tmp_path, rep)],
+                          "generator name 'al pha' holds whitespace")
+
+
+def test_spaces_around_star_and_caret_are_accepted(tmp_path):
+    rep = read_json(data_path("figure8_parabolic_rep.json"))
+    outputs = []
+    for meridian in ("a^-1*alpha*a", " a ^ -1 * alpha * a "):
+        rep["meridian"] = meridian
+        outputs.append(run_cli("twisted-alexander", data_path("figure8.json"),
+                               write_json(tmp_path, rep)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 @pytest.mark.parametrize("key, value, command, message", [
     pytest.param("alpha", 5, "kuperberg", "matrix for 'alpha' is not 2x2", id="matrix-int"),
     pytest.param("min_poly", [1, 1.7, 1], "twisted-alexander",

@@ -35,6 +35,47 @@ def test_rational_representation_shares_qq(extra):
     assert field == NumberField([1, 1, 1]) and field is not representation_from_data(doc).field
 
 
+def counting_parse(monkeypatch):
+    """The texts NumberField.parse is called with, in order, from now on."""
+    texts, real = [], NumberField.parse
+
+    def parse(field, text):
+        texts.append(text)
+        return real(field, text)
+
+    monkeypatch.setattr(NumberField, "parse", parse)
+    return texts
+
+
+def test_repeated_entries_are_parsed_once_per_document(monkeypatch):
+    xi = NumberField([1, 1, 1])
+    doc = {"dimension": 2, "min_poly": [1, 1, 1],
+           "generators": {"a": [["1", "0"], ["x", "1"]], "b": [["1", "x"], ["0", "1"]],
+                          "c": [["-1/2 + x", 0], [0, "-1/2 + x"]]}}
+    texts = counting_parse(monkeypatch)
+    matrices = representation_from_data(doc).matrices
+    assert sorted(texts) == ["-1/2 + x", "0", "1", "x"]
+    assert matrices == {name: [[xi.parse(str(entry)) for entry in row] for row in rows]
+                        for name, rows in doc["generators"].items()}
+
+
+def test_repeated_bad_entry_gives_the_first_error():
+    doc = {"dimension": 2, "generators": {"a": [["1", "y"], ["y", "1"]], "b": [["y", "1/0"]] * 2}}
+    with pytest.raises(ValueError) as err:
+        representation_from_data(doc)
+    assert str(err.value) == "cannot parse field element 'y' at 'y'"
+
+
+def test_documents_over_qq_parse_their_own_entries(monkeypatch):
+    texts = counting_parse(monkeypatch)
+    for entries in (["2", "3"], ["2", "5"]):
+        del texts[:]
+        doc = {"dimension": 2, "generators": {"a": [entries, entries[::-1]]}}
+        matrix = representation_from_data(doc).matrices["a"]
+        assert sorted(texts) == sorted(entries)
+        assert matrix == [[QQ.parse(e) for e in entries], [QQ.parse(e) for e in entries[::-1]]]
+
+
 def test_iterated_coproduct_rejects_negative():
     H = ExteriorAlgebra(2)
     with pytest.raises(ValueError):

@@ -48,7 +48,7 @@ from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
 from suturekup.files import load_representation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.kuperberg import EvaluationError, SingularRepresentationError, representation_for
-from suturekup.linalg import identity, matmul
+from suturekup.linalg import bareiss_det, identity, inverse_and_det, matmul
 
 
 def laurent(ring, terms):
@@ -504,3 +504,54 @@ def test_identity_representations_skip_inversion(monkeypatch):
 def test_evaluate_z_refuses_bad_input(make, message):
     with pytest.raises(EvaluationError, match=message):
         evaluate_z(*make(trefoil()))
+
+
+CUBIC = NumberField([-2, 0, 0, 1])
+
+
+def random_field_matrix(rng, n, field):
+    while True:
+        m = [[field.element([rng.randint(-2, 2) for _ in range(field.degree)])
+              for _ in range(n)] for _ in range(n)]
+        if not bareiss_det(m, field).is_zero():
+            return m
+
+
+def field_representation(kind, field, rng, n=2, m=3):
+    """A plain, twisted or trivial representation of m generators over field, or the
+    inverse transpose of one (kind ending in "-T")."""
+    amap = abelianize(m, [Word.generator(0) * Word.generator(1) ** 2])
+    mats = [random_field_matrix(rng, n, field) for _ in range(m)]
+    base = kind.removesuffix("-T")
+    rep = {"plain": lambda: Representation(field, n, mats),
+           "twisted": lambda: Representation.twisted(mats, amap, n, field),
+           "trivial": lambda: Representation.trivial(m, n, field)}[base]()
+    return rep.inverse_transpose() if kind.endswith("-T") else rep
+
+
+REP_KINDS = ["plain", "twisted", "trivial", "plain-T", "twisted-T", "trivial-T"]
+REP_FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(XI, id="Qxi"),
+              pytest.param(CUBIC, id="Qcbrt2")]
+
+
+@pytest.mark.parametrize("field", REP_FIELDS)
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_letter_determinants_are_their_images_determinants(kind, field):
+    rep = field_representation(kind, field, random.Random(80 + field.degree))
+    for letter in [(g, s) for g in range(rep.num_generators) for s in (1, -1)]:
+        image = rep.prefix_walk([letter])[-1][1]
+        det = rep.word_inverse_and_det([letter])[1]
+        assert det == bareiss_det(image, field)
+        assert det == field.one or not kind.startswith("trivial")
+
+
+@pytest.mark.parametrize("field", REP_FIELDS)
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_walked_inverse_is_the_sweep_of_the_walked_matrix(kind, field):
+    rng = random.Random(90 + field.degree)
+    rep = field_representation(kind, field, rng)
+    for length in [0, 1, 2, 3, 5, 8] * 3:
+        letters = [(rng.randrange(rep.num_generators), rng.choice((1, -1)))
+                   for _ in range(length)]
+        walked = rep.prefix_walk(letters)[-1][1]
+        assert rep.word_inverse_and_det(letters) == inverse_and_det(walked, field)

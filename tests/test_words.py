@@ -133,6 +133,23 @@ def test_word_exponent_grammar():
             parse_word(f"a^{exp}", names)
 
 
+def test_word_whitespace_never_glues_tokens():
+    names = ["a", "b", "ab", "alpha", "alpha1"]
+    a, b = Word.generator(0), Word.generator(1)
+    assert parse_word(" a * b ^ -1 ", names) == a * b.inverse()
+    assert parse_word("a*\tb ^2", names) == a * b ** 2
+    assert parse_word(" 1 ", names).is_identity()
+    for word, name in (("a b", "a b"), ("alpha 1", "alpha 1"), ("b*al pha^2", "al pha")):
+        with pytest.raises(ValueError, match=re.escape(f"generator name {name!r} holds "
+                                                       f"whitespace in word {word!r}")):
+            parse_word(word, names)
+    for exp in ("1 0", "- 1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            parse_word(f"a^{exp}", names)
+    with pytest.raises(ValueError, match="empty factor"):
+        parse_word("a* *b", names)
+
+
 def test_word_errors_echo_a_bounded_prefix():
     names = ["a"]
     for word in ("a^" + "9" * 5000, "a*" * 3000 + "b", "a**" + "a" * 3000):
