@@ -83,7 +83,7 @@ def _field_matrix(matrix, n, field):
         raise EvaluationError("representation matrix has the wrong size")
     for row in matrix:
         for entry in row:
-            if (parent := getattr(entry, "field", None)) != field:
+            if (parent := getattr(entry, "field", None)) is not field and parent != field:
                 raise EvaluationError(f"matrix entry {echo(entry)} is over {echo(parent)}, "
                                       f"not {echo(field)}")
     return [list(row) for row in matrix]
@@ -170,21 +170,26 @@ class Representation:
                        (tuple(map(add, out[-1][0], e)), matmul(out[-1][1], m, self.field)))
         return out
 
-    def word_inverse_and_det(self, letters):
-        """(M^-1, det M) over the field, for rho(w) = t^e * M and w the word of the letters.
-
-        M^-1 is the walk of the inverted letters in reverse order, since
-        rho(w)^-1 = rho(w^-1); det M is the product of the letters' determinants,
-        with one field inversion for all the inverted generators' determinants.
-        """
-        inverse = self.prefix_walk([(g, -s) for g, s in reversed(letters)])[-1][1]
+    def word_det(self, letters):
+        """det M over the field, for rho(w) = t^e * M and w the word of the letters: the
+        product of the letters' determinants, with one field inversion for all the
+        inverted generators' determinants."""
         det, over = self.field.one, None
         for g, s in letters:
             if s == self._det_power:
                 det = det * self._dets[g]
             else:
                 over = self._dets[g] if over is None else over * self._dets[g]
-        return inverse, det if over is None else det * over.inv()
+        return det if over is None else det * over.inv()
+
+    def word_inverse_and_det(self, letters):
+        """(M^-1, det M) over the field, for rho(w) = t^e * M and w the word of the letters.
+
+        M^-1 is the walk of the inverted letters in reverse order, since
+        rho(w)^-1 = rho(w^-1); det M is word_det(letters).
+        """
+        inverse = self.prefix_walk([(g, -s) for g, s in reversed(letters)])[-1][1]
+        return inverse, self.word_det(letters)
 
     def word_matrix(self, w: Word):
         return self.lift(*self.prefix_walk(w.letters)[-1])
@@ -327,25 +332,27 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
 
     # Multiply the forms on the right into a state {(packed exponent << dn) | mask: c}.
     # Form t is scaled by lam_t, the lcm of its denominators, so c is integral; within
-    # a step c is the int _pack(numerator, cw), and over Q the numerator itself.
+    # a step c is the int _pack(numerator, cw), and over Q the numerator itself, since
+    # _pack([a], cw) is a whatever the digit width cw; only deg > 1 sizes cw.
     dn, deg = len(forms), field.degree
     full = (1 << dn) - 1
     later = [0] * dn                        # the bits of the forms after t
     for t in range(dn - 1, 0, -1):
         later[t - 1] = later[t] | sum(forms[t])
-    scale, state = 1, {0: [1] + [0] * (deg - 1) if deg > 1 else 1}
+    scale, state, cw = 1, {0: [1] + [0] * (deg - 1) if deg > 1 else 1}, 0
     for t, form in enumerate(forms):
         # (bit, exponent vector, field coefficient) of every term of the form
         ts = [(bit, e, c) for bit, p in form.items() for e, c in p.items()]
         lam = lcm(*[c.den for _, _, c in ts])
         scale *= lam
         nums = [[a * (lam // c.den) for a in c.num] for _, _, c in ts]
-        fmax = max((abs(a) for num in nums for a in num), default=0)
-        cmax = max(abs(a) for c in state.values() for a in c) if deg > 1 else 1
-        # a key takes at most one product per term, and each digit of a product sums
-        # at most deg products of digits, so no digit of a sum reaches +-2^(cw - 1)
-        cw = (len(ts) * deg * cmax * fmax).bit_length() + 2
         if deg > 1:
+            fmax = max((abs(a) for num in nums for a in num), default=0)
+            cmax = max(abs(a) for c in state.values() for a in c)
+            # a key takes at most one product per term, and each digit of a product
+            # sums at most deg products of digits, so no digit of a sum reaches
+            # +-2^(cw - 1)
+            cw = (len(ts) * deg * cmax * fmax).bit_length() + 2
             state = {key: _pack(c, cw) for key, c in state.items()}
         # X_A X_b = (-1)^{#(A above b)} X_{A+b}; for disjoint A and b the key
         # of the product is the sum of the keys

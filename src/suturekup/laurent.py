@@ -10,7 +10,7 @@ by lex exponent, e.g. "t^-1 - 1 + t".
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, neg
 
 from .numberfield import FieldElement, NumberField, SparseSum, accumulate
 
@@ -48,7 +48,7 @@ class LaurentRing:
         return self.monomial((0,) * self.nvars)
 
     def monomial(self, exps, coeff=None) -> "LaurentPoly":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(int, exps))
         if len(exps) != self.nvars:
             raise ValueError("exponent vector has wrong length")
         c = self.field.one if coeff is None else coeff
@@ -114,14 +114,14 @@ class LaurentPoly(SparseSum):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
         return LaurentPoly(self.ring, out)
 
     def scale_monomial(self, exps) -> "LaurentPoly":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(int, exps))
         return LaurentPoly(
             self.ring,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
+            {tuple(map(add, e, exps)): c for e, c in self.terms.items()},
         )
 
     def is_monomial(self) -> bool:
@@ -132,7 +132,7 @@ class LaurentPoly(SparseSum):
         if not self.is_monomial():
             raise InexactDivision("not a unit in the Laurent ring")
         (e, c), = self.terms.items()
-        return LaurentPoly(self.ring, {tuple(-x for x in e): c.inv()})
+        return LaurentPoly(self.ring, {tuple(map(neg, e)): c.inv()})
 
     def min_exponents(self):
         return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.ring.nvars

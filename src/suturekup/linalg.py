@@ -4,10 +4,10 @@ Matrices are lists of rows.  bareiss_det scales each unit pivot to one and
 takes a fraction-free (Bareiss) step only at a non-unit pivot, so every
 division it makes is exact in the ring; over a field, where every pivot is
 a unit, this is Gaussian elimination.  Inverses are taken over a field only,
-by the in-place Gauss-Jordan sweep on n x n storage, which also returns the
-signed product of its pivots, the determinant.  Every sum of products, a
-product entry or an elimination update a - f*b, is one ring.dot, which
-reduces each output coefficient once.
+by the in-place Gauss-Jordan sweep on n x n storage, which pivots on +-1
+first and also returns the signed product of its pivots, the determinant.
+Every sum of products, a product entry or an elimination update a - f*b, is
+one ring.dot, which reduces each output coefficient once.
 """
 
 from __future__ import annotations
@@ -104,17 +104,28 @@ def _bareiss(M, ring):
 def inverse_and_det(matrix, field):
     """Inverse and determinant over a field by the in-place sweep; SingularMatrix if none.
 
-    Pivot p leaves 1/p and the rest of its row over p in place; each other
-    row, with f in p's column, gets a - f*b at the nonzero b of p's row (one
-    two-pair dot each) and -f/p in the column.  Row swaps undo as column swaps.
+    Column k's pivot is its first entry equal to +-1 at or below row k, else
+    its first nonzero one there: over a +-1 pivot an integral row stays
+    integral, so the sweep forms fewer denominators.  Pivot p leaves 1/p and
+    the rest of its row over p in place; each other row, with f in p's
+    column, gets a - f*b at the nonzero b of p's row (one two-pair dot each)
+    and -f/p in the column.  Row swaps undo as column swaps.
     """
     n = len(matrix)
     M = [list(row) for row in matrix]
     one = det = field.one
+    signs = (one.num, (-one).num)   # the numerators of +1 and -1, over denominator 1
     dot = field.dot
     swaps = []
     for k in range(n):
-        r = next((r for r in range(k, n) if not M[r][k].is_zero()), None)
+        r = None
+        for i in range(k, n):
+            x = M[i][k]
+            if x.den == 1 and x.num in signs:
+                r = i
+                break
+            if r is None and not x.is_zero():
+                r = i
         if r is None:
             raise SingularMatrix("singular matrix")
         if r != k:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul, neg
 
 
 # NumberField refuses a min_poly beyond these before its integer-root search
@@ -229,14 +229,14 @@ class FieldElement:
         if da == db:
             return _canonical(self.field, tuple(map(add, self.num, other.num)), da)
         return _canonical(self.field,
-                          tuple(a * db + b * da for a, b in zip(self.num, other.num)),
+                          tuple([a * db + b * da for a, b in zip(self.num, other.num)]),
                           da * db)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
+        return FieldElement(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         field = self.field
@@ -251,10 +251,10 @@ class FieldElement:
                         prod[j] += a * b
             return _canonical(field, tuple(field._reduce(prod)), den)
         if isinstance(other, int):
-            return _canonical(field, tuple(a * other for a in self.num), self.den)
+            return _canonical(field, tuple([a * other for a in self.num]), self.den)
         if isinstance(other, Fraction):
             p = other.numerator
-            return _canonical(field, tuple(a * p for a in self.num),
+            return _canonical(field, tuple([a * p for a in self.num]),
                               self.den * other.denominator)
         return NotImplemented
 
@@ -283,8 +283,10 @@ class FieldElement:
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
         prev = 1
         for c in range(d):
-            p = next((r for r in range(c, d) if rows[r][c]), None)
-            if p is None:
+            p = c
+            while p < d and not rows[p][c]:
+                p += 1
+            if p == d:
                 raise ValueError(f"{echo(self)} is not invertible: "
                                  f"min_poly {echo(list(field.min_poly))} is reducible")
             rows[c], rows[p] = rows[p], rows[c]
@@ -297,12 +299,11 @@ class FieldElement:
         y = [0] * d
         for i in range(d - 1, -1, -1):
             row = rows[i]
-            acc = det * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))
+            acc = det * row[d] - sum(map(mul, row[i + 1:d], y[i + 1:]))
             y[i] = acc // row[i]
         if det < 0:
-            det = -det
-            y = [-c for c in y]
-        return _canonical(field, tuple(den * c for c in y), det)
+            det, den = -det, -den
+        return _canonical(field, tuple([den * c for c in y]), det)
 
     def is_monomial(self) -> bool:
         """True iff the element is a unit, as for LaurentPoly: any nonzero element."""
@@ -354,7 +355,7 @@ def _canonical(field, num, den):
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
-            num = tuple(a // g for a in num)
+            num = tuple([a // g for a in num])
             den //= g
     return FieldElement(field, num, den)
 

@@ -16,6 +16,7 @@ reference route through group-ring elements.
 from __future__ import annotations
 
 from functools import reduce
+from math import inf
 from operator import add, mul, sub
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation
@@ -138,17 +139,27 @@ def _pivot(m, origin, rep):
     return inv, -det if rep.n % 2 else det
 
 
+def _origin_det(origin, rep):
+    """det(sign * rep(prefix)) = sign^n * det rep(prefix) for origin (prefix letters, sign),
+    from the letters' determinants with no walk."""
+    letters, sign = origin
+    det = rep.word_det(letters)
+    return -det if sign < 0 and rep.n % 2 else det
+
+
 def _grid_det(grid, rep, origins=None):
     """Determinant of the block matrix with block rows grid, by elimination over the field.
 
     An empty block row or column gives 0, and a block alone in its column gives its
     own determinant.  Otherwise the pivot is a one-term t^e * M, M invertible, with
-    the fewest other blocks in its row and column: with Z_j = -t^-e * M^-1 * B_pj for
-    each block of the pivot row, block (r, j) of every other row r gains X_r * Z_j.
-    bareiss_det takes the blocks left.  A pivot moved to the front passes n rows or
-    columns per block row or column before it, each flipping the sign.  origins, as
-    _fox_grid gives them, lets a block no Schur step has updated take M^-1 and det M
-    from the representation's walk (_pivot) instead of a sweep."""
+    the fewest other blocks in its row and column, then the shortest prefix to walk,
+    a swept block last: with Z_j = -t^-e * M^-1 * B_pj for each block of the pivot
+    row, block (r, j) of every other row r gains X_r * Z_j.  bareiss_det takes the
+    blocks left.  A pivot moved to the front passes n rows or columns per block row
+    or column before it, each flipping the sign.  origins, as _fox_grid gives them,
+    lets a block no Schur step has updated take M^-1 and det M from the
+    representation's walk (_pivot) instead of a sweep, and a lone one its det M
+    alone (_origin_det)."""
     n, ring, field = rep.n, rep.ring, rep.field
     rows, left = {i: dict(row) for i, row in enumerate(grid)}, list(range(len(grid)))
     origins = dict(origins or ())
@@ -163,13 +174,16 @@ def _grid_det(grid, rep, origins=None):
             block = rows[p][q]
             if len(block) == 1:
                 (e, m), = block.items()
-                m_det = (_pivot(m, origins[p, q], rep)[1] if (p, q) in origins
+                m_det = (_origin_det(origins[p, q], rep) if (p, q) in origins
                          else bareiss_det(m, field))
             else:
                 e, m_det = None, bareiss_det(_assemble([{q: block}], [q], rep), ring)
         else:
-            for _, p, q in sorted((len(row) + len(cols[j]), i, j) for i, row in rows.items()
-                                  for j, block in row.items() if len(block) == 1):
+            order = sorted((len(row) + len(cols[j]),
+                            len(origins[i, j][0]) if (i, j) in origins else inf, i, j)
+                           for i, row in rows.items() for j, block in row.items()
+                           if len(block) == 1)
+            for *_, p, q in order:
                 (e, m), = rows[p][q].items()
                 try:
                     neg_inv, m_det = _pivot(m, origins.get((p, q)), rep)

@@ -21,7 +21,7 @@ from suturekup import AbelianizationMap, NumberField, QQ, Representation, presen
 from suturekup.kuperberg import representation_for
 from suturekup.laurent import LaurentRing
 from suturekup.linalg import bareiss_det
-from suturekup.torsion import _assemble, _fox_block, _fox_block_det, _grid_det
+from suturekup.torsion import _assemble, _fox_block, _fox_block_det, _fox_grid, _grid_det
 
 XI = NumberField([1, 1, 1])
 CUBIC = NumberField([-2, 0, 0, 1])
@@ -242,6 +242,31 @@ def test_one_occurrence_blocks_are_never_swept(d, n, monkeypatch):
             assert not [m for m in swept if any(m is single for single in singles)]
             walked += len(origins)
     assert walked
+
+
+def test_lone_blocks_walk_no_inverse(monkeypatch):
+    # a block alone in its column needs only its determinant, the product of its
+    # letters' determinants; only Schur pivots walk an inverse, and a grid of d
+    # block rows takes at most d - 1 of them, since its last block is alone
+    walks, lone = [], 0
+    real = Representation.word_inverse_and_det
+
+    def recording(rep, letters):
+        walks.append(letters)
+        return real(rep, letters)
+
+    monkeypatch.setattr(Representation, "word_inverse_and_det", recording)
+    for _, D, n, mats in acceptance_data():
+        pres = presentation(D)
+        d = len(pres.relators)
+        for twisted in (False, True):
+            rep = representation_for(pres, n, mats, twisted=twisted)
+            for r in (rep, rep.inverse_transpose()):
+                del walks[:]
+                assert _fox_block_det(pres, r) == bareiss_det(_fox_block(pres, r), r.ring)
+                assert len(walks) <= d - 1
+                lone += d == 1 and bool(_fox_grid(pres, r)[1])
+    assert lone
 
 
 def test_acceptance_data_match_the_scalar_fox_block():

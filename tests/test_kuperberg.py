@@ -555,3 +555,15 @@ def test_walked_inverse_is_the_sweep_of_the_walked_matrix(kind, field):
                    for _ in range(length)]
         walked = rep.prefix_walk(letters)[-1][1]
         assert rep.word_inverse_and_det(letters) == inverse_and_det(walked, field)
+
+
+@pytest.mark.parametrize("field", REP_FIELDS)
+@pytest.mark.parametrize("kind", REP_KINDS)
+def test_word_det_is_the_determinant_of_the_walked_matrix(kind, field):
+    rng = random.Random(95 + field.degree)
+    rep = field_representation(kind, field, rng)
+    for length in [0, 1, 2, 3, 5, 8] * 3:
+        letters = [(rng.randrange(rep.num_generators), rng.choice((1, -1)))
+                   for _ in range(length)]
+        walked = rep.prefix_walk(letters)[-1][1]
+        assert rep.word_det(letters) == bareiss_det(walked, field)

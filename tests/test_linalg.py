@@ -5,7 +5,8 @@ determinant against the permutation expansion of linalg_reference, over QQ
 and Q(xi) with xi^2 + xi + 1 = 0, and a matrix is singular exactly when
 that expansion vanishes.  Zero diagonals and permutation matrices force row
 swaps, whose undoing as column swaps and whose sign on the determinant
-those checks see.
+those checks see; so does a +-1 below a column's first nonzero entry,
+which the sweep takes as its pivot (also over Q(cbrt 2)).
 """
 
 import itertools
@@ -20,6 +21,7 @@ from suturekup.linalg import SingularMatrix, bareiss_det, identity, inverse_and_
 from suturekup.numberfield import FieldElement
 
 EISENSTEIN = NumberField([1, 1, 1])
+CUBIC = NumberField([-2, 0, 0, 1])
 FIELDS = [pytest.param(QQ, id="QQ"), pytest.param(EISENSTEIN, id="Q(xi)")]
 
 
@@ -116,6 +118,54 @@ def test_input_matrix_is_left_unchanged():
     copy = [list(row) for row in m]
     inverse_and_det(m, EISENSTEIN)
     assert m == copy
+
+
+@pytest.mark.parametrize("field", FIELDS + [pytest.param(CUBIC, id="Q(cbrt2)")])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_unit_below_a_non_unit_pivot(field, n):
+    # column k's first entry is a nonzero non-unit and a +-1 sits below it, so the
+    # sweep takes the lower row as its pivot where first-nonzero pivoting would not
+    rng = random.Random(1300 * n + field.degree)
+    units = (field.one, -field.one)
+    checked = 0
+    while checked < (10 if n < 5 else 4):
+        m = random_matrix(rng, n, field)
+        for k in range(n):
+            first = rng.randrange(n - 1)
+            x = field.zero
+            while x.is_zero() or x in units:
+                x = random_matrix(rng, 1, field, zeros=0.0)[0][0]
+            m[first][k] = x
+            for i in range(first):
+                m[i][k] = field.zero
+            m[rng.randrange(first + 1, n)][k] = rng.choice(units)
+        if det_reference(m, field).is_zero():
+            with pytest.raises(SingularMatrix):
+                inverse_and_det(m, field)
+            continue
+        assert_inverse(m, field)
+        checked += 1
+
+
+@pytest.mark.parametrize("field", FIELDS + [pytest.param(CUBIC, id="Q(cbrt2)")])
+def test_unit_pivots_keep_integral_rows_integral(field, monkeypatch):
+    # det 1, and +-1 stands below the 2 in column 0: pivoting on +-1 first
+    # inverts only +-1 and gives an integral inverse; first-nonzero pivoting
+    # would invert 2
+    m = [[field.from_rational(x) for x in row] for row in
+         [[2, 1, 0], [1, 0, 1], [0, -1, 1]]]
+    inverted = []
+    real_inv = FieldElement.inv
+
+    def recording(e):
+        inverted.append(e)
+        return real_inv(e)
+
+    monkeypatch.setattr(FieldElement, "inv", recording)
+    m_inv, det = assert_inverse(m, field)
+    assert det == field.one
+    assert set(inverted) <= {field.one, -field.one}
+    assert all(x.den == 1 for row in m_inv for x in row)
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -205,6 +205,7 @@ rationals = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 
 
 def assert_agrees(new, ref):
+    assert_canonical(new)
     assert new.vec == ref.vec
     assert str(new) == str(ref)
     assert new.is_zero() == ref.is_zero()
@@ -226,6 +227,7 @@ def test_integer_core_matches_fraction_reference(min_poly, data):
     assert_agrees(b, rb)
     assert_agrees(a + b, ra + rb)
     assert_agrees(a - b, ra - rb)
+    assert_agrees(-a, -ra)
     assert_agrees(a * b, ra * rb)
     assert_agrees(a * k, ra * k)
     assert_agrees(k * a, k * ra)
@@ -244,7 +246,7 @@ DOT_IDS = ["QQ", "Q(xi)", "x^3-2"]
 
 
 def assert_canonical(e):
-    assert len(e.num) == e.field.degree
+    assert type(e.num) is tuple and len(e.num) == e.field.degree
     assert e.den > 0 and gcd(e.den, *e.num) == 1
 
 
