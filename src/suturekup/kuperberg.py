@@ -182,14 +182,10 @@ class Representation:
                 over = self._dets[g] if over is None else over * self._dets[g]
         return det if over is None else det * over.inv()
 
-    def word_inverse_and_det(self, letters):
-        """(M^-1, det M) over the field, for rho(w) = t^e * M and w the word of the letters.
-
-        M^-1 is the walk of the inverted letters in reverse order, since
-        rho(w)^-1 = rho(w^-1); det M is word_det(letters).
-        """
-        inverse = self.prefix_walk([(g, -s) for g, s in reversed(letters)])[-1][1]
-        return inverse, self.word_det(letters)
+    def word_inverse(self, letters):
+        """M^-1 over the field, for rho(w) = t^e * M and w the word of the letters: the walk
+        of the inverted letters in reverse order, since rho(w)^-1 = rho(w^-1)."""
+        return self.prefix_walk([(g, -s) for g, s in reversed(letters)])[-1][1]
 
     def word_matrix(self, w: Word):
         return self.lift(*self.prefix_walk(w.letters)[-1])

@@ -8,8 +8,9 @@ equals the tensor-contraction invariant over an exterior algebra exactly;
 crosscheck computes both sides and compares with no unit slack.  Both walk
 prefixes once per relator into n x n blocks of terms t^e * M and eliminate
 whole blocks over the field, leaving bareiss_det the blocks no unit pivot
-reaches; a block made by one letter takes its pivot inverse and determinant
-from the representation's walk, not from a sweep.  FoxMatrix is the
+reaches; one routine evaluates every pivot, and a block made by one letter
+takes its determinant from the letters' and its inverse from the
+representation's walk, not from a sweep.  FoxMatrix is the
 reference route through group-ring elements.
 """
 
@@ -123,43 +124,46 @@ def _add_products(block, x, z, field):
     return out
 
 
-def _pivot(m, origin, rep):
-    """(-M^-1, det M) of a pivot block's field matrix M, SingularMatrix if M has none.
+def _pivot(block, origin, rep, inverse):
+    """(e, det M, -M^-1) of a candidate pivot block {e: M}, -M^-1 None unless inverse is
+    set; a block of several terms gives (None, bareiss_det of it over the ring, None).
 
-    A block with an origin (prefix letters, sign), M = sign * rep(prefix), takes both
-    from the representation's walk: (sign * M)^-1 = sign * M^-1 and
-    det(sign * M) = sign^n * det M.  Any other block takes them from a sweep."""
+    A one-term block with an origin (prefix letters, sign), M = sign * rep(prefix),
+    takes det M = sign^n * word_det(prefix) and, when inverse is set,
+    M^-1 = sign * rep(prefix)^-1 from the representation's walk.  Any other one-term
+    block takes det M from bareiss_det over the field, or both from a sweep when
+    inverse is set, which raises SingularMatrix if M has no inverse."""
+    if len(block) > 1:
+        return None, bareiss_det(_assemble([{0: block}], [0], rep), rep.ring), None
+    (e, m), = block.items()
     if origin is None:
+        if not inverse:
+            return e, bareiss_det(m, rep.field), None
         inv, det = inverse_and_det(m, rep.field)
-        return [[-x for x in r] for r in inv], det
-    letters, sign = origin
-    inv, det = rep.word_inverse_and_det(letters)
-    if sign > 0:
-        return [[-x for x in r] for r in inv], det
-    return inv, -det if rep.n % 2 else det
-
-
-def _origin_det(origin, rep):
-    """det(sign * rep(prefix)) = sign^n * det rep(prefix) for origin (prefix letters, sign),
-    from the letters' determinants with no walk."""
+        return e, det, [[-x for x in r] for r in inv]
     letters, sign = origin
     det = rep.word_det(letters)
-    return -det if sign < 0 and rep.n % 2 else det
+    det = -det if sign < 0 and rep.n % 2 else det
+    if not inverse:
+        return e, det, None
+    inv = rep.word_inverse(letters)
+    return e, det, inv if sign < 0 else [[-x for x in r] for r in inv]
 
 
 def _grid_det(grid, rep, origins=None):
     """Determinant of the block matrix with block rows grid, by elimination over the field.
 
-    An empty block row or column gives 0, and a block alone in its column gives its
-    own determinant.  Otherwise the pivot is a one-term t^e * M, M invertible, with
-    the fewest other blocks in its row and column, then the shortest prefix to walk,
-    a swept block last: with Z_j = -t^-e * M^-1 * B_pj for each block of the pivot
-    row, block (r, j) of every other row r gains X_r * Z_j.  bareiss_det takes the
-    blocks left.  A pivot moved to the front passes n rows or columns per block row
-    or column before it, each flipping the sign.  origins, as _fox_grid gives them,
-    lets a block no Schur step has updated take M^-1 and det M from the
-    representation's walk (_pivot) instead of a sweep, and a lone one its det M
-    alone (_origin_det)."""
+    An empty block row or column gives 0.  Each step's candidate pivots are the first
+    block alone in its column, which needs only its determinant, or else the one-term
+    blocks t^e * M by the fewest other blocks in their row and column, then the
+    shortest prefix to walk, a swept block last; _pivot evaluates them in turn, and
+    the first with M invertible is the pivot.  Its Schur step, with
+    Z_j = -t^-e * M^-1 * B_pj for each block of the pivot row, adds X_r * Z_j to block
+    (r, j) of every other row r.  bareiss_det takes the blocks left when no candidate
+    is usable.  A pivot moved to the front passes n rows or columns per block row or
+    column before it, each flipping the sign.  origins, as _fox_grid gives them, lets
+    a block no Schur step has updated take det M, and M^-1 when it is needed, from
+    the representation instead of a sweep."""
     n, ring, field = rep.n, rep.ring, rep.field
     rows, left = {i: dict(row) for i, row in enumerate(grid)}, list(range(len(grid)))
     origins = dict(origins or ())
@@ -169,29 +173,18 @@ def _grid_det(grid, rep, origins=None):
         if not all(rows.values()) or not all(cols.values()):
             return ring.zero
         lone = next(((c[0], j) for j, c in cols.items() if len(c) == 1), None)
-        if lone:
-            p, q = lone
-            block = rows[p][q]
-            if len(block) == 1:
-                (e, m), = block.items()
-                m_det = (_origin_det(origins[p, q], rep) if (p, q) in origins
-                         else bareiss_det(m, field))
-            else:
-                e, m_det = None, bareiss_det(_assemble([{q: block}], [q], rep), ring)
-        else:
-            order = sorted((len(row) + len(cols[j]),
-                            len(origins[i, j][0]) if (i, j) in origins else inf, i, j)
-                           for i, row in rows.items() for j, block in row.items()
-                           if len(block) == 1)
-            for *_, p, q in order:
-                (e, m), = rows[p][q].items()
-                try:
-                    neg_inv, m_det = _pivot(m, origins.get((p, q)), rep)
-                    break
-                except SingularMatrix:
-                    pass
-            else:
+        candidates = [lone] if lone else [key[2:] for key in sorted(
+            (len(row) + len(cols[j]), len(origins[i, j][0]) if (i, j) in origins else inf, i, j)
+            for i, row in rows.items() for j, block in row.items() if len(block) == 1)]
+        for p, q in candidates:
+            try:
+                e, m_det, neg_inv = _pivot(rows[p][q], origins.get((p, q)), rep, not lone)
                 break
+            except SingularMatrix:
+                pass
+        else:
+            break
+        if not lone:
             zs = {j: {tuple(map(sub, f, e)): matmul(neg_inv, mf, field) for f, mf in block.items()}
                   for j, block in rows[p].items() if j != q}
             for r in set(cols[q]) - {p}:

@@ -56,9 +56,6 @@ class Word:
     def __hash__(self):
         return hash(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def exponent_sums(self, num_generators: int):
         sums = [0] * num_generators
         for g, e in self.letters:

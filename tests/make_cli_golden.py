@@ -37,6 +37,10 @@ RANK_TWO_REP = "{tests}/rank_two_rep.json"
 # and the offender fold, and torsion 2 10 with a non-unit free image
 SNF_BRANCHES = ("{tests}/homology_column_swap.json", "{tests}/homology_offender_fold.json",
                 "{tests}/homology_torsion_2_10.json")
+# three closed curves whose Fox block elimination sweeps a fill-in pivot; with the
+# second representation that pivot is singular and bareiss_det takes the blocks left
+FILL_IN = "{tests}/fill_in.json"
+FILL_IN_REPS = ("{tests}/fill_in_rep.json", "{tests}/fill_in_singular_rep.json")
 
 
 def resolve(arg: str) -> str:
@@ -100,6 +104,9 @@ def commands():
     out.append(["twisted-alexander", RANK_TWO, RANK_TWO_REP])
     for pres in SNF_BRANCHES:
         out.append(["homology", pres])
+    for rep in FILL_IN_REPS:
+        out.append(["twisted-alexander", FILL_IN, rep])
+        out.append(["crosscheck", FILL_IN, "--hopf", "exterior:2", "--rep", rep, "--twisted"])
     return out
 
 

@@ -16,12 +16,14 @@ import random
 import pytest
 from conftest import acceptance_data, dense_datum
 from linalg_reference import minor_det
+from make_cli_golden import TESTS_DATA
 
 from suturekup import AbelianizationMap, NumberField, QQ, Representation, presentation, torsion
+from suturekup.files import load_diagram, load_representation
 from suturekup.kuperberg import representation_for
 from suturekup.laurent import LaurentRing
-from suturekup.linalg import bareiss_det
-from suturekup.torsion import _assemble, _fox_block, _fox_block_det, _fox_grid, _grid_det
+from suturekup.linalg import SingularMatrix, bareiss_det, inverse_and_det
+from suturekup.torsion import _assemble, _fox_block, _fox_block_det, _fox_grid, _grid_det, _pivot
 
 XI = NumberField([1, 1, 1])
 CUBIC = NumberField([-2, 0, 0, 1])
@@ -249,13 +251,13 @@ def test_lone_blocks_walk_no_inverse(monkeypatch):
     # letters' determinants; only Schur pivots walk an inverse, and a grid of d
     # block rows takes at most d - 1 of them, since its last block is alone
     walks, lone = [], 0
-    real = Representation.word_inverse_and_det
+    real = Representation.word_inverse
 
     def recording(rep, letters):
         walks.append(letters)
         return real(rep, letters)
 
-    monkeypatch.setattr(Representation, "word_inverse_and_det", recording)
+    monkeypatch.setattr(Representation, "word_inverse", recording)
     for _, D, n, mats in acceptance_data():
         pres = presentation(D)
         d = len(pres.relators)
@@ -280,3 +282,80 @@ def test_acceptance_data_match_the_scalar_fox_block():
                 assert det == bareiss_det(_fox_block(pres, r), r.ring)
                 nonzero += not det.is_zero()
     assert nonzero > 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("case", ["several", "unit", "singular", "origin+1", "origin-1"])
+def test_pivot_evaluates_every_kind_of_candidate(case, n):
+    # against bareiss_det of the block over the ring and the sweep of sign * rep(prefix)
+    rng = random.Random(4900 + n)
+    amap = AbelianizationMap(3, 1, [(1,), (-1,), (2,)], [])
+    rep = Representation.twisted([_invertible(rng, XI, n) for _ in range(3)], amap, n, XI)
+    if case == "several":
+        block = {(0,): _matrix(rng, XI, n, False), (2,): _matrix(rng, XI, n, False)}
+        lifted = [rep.lift(e, m) for e, m in block.items()]
+        want = bareiss_det([[a + b for a, b in zip(*rows)] for rows in zip(*lifted)], rep.ring)
+        for inverse in (False, True):
+            assert _pivot(block, None, rep, inverse) == (None, want, None)
+        return
+    origin = None
+    if case.startswith("origin"):
+        letters, sign = [(0, 1), (2, -1), (1, 1)], int(case[len("origin"):])
+        e, m = rep.prefix_walk(letters)[-1]
+        m, origin = [[sign * x for x in r] for r in m], (letters, sign)
+    elif case == "singular":
+        e, m = (1,), _matrix(rng, XI, n, True) if n > 1 else [[XI.zero]]
+    else:
+        e, m = (-1,), _invertible(rng, XI, n)
+    block = {e: m}
+    assert _pivot(block, origin, rep, False) == (e, bareiss_det(m, XI), None)
+    if case == "singular":
+        with pytest.raises(SingularMatrix):
+            _pivot(block, origin, rep, True)
+        return
+    inv, det = inverse_and_det(m, XI)
+    assert _pivot(block, origin, rep, True) == (e, det, [[-x for x in r] for r in inv])
+
+
+@pytest.mark.parametrize("rep_file, singular", [("fill_in_rep.json", False),
+                                                ("fill_in_singular_rep.json", True)])
+def test_fill_in_data_reach_the_sweep_and_the_remainder(rep_file, singular, monkeypatch):
+    # the CLI golden records on these files replay both paths: after the first
+    # Schur step a fill-in pivot is swept; when it is singular no other candidate
+    # is usable and bareiss_det takes the two block rows left
+    events = []
+    real_inverse, real_bareiss, real_add = (torsion.inverse_and_det, torsion.bareiss_det,
+                                            torsion._add_products)
+
+    def inverse(m, f):
+        try:
+            out = real_inverse(m, f)
+        except SingularMatrix:
+            events.append("singular")
+            raise
+        events.append("swept")
+        return out
+
+    def bareiss(m, ring):
+        events.append("remainder" if isinstance(ring, LaurentRing) and len(m) > 2 else "det")
+        return real_bareiss(m, ring)
+
+    def add_products(*args):
+        events.append("schur")
+        return real_add(*args)
+
+    D = load_diagram(TESTS_DATA / "fill_in.json")
+    pres, loaded = presentation(D), load_representation(TESTS_DATA / rep_file)
+    rep = representation_for(pres, 2, loaded.matrices_for(pres.generator_names()),
+                             loaded.field, twisted=True)
+    for r in (rep, rep.inverse_transpose()):
+        want = real_bareiss(_fox_block(pres, r), r.ring)
+        monkeypatch.setattr(torsion, "inverse_and_det", inverse)
+        monkeypatch.setattr(torsion, "bareiss_det", bareiss)
+        monkeypatch.setattr(torsion, "_add_products", add_products)
+        del events[:]
+        assert _fox_block_det(pres, r) == want
+        monkeypatch.undo()
+        sweep = "singular" if singular else "swept"
+        assert events.count(sweep) == 1 and "schur" in events[:events.index(sweep)]
+        assert events.count("remainder") == singular
