@@ -8,7 +8,6 @@ line on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -233,8 +232,6 @@ def main(argv=None) -> int:
         parser.error("crosscheck --random N takes no diagram file and no --rep")
     try:
         return args.func(args)
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 2

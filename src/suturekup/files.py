@@ -19,8 +19,12 @@ def canonical_json(data) -> str:
 
 
 def _read_document(path):
+    """The JSON document in the file; ValueError naming the file when it does not parse."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_int=_json_int)
+        try:
+            return json.load(fh, parse_int=_json_int)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"malformed JSON in {path}: {exc}") from None
 
 
 def _json_int(text):

@@ -99,38 +99,33 @@ class Representation:
     exterior algebra) to every presentation generator.
 
     Generator g is kept as t^{e_g} * M_g with M_g^-1 and det M_g over the
-    field; e_g = () until twisted attaches the homology exponents, so words
-    are walked over the field and ring matrices are lifted on access.
-    Callers that already know each matrix's (inverse, determinant) pass them
-    in as sweeps; otherwise one sweep per matrix computes them.
+    field, one sweep per matrix that is not the identity; e_g is
+    amap.gen_images[g], or () without an amap, so words are walked over the
+    field and ring matrices are lifted on access.
     """
 
-    def __init__(self, field, n, matrices, sweeps=None):
-        matrices = [_field_matrix(m, n, field) for m in matrices]
-        if sweeps is None:
-            sweeps = []
-            for g, m in enumerate(matrices):
-                try:
-                    sweeps.append(inverse_and_det(m, field))
-                except SingularMatrix:
-                    raise SingularRepresentationError(g) from None
-        else:
-            sweeps = [(_field_matrix(inv, n, field), det) for inv, det in sweeps]
-        self.ring = self.field = field
-        self.n, self.num_generators = n, len(matrices)
-        self.identity = identity(n, field)
-        self._start = ((), identity(n, field))
+    def __init__(self, field, n, matrices, amap=None):
+        self.field, self.n, self.num_generators = field, n, len(matrices)
+        self.ring = field if amap is None else LaurentRing(field, amap.rank)
+        self.identity = identity(n, self.ring)
+        self._start = (() if amap is None else (0,) * amap.rank, identity(n, field))
         self._images = {}           # (exponent vector, field matrix) of each letter (g, +-1)
-        for g, (m, (inv, _)) in enumerate(zip(matrices, sweeps)):
-            self._images[g, 1], self._images[g, -1] = ((), m), ((), inv)
         # letter (g, s) has a field matrix of determinant _dets[g]^(s * _det_power)
-        self._dets, self._det_power = [det for _, det in sweeps], 1
+        self._dets, self._det_power = [], 1
+        for g, matrix in enumerate(matrices):
+            m = _field_matrix(matrix, n, field)
+            try:
+                inv, det = (m, field.one) if m == self._start[1] else inverse_and_det(m, field)
+            except SingularMatrix:
+                raise SingularRepresentationError(g) from None
+            e = () if amap is None else amap.gen_images[g]
+            self._images[g, 1], self._images[g, -1] = (e, m), (tuple(-x for x in e), inv)
+            self._dets.append(det)
 
     @classmethod
     def trivial(cls, num_generators, n, field=None):
         field = field if field is not None else QQ
-        ident = identity(n, field)
-        return cls(field, n, [ident] * num_generators, [(ident, field.one)] * num_generators)
+        return cls(field, n, [identity(n, field)] * num_generators)
 
     @classmethod
     def twisted(cls, field_matrices, abelianization, n, field=None):
@@ -143,14 +138,9 @@ class Representation:
         SingularRepresentationError for generator g.
         """
         field = field if field is not None else _entry_field(field_matrices)
-        num, ring = abelianization.num_generators, LaurentRing(field, abelianization.rank)
-        rep = (cls.trivial(num, n, field) if field_matrices is None
-               else cls(field, n, field_matrices[:num]))
-        rep.ring, rep.identity = ring, identity(n, ring)
-        rep._start = ((0,) * ring.nvars, rep._start[1])
-        rep._images = {(g, s): (tuple(s * x for x in abelianization.gen_images[g]), m)
-                       for (g, s), (_, m) in rep._images.items()}
-        return rep
+        num = abelianization.num_generators
+        matrices = [identity(n, field)] * num if field_matrices is None else field_matrices[:num]
+        return cls(field, n, matrices, abelianization)
 
     def wrap(self, terms):
         """The ring element sum c * t^e over the {e: c} terms; over a field, terms[()]."""
@@ -231,19 +221,17 @@ def representation_for(pres, n=None, rho_matrices=None, field=None, twisted=Fals
     its generator's monomial in amap (pres's free abelianization when None),
     over the Laurent ring.  SingularRepresentationError names the generator.
     """
-    if rho_matrices is not None and len(rho_matrices) < pres.num_generators:
+    num = pres.num_generators
+    if rho_matrices is not None and len(rho_matrices) < num:
         raise EvaluationError("representation does not cover all generators")
     if n is None:
         n = len(rho_matrices[0]) if rho_matrices else 1
     field = field if field is not None else _entry_field(rho_matrices)
+    if twisted and amap is None:
+        amap = abelianize(num, pres.relators)
+    matrices = [identity(n, field)] * num if rho_matrices is None else rho_matrices[:num]
     try:
-        if twisted:
-            if amap is None:
-                amap = abelianize(pres.num_generators, pres.relators)
-            return Representation.twisted(rho_matrices, amap, n, field)
-        if rho_matrices is None:
-            return Representation.trivial(pres.num_generators, n, field)
-        return Representation(field, n, rho_matrices)
+        return Representation(field, n, matrices, amap if twisted else None)
     except SingularRepresentationError as exc:
         exc.name = pres.generator_names()[exc.generator]
         raise

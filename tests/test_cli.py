@@ -123,8 +123,46 @@ def test_malformed_json_is_one_line_error(tmp_path, capsys):
     assert main(["validate", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: malformed JSON")
+    assert captured.err.startswith(f"error: malformed JSON in {p}: ")
     assert captured.err.count("\n") == 1
+
+
+# both sides of the interpreter's nesting limit, where the decoder stops with a
+# RecursionError rather than a JSONDecodeError, and far beyond it
+DEPTHS = [*range(sys.getrecursionlimit() - 60, sys.getrecursionlimit() + 16), 5000, 100000]
+
+
+def one_line_exit_2(capsys, argv):
+    """The stderr line of the CLI call; it must exit with code 2 and print nothing else."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, argv
+    return captured.err
+
+
+def test_unclosed_nesting_at_any_depth_is_one_line_error_naming_the_file(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    for depth in DEPTHS:
+        doc.write_text("[" * depth)
+        for argv in (["validate", str(doc)],
+                     ["twisted-alexander", data_path("figure8.json"), str(doc)]):
+            err = one_line_exit_2(capsys, argv)
+            assert err.startswith(f"error: malformed JSON in {doc}: "), (depth, err)
+
+
+def test_nested_crossing_or_matrix_entry_at_any_depth_is_one_line_error(tmp_path, capsys):
+    # a closed list nesting depth deep either parses and is refused by its kind,
+    # or is too deep to parse
+    diagram = read_json(data_path("figure8.json"))
+    diagram["alpha_closed"][0]["crossings"][0] = "@"
+    rep = read_json(data_path("figure8_parabolic_rep.json"))
+    rep["generators"]["alpha"][0][0] = "@"
+    doc = tmp_path / "deep.json"
+    for depth in DEPTHS:
+        for data, argv in ((diagram, ["validate", str(doc)]),
+                           (rep, ["twisted-alexander", data_path("figure8.json"), str(doc)])):
+            doc.write_text(json.dumps(data).replace('"@"', "[" * depth + '"1"' + "]" * depth))
+            assert one_line_exit_2(capsys, argv).startswith("error: "), depth
 
 
 def test_cmd_kuperberg_trefoil_exact_output():

@@ -473,15 +473,30 @@ def test_matrix_of_the_wrong_size_is_refused(mats):
 
 
 def test_identity_representations_skip_inversion(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("an identity matrix was inverted")
+    swept = []
 
-    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", refuse)
+    def counted(m, field):
+        swept.append(m)
+        return inverse_and_det(m, field)
+
+    monkeypatch.setattr("suturekup.kuperberg.inverse_and_det", counted)
     amap = abelianize(2, [Word.generator(0) * Word.generator(1)])
     for rep in (Representation.trivial(3, 2), Representation.twisted(None, amap, 2)):
         ring = rep.ring
         for m, inv in zip(generator_images(rep), generator_images(rep, -1)):
             assert matmul(m, inv, ring) == rep.identity == matmul(inv, m, ring)
+    assert swept == []
+    # identities the caller passes are told apart by value, and only M, whose
+    # diagonal is the identity's, is swept
+    ident, m = identity(2, QQ), [[QQ.one, QQ.from_rational(2)], [QQ.from_rational(3), QQ.one]]
+    plain = Representation(QQ, 2, [identity(2, QQ), m])
+    assert swept == [m]
+    twisted = Representation.twisted([identity(2, QQ), identity(2, QQ)], amap, 2)
+    assert swept == [m]
+    for rep, mats in ((plain, [ident, m]), (twisted, [ident, ident])):
+        for g, mat in enumerate(mats):
+            assert (rep.word_inverse([(g, 1)]), rep.word_det([(g, 1)])) == \
+                inverse_and_det(mat, QQ)
 
 
 @pytest.mark.parametrize("make, message", [
