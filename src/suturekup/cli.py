@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from .abelian import abelianize
-from .diagram import HeegaardDatum, presentation, random_datum, validate
+from .diagram import HeegaardDatum, presentation, random_datum, validate, validation_error
 from .files import load_diagram, load_diagram_or_presentation, load_representation
 from .hopf import MAX_DIM, ExteriorAlgebra, verify_axioms
 from .kuperberg import EvaluationOptions, evaluate_z, representation_for
@@ -38,9 +38,8 @@ def _parse_hopf(spec: str) -> int:
 
 def _valid(D):
     """D; an invalid diagram ends the command with exit code 1."""
-    report = validate(D)
-    if not report.valid:
-        raise SystemExit("invalid diagram: " + "; ".join(report.errors))
+    if error := validation_error(D):
+        raise SystemExit(error)
     return D
 
 

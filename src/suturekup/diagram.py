@@ -185,6 +185,12 @@ def validate(D: HeegaardDatum) -> ValidationReport:
     return report
 
 
+def validation_error(D: HeegaardDatum):
+    """"invalid diagram: " and every error validate(D) finds, or None for a valid D."""
+    errors = validate(D).errors
+    return "invalid diagram: " + "; ".join(errors) if errors else None
+
+
 def beta_letters(D: HeegaardDatum, j: int) -> list:
     """(crossing, (gen, sign)) along beta_j from its basepoint, unreduced."""
     out = []

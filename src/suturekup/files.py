@@ -45,8 +45,9 @@ DIAGRAM = {"alpha_closed": [_CURVE], "arcs": [_CURVE],
 PRESENTATION = {"generators": [str], "closed_count?": int, "relators": [str]}
 REPRESENTATION = {"dimension": int, "generators": {}, "meridian?": str}
 
-_KINDS = {str: "a string", int: "an integer", PAIR: "an [id, sign] pair",
-          list: "a list", dict: "an object"}
+_KINDS = {str: "a string", int: "an integer", PAIR: "an [id, sign] pair", list: "a list",
+          dict: "an object", bool: "a boolean", float: "a number with a fraction or exponent",
+          type(None): "null"}
 
 
 def _fits(value, schema) -> bool:
@@ -209,6 +210,11 @@ def representation_from_data(data: dict) -> RepresentationFile:
         if not (isinstance(rows, list) and len(rows) == n
                 and all(isinstance(r, list) and len(r) == n for r in rows)):
             raise ValueError(f"matrix for {echo(name)} is not {n}x{n}")
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if type(entry) not in (str, int):
+                    raise ValueError(f"matrix for {echo(name)} holds {_KINDS[type(entry)]} at "
+                                     f"row {i + 1}, column {j + 1}, not a string or an integer")
         matrices[name] = [[parsed[text] if (text := str(entry)) in parsed
                            else parsed.setdefault(text, field.parse(text)) for entry in row]
                           for row in rows]

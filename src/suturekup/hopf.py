@@ -23,7 +23,7 @@ import itertools
 from .numberfield import QQ, SparseSum, accumulate
 
 # the largest N of --hopf exterior:N and of a representation file's dimension:
-# ExteriorAlgebra(N) lists its 2^N basis labels up front
+# the coproduct of the top label of ExteriorAlgebra(N) has 2^N terms
 MAX_DIM = 20
 
 

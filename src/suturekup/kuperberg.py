@@ -38,7 +38,7 @@ from .diagram import (
     Record,
     beta_letters,
     subword_length,
-    validate,
+    validation_error,
 )
 from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentPoly, LaurentRing
@@ -291,9 +291,8 @@ def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                opts: EvaluationOptions | None = None):
     """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
     opts = opts or EvaluationOptions()
-    report = validate(D)
-    if not report.valid:
-        raise EvaluationError("invalid diagram: " + "; ".join(report.errors))
+    if error := validation_error(D):
+        raise EvaluationError(error)
     if rep.num_generators < D.num_generators:
         raise EvaluationError("representation does not cover all generators")
     if rep.ring != H.ring:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from operator import add, neg
 
-from .numberfield import FieldElement, NumberField, SparseSum, accumulate
+from .numberfield import FieldElement, NumberField, SparseSum, accumulate, signed_sum
 
 
 class InexactDivision(ArithmeticError):
@@ -138,18 +138,19 @@ class LaurentPoly(SparseSum):
         return tuple(map(min, zip(*self.terms))) if self.terms else (0,) * self.ring.nvars
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
+        terms = []
         for exps, c in sorted(self.terms.items()):
             mono = _monomial_str(exps)
-            sign, body = _coeff_str(c, bool(mono))
-            term = f"{body}*{mono}" if body and mono else (body or mono or "1")
-            if not pieces:
-                pieces.append(term if sign >= 0 else f"-{term}")
+            if c.is_rational():
+                # the field prints the magnitude as its lowest-terms p/q
+                sign = c.num[0]
+                body = str(c) if sign > 0 else str(-c)
             else:
-                pieces.append(("+ " if sign >= 0 else "- ") + term)
-        return " ".join(pieces)
+                sign, body = 1, f"({c})"
+            if mono:
+                body = mono if body == "1" else f"{body}*{mono}"
+            terms.append((sign, body))
+        return signed_sum(terms)
 
     __repr__ = __str__
 
@@ -163,18 +164,6 @@ def _monomial_str(exps) -> str:
         var = "t" if n == 1 else f"t{i + 1}"
         parts.append(var if e == 1 else f"{var}^{e}")
     return "*".join(parts)
-
-
-def _coeff_str(c: FieldElement, has_monomial: bool):
-    """Return (sign, magnitude-string); empty string means a suppressed 1."""
-    if c.is_rational():
-        q = c.rational_value()
-        sign = 1 if q >= 0 else -1
-        mag = q if q >= 0 else -q
-        if has_monomial and mag == 1:
-            return sign, ""
-        return sign, str(mag)
-    return 1, f"({c})"
 
 
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:

@@ -315,11 +315,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     def leading_rational(self) -> Fraction:
         """Coefficient of the highest power of x present (0 for the zero element)."""
         for c in reversed(self.num):
@@ -328,24 +323,16 @@ class FieldElement:
         return Fraction(0)
 
     def __str__(self):
-        parts = []
-        den = self.den
+        terms = []
         for k, c in enumerate(self.num):
-            if not c:
-                continue
-            g = gcd(c, den)
-            p, q = abs(c) // g, den // g
-            mag = str(p) if q == 1 else f"{p}/{q}"
-            if k == 0:
-                body = mag
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == "1" else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+            if c:
+                g = gcd(c, self.den)
+                body = str(abs(c) // g) if g == self.den else f"{abs(c) // g}/{self.den // g}"
+                if k:
+                    var = "x" if k == 1 else f"x^{k}"
+                    body = var if body == "1" else f"{body}*{var}"
+                terms.append((c, body))
+        return signed_sum(terms)
 
     __repr__ = __str__
 
@@ -358,6 +345,17 @@ def _canonical(field, num, den):
             num = tuple([a // g for a in num])
             den //= g
     return FieldElement(field, num, den)
+
+
+def signed_sum(terms) -> str:
+    """(sign, body) pairs as "-a + b - c", where a negative sign subtracts; "0" for none."""
+    parts = []
+    for sign, body in terms:
+        if parts:
+            parts.append("- " + body if sign < 0 else "+ " + body)
+        else:
+            parts.append("-" + body if sign < 0 else body)
+    return " ".join(parts) or "0"
 
 
 def _ratio(q):

@@ -20,9 +20,9 @@ from functools import reduce
 from math import inf
 from operator import add, mul, sub
 
-from .diagram import HeegaardDatum, Presentation, Record, presentation
+from .diagram import HeegaardDatum, Presentation, Record, presentation, validation_error
 from .hopf import ExteriorAlgebra
-from .kuperberg import evaluate_z, representation_for
+from .kuperberg import EvaluationError, evaluate_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import SingularMatrix, bareiss_det, inverse_and_det, matmul
 from .numberfield import QQ
@@ -277,6 +277,8 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
     closed generators, with no sigma and no unit normalization; for the
     twisted case both sides carry the homology monomials.
     """
+    if error := validation_error(D):
+        raise EvaluationError(error)
     pres = presentation(D)
     rep = representation_for(pres, n, rho_matrices, field, twisted)
     z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep)

@@ -357,6 +357,20 @@ def test_twisted_alexander_singular_matrix_is_one_line_error(tmp_path, capsys):
                           "generator 'alpha'", "not invertible")
 
 
+@pytest.mark.parametrize("entry, kind", [
+    pytest.param([1], "a list", id="list"),
+    pytest.param(None, "null", id="null"),
+    pytest.param(True, "a boolean", id="true"),
+    pytest.param({"a": 1}, "an object", id="object"),
+    pytest.param(1.5, "a number with a fraction or exponent", id="float"),
+])
+def test_matrix_entry_of_wrong_kind_is_one_line_error(tmp_path, capsys, entry, kind):
+    # these once read as text, e.g. "cannot parse field element '[1]' at '[1]'"
+    rep = write_figure8_rep(tmp_path, [[entry, "-1"], ["0", "1"]])
+    assert_one_line_error(capsys, ["twisted-alexander", data_path("figure8.json"), rep],
+                          f"matrix for 'alpha' holds {kind} at row 1, column 1")
+
+
 def test_kuperberg_singular_matrix_is_one_line_error(tmp_path, capsys):
     rep = write_figure8_rep(tmp_path, [["1", "1"], ["1", "1"]])
     assert_one_line_error(capsys, ["kuperberg", data_path("figure8.json"),

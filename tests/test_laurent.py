@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from numberfield_reference import NumberField as ReferenceField
 from paper_laws import augmentation
 
 from suturekup import (
@@ -14,9 +15,11 @@ from suturekup import (
     divide_exact,
     normalize_unit,
 )
+from suturekup.laurent import _monomial_str
 
 R1 = LaurentRing(QQ, 1)
 R2 = LaurentRing(QQ, 2)
+XI = NumberField([1, 1, 1])
 
 
 def poly(ring, terms):
@@ -71,6 +74,60 @@ def test_string_format():
     ring = LaurentRing(gauss, 1)
     p = ring.monomial((2,), gauss.parse("1 + x"))
     assert str(p) == "(1 + x)*t^2"
+    assert str(poly(R1, {(-1,): Fraction(-1, 2), (0,): Fraction(3, 4), (1,): -1})) == \
+        "-1/2*t^-1 + 3/4 - t"
+
+
+def reference_str(p):
+    """The printer before signed_sum: Fraction coefficients and a join of its own.
+
+    A coefficient off Q prints through the Fraction-tuple reference field.
+    """
+    if not p.terms:
+        return "0"
+    pieces = []
+    for exps, c in sorted(p.terms.items()):
+        mono = _monomial_str(exps)
+        if c.is_rational():
+            q = c.vec[0]
+            sign, mag = (1 if q >= 0 else -1), abs(q)
+            body = "" if mono and mag == 1 else str(mag)
+        else:
+            sign = 1
+            body = f"({ReferenceField(c.field.min_poly).element(c.vec)})"
+        term = f"{body}*{mono}" if body and mono else (body or mono or "1")
+        if not pieces:
+            pieces.append(term if sign >= 0 else f"-{term}")
+        else:
+            pieces.append(("+ " if sign >= 0 else "- ") + term)
+    return " ".join(pieces)
+
+
+PRINT_FIELDS = {"QQ": QQ, "Q(xi)": XI, "Q(cbrt2)": NumberField([-2, 0, 0, 1])}
+
+
+def printed_coefficients(field):
+    """Integers, p/q, +-1 and (over a larger field) elements off Q."""
+    rational = st.one_of(st.integers(-9, 9), st.sampled_from([1, -1]),
+                         st.fractions(-9, 9, max_denominator=12))
+    out = rational.map(field.from_rational)
+    if field.degree > 1:
+        out |= st.lists(st.fractions(-5, 5, max_denominator=6), min_size=field.degree,
+                        max_size=field.degree).map(field.element)
+    return out
+
+
+@pytest.mark.parametrize("field", PRINT_FIELDS.values(), ids=PRINT_FIELDS.keys())
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_printer_matches_reference(field, nvars, data):
+    # the zero exponent vector puts each kind of coefficient without a monomial
+    ring = LaurentRing(field, nvars)
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    p = data.draw(st.dictionaries(exps, printed_coefficients(field), max_size=4)
+                  .map(ring.from_terms))
+    assert str(p) == repr(p) == reference_str(p)
 
 
 def test_exact_division():
@@ -113,7 +170,6 @@ def test_unit_inverse():
             field.zero.inv_unit()
 
 
-XI = NumberField([1, 1, 1])
 DOT_RINGS = [LaurentRing(QQ, 1), LaurentRing(XI, 0), LaurentRing(XI, 1), LaurentRing(XI, 2)]
 
 

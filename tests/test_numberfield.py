@@ -8,7 +8,7 @@ from numberfield_reference import NumberField as ReferenceField
 from suturekup import NumberField, QQ
 from suturekup.hopf import Element, ExteriorAlgebra, TensorElement
 from suturekup.laurent import LaurentPoly, LaurentRing
-from suturekup.numberfield import _integer_root, echo
+from suturekup.numberfield import _integer_root, echo, signed_sum
 from suturekup.words import GroupRingElement, Word
 
 GAUSS = NumberField([1, 0, 1])        # x^2 + 1
@@ -76,6 +76,14 @@ def test_parse_format_roundtrip():
     for s in samples:
         e = GAUSS.parse(s)
         assert GAUSS.parse(str(e)) == e
+
+
+def test_signed_sum_layout():
+    assert signed_sum([]) == "0"
+    assert signed_sum([(-1, "a")]) == "-a"
+    assert signed_sum([(1, "a")]) == "a"
+    assert signed_sum([(1, "a"), (-3, "b")]) == "a - b"
+    assert signed_sum([(-1, "a"), (2, "b"), (-1, "c")]) == "-a + b - c"
 
 
 def test_parse_rejects_high_powers():

@@ -32,10 +32,11 @@ from suturekup import (
     twisted_torsion,
 )
 from suturekup import linalg
+from suturekup.diagram import BetaCurve, HeegaardDatum, validation_error
 from suturekup.files import load_presentation
 from suturekup.fixtures import figure_eight, trefoil
 from suturekup.hopf import ExteriorAlgebra
-from suturekup.kuperberg import EvaluationOptions, representation_for
+from suturekup.kuperberg import EvaluationError, EvaluationOptions, representation_for
 from suturekup.torsion import (
     AlexanderResult,
     CrosscheckReport,
@@ -254,6 +255,30 @@ def test_crosscheck_random_gl2():
     mats = [random_invertible(rng, 2) for _ in range(2)]
     assert crosscheck(D, 2, mats, twisted=False).passed
     assert crosscheck(D, 2, mats, twisted=True).passed
+
+
+def _invalid_data():
+    """random_datum(5, 2, 1, 4) without its second beta, and with "zz" appended to its first."""
+    D = random_datum(5, 2, 1, 4)
+    fields = dict(zip(D.__slots__, D._values()))
+    first = D.betas[0]
+    longer = BetaCurve(first.crossings + ("zz",), first.basepoint)
+    return {"dropped-beta": HeegaardDatum(**dict(fields, betas=D.betas[:1])),
+            "unknown-crossing": HeegaardDatum(**dict(fields, betas=[longer] + D.betas[1:]))}
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("case", ["dropped-beta", "unknown-crossing"])
+def test_crosscheck_refuses_invalid_diagram(case, twisted):
+    # before the presentation is built, which read a missing beta or crossing
+    # as an IndexError or a KeyError
+    D = _invalid_data()[case]
+    with pytest.raises(EvaluationError) as refused:
+        crosscheck(D, 1, twisted=twisted)
+    with pytest.raises(EvaluationError) as z_refused:
+        evaluate_z(D, ExteriorAlgebra(1), Representation.trivial(D.num_generators, 1))
+    assert str(refused.value) == str(z_refused.value) == validation_error(D)
+    assert str(refused.value).startswith("invalid diagram: ")
 
 
 def test_abelian_sanity_torsion_vs_z():
