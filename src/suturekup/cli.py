@@ -17,10 +17,10 @@ from .abelian import abelianize
 from .diagram import HeegaardDatum, presentation, random_datum, validate, validation_error
 from .files import load_diagram, load_diagram_or_presentation, load_representation
 from .hopf import MAX_DIM, ExteriorAlgebra, verify_axioms
-from .kuperberg import EvaluationOptions, evaluate_z, representation_for
+from .kuperberg import EvaluationOptions, evaluate_valid_z, representation_for
 from .laurent import normalize_unit
 from .numberfield import MAX_DIGITS, QQ, echo
-from .torsion import crosscheck, twisted_alexander_knot, twisted_torsion
+from .torsion import crosscheck, crosscheck_valid, twisted_alexander_knot, twisted_torsion
 from .words import parse_word
 
 SEED_ENV = "SUTURE_KUP_SEED"
@@ -122,7 +122,7 @@ def cmd_kuperberg(args) -> int:
     field, matrices = _load_representation_file(args, n, D.generator_names())
     opts = EvaluationOptions(homology_orientation_sign=args.sign)
     rep = representation_for(presentation(D), n, matrices, field, args.twisted)
-    value = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
+    value = evaluate_valid_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
     print(value)
     return 0
 
@@ -146,7 +146,7 @@ def cmd_crosscheck(args) -> int:
         return 1 if failures else 0
     D = _valid(load_diagram(args.diagram))
     field, matrices = _load_representation_file(args, n, D.generator_names())
-    report = crosscheck(D, n, matrices, twisted=bool(args.twisted), field=field)
+    report = crosscheck_valid(D, n, matrices, bool(args.twisted), field)
     print("PASS" if report.passed else "FAIL")
     print(f"Z = {report.z_value}")
     print(f"det = {report.det_value}")

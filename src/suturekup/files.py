@@ -22,9 +22,17 @@ def _read_document(path):
     """The JSON document in the file; ValueError naming the file when it does not parse."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_int=_json_int)
-        except (json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, parse_int=_json_int, parse_constant=_json_constant)
+        except (json.JSONDecodeError, RecursionError, _NotJSON) as exc:
             raise ValueError(f"malformed JSON in {path}: {exc}") from None
+
+
+class _NotJSON(ValueError):
+    """NaN, Infinity or -Infinity: json.load reads them by default, and JSON has none."""
+
+
+def _json_constant(token):
+    raise _NotJSON(f"{token} is not a JSON value")
 
 
 def _json_int(text):

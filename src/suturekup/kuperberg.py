@@ -290,9 +290,14 @@ def _unpack(packed, nvars, width):
 def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
                opts: EvaluationOptions | None = None):
     """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
-    opts = opts or EvaluationOptions()
     if error := validation_error(D):
         raise EvaluationError(error)
+    return evaluate_valid_z(D, H, rep, opts)
+
+
+def evaluate_valid_z(D, H, rep, opts=None):
+    """evaluate_z of a datum its caller has validated (each entry point validates once)."""
+    opts = opts or EvaluationOptions()
     if rep.num_generators < D.num_generators:
         raise EvaluationError("representation does not cover all generators")
     if rep.ring != H.ring:

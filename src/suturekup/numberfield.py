@@ -9,14 +9,17 @@ is D integers (coefficients of 1, x, ..., x^{D-1}) over one positive common
 denominator, kept in lowest terms, so equal elements have equal integers.
 Since m is monic with integer coefficients, products reduce modulo m without
 leaving the integers, and inverses come from fraction-free elimination on the
-integer multiplication matrix.  D = 1 recovers the rationals.  Elements
-serialize as "a0 + a1*x + a2*x^2" with rational coefficients "p/q".
+integer multiplication matrix; dot and product are straight-line code
+generated from D and the nonzero coefficients of m below x^D, compiled once
+per pair (_kernels).  D = 1 recovers the rationals.  Elements serialize as
+"a0 + a1*x + a2*x^2" with rational coefficients "p/q".
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul, neg
 
@@ -48,6 +51,7 @@ class NumberField:
         self.min_poly = tuple(coeffs)
         # x^D = -(c0 + c1 x + ... + c_{D-1} x^{D-1}); the nonzero c_j with their j
         self._tail = tuple((j, c) for j, c in enumerate(coeffs[:-1]) if c)
+        self._dot, self._mul = _kernels(self.degree, self._tail)
         self.zero = FieldElement(self, (0,) * self.degree, 1)
         self.one = FieldElement(self, (1,) + (0,) * (self.degree - 1), 1)
         # gcd(m, m') = 1, that is m squarefree, exactly when m' is a unit mod m
@@ -65,6 +69,10 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.min_poly)})"
+
+    def __reduce__(self):
+        # rebuilt from min_poly: the kernels are functions pickle cannot name
+        return NumberField, (self.min_poly,)
 
     # -- element constructors ------------------------------------------------
 
@@ -98,39 +106,7 @@ class NumberField:
         the lcm only when a product's denominator differs; the sum is then
         reduced mod min_poly and brought to lowest terms once.
         """
-        den = 1
-        if self.degree == 1:
-            # the rationals, of every untwisted and QQ-twisted evaluation:
-            # one integer, no vector loops (about 2.5x faster per call)
-            acc = 0
-            for x, y in zip(xs, ys):
-                p = x.num[0] * y.num[0]
-                if p:
-                    q = x.den * y.den
-                    if q != den:
-                        m = lcm(den, q)
-                        acc *= m // den
-                        p *= m // q
-                        den = m
-                    acc += p
-            return _canonical(self, (acc,), den)
-        acc = [0] * (2 * self.degree - 1)
-        for x, y in zip(xs, ys):
-            q = x.den * y.den
-            scale = 1
-            if q != den:
-                m = lcm(den, q)
-                if m != den:
-                    acc = [c * (m // den) for c in acc]
-                    den = m
-                scale = m // q
-            ynum = y.num
-            for i, a in enumerate(x.num):
-                if a:
-                    a *= scale
-                    for j, b in enumerate(ynum, i):
-                        acc[j] += a * b
-        return _canonical(self, tuple(self._reduce(acc)), den)
+        return self._dot(self, xs, ys)
 
     # -- internal integer arithmetic ------------------------------------------
 
@@ -241,15 +217,7 @@ class FieldElement:
     def __mul__(self, other):
         field = self.field
         if type(other) is FieldElement:
-            den = self.den * other.den
-            if field.degree == 1:
-                return _canonical(field, (self.num[0] * other.num[0],), den)
-            prod = [0] * (2 * field.degree - 1)
-            for i, a in enumerate(self.num):
-                if a:
-                    for j, b in enumerate(other.num, i):
-                        prod[j] += a * b
-            return _canonical(field, tuple(field._reduce(prod)), den)
+            return field._mul(field, self, other)
         if isinstance(other, int):
             return _canonical(field, tuple([a * other for a in self.num]), self.den)
         if isinstance(other, Fraction):
@@ -345,6 +313,59 @@ def _canonical(field, num, den):
             num = tuple([a // g for a in num])
             den //= g
     return FieldElement(field, num, den)
+
+
+@cache
+def _kernels(d, tail):
+    """dot(field, xs, ys), mul(field, x, y): _kernel_source(d, tail) compiled once."""
+    namespace = {"lcm": lcm, "_canonical": _canonical}
+    exec(compile(_kernel_source(d, tail), f"<kernels of degree {d}>", "exec"), namespace)
+    return namespace["dot"], namespace["mul"]
+
+
+def _kernel_source(d, tail):
+    """Source of the functions dot(field, xs, ys) and mul(field, x, y) of NumberField.
+
+    Straight-line code over the degree d: the coefficients unpack into locals
+    a0.. and b0.., the 2d - 1 sums of products s0.. and the reduction mod
+    min_poly, top power first, by the (j, c) of tail, are written out, each
+    placeholder one line of statements joined by "; ".  The source holds
+    only these generated names and integers, never input text.
+    """
+    a, b = [f"a{i}" for i in range(d)], [f"b{i}" for i in range(d)]
+    s = [f"s{k}" for k in range(2 * d - 1)]
+    sums = [" + ".join([f"a{i} * b{k - i}" for i in range(max(0, k - d + 1), min(k, d - 1) + 1)])
+            for k in range(2 * d - 1)]
+    reduce = [f"s{i - d + j} {'-' if c > 0 else '+'}= s{i}{f' * {abs(c)}' if abs(c) > 1 else ''}"
+              for i in range(2 * d - 2, d - 1, -1) for j, c in tail]
+    return _KERNEL_TEMPLATE.format(
+        s=" = ".join(s), a=", ".join(a), b=", ".join(b), out=", ".join(s[:d]),
+        scale_s="; ".join([f"{v} *= f" for v in s]), scale_a="; ".join([f"{v} *= f" for v in a]),
+        accumulate="; ".join(map("{} += {}".format, s, sums)),
+        products="; ".join(map("{} = {}".format, s, sums)), reduce="; ".join(reduce))
+
+
+_KERNEL_TEMPLATE = """\
+def dot(field, xs, ys):
+    den = 1; {s} = 0
+    for x, y in zip(xs, ys):
+        {a}, = x.num; {b}, = y.num
+        q = x.den * y.den
+        if q != den:
+            m = lcm(den, q)
+            if m != den:
+                f = m // den; {scale_s}; den = m
+            if m != q:
+                f = m // q; {scale_a}
+        {accumulate}
+    {reduce}
+    return _canonical(field, ({out},), den)
+def mul(field, x, y):
+    {a}, = x.num; {b}, = y.num
+    {products}
+    {reduce}
+    return _canonical(field, ({out},), x.den * y.den)
+"""
 
 
 def signed_sum(terms) -> str:

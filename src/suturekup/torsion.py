@@ -22,7 +22,7 @@ from operator import add, mul, sub
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation, validation_error
 from .hopf import ExteriorAlgebra
-from .kuperberg import EvaluationError, evaluate_z, representation_for
+from .kuperberg import EvaluationError, evaluate_valid_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import SingularMatrix, bareiss_det, inverse_and_det, matmul
 from .numberfield import QQ
@@ -279,8 +279,13 @@ def crosscheck(D: HeegaardDatum, n: int, rho_matrices=None, twisted=False,
     """
     if error := validation_error(D):
         raise EvaluationError(error)
+    return crosscheck_valid(D, n, rho_matrices, twisted, field)
+
+
+def crosscheck_valid(D, n, rho_matrices=None, twisted=False, field=None) -> CrosscheckReport:
+    """crosscheck of a datum its caller has validated."""
     pres = presentation(D)
     rep = representation_for(pres, n, rho_matrices, field, twisted)
-    z = evaluate_z(D, ExteriorAlgebra(n, rep.ring), rep)
+    z = evaluate_valid_z(D, ExteriorAlgebra(n, rep.ring), rep)
     det = _fox_block_det(pres, rep)
     return CrosscheckReport(z, det)

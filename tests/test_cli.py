@@ -10,7 +10,7 @@ from importlib import resources
 import pytest
 
 import suturekup
-from suturekup import cli, hopf, presentation, validate
+from suturekup import cli, diagram, hopf, presentation, torsion, validate
 from suturekup.cli import MAX_AXIOMS_DIM, build_parser, main
 from suturekup.files import (
     DIAGRAM,
@@ -27,7 +27,8 @@ from suturekup.files import (
     representation_from_data,
 )
 from suturekup.fixtures import figure_eight, trefoil
-from suturekup.hopf import MAX_DIM
+from suturekup.hopf import MAX_DIM, ExteriorAlgebra
+from suturekup.kuperberg import evaluate_z, representation_for
 
 
 def data_path(name):
@@ -125,6 +126,44 @@ def test_malformed_json_is_one_line_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: malformed JSON in {p}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constant_is_malformed_json(tmp_path, capsys, token):
+    # Python's json reads these three as floats by default; JSON has none of them
+    datum = tmp_path / "diagram.json"
+    datum.write_text(f'{{"alpha_closed": [], "arcs": [], "beta": {token}}}')
+    rep = read_json(data_path("figure8_parabolic_rep.json"))
+    rep["generators"]["alpha"][0][0] = "@"
+    doc = tmp_path / "rep.json"
+    doc.write_text(json.dumps(rep).replace('"@"', token))
+    for argv, path in ((["validate", str(datum)], datum),
+                       (["twisted-alexander", data_path("figure8.json"), str(doc)], doc)):
+        err = one_line_exit_2(capsys, argv)
+        assert err == f"error: malformed JSON in {path}: {token} is not a JSON value\n"
+
+
+def test_each_entry_point_validates_the_datum_once(monkeypatch):
+    calls = []
+    real = diagram.validate
+    monkeypatch.setattr(diagram, "validate", lambda D: calls.append(D) or real(D))
+    D = load_diagram(data_path("figure8.json"))
+    rep = load_representation(data_path("figure8_parabolic_rep.json"))
+    matrices = rep.matrices_for(D.generator_names())
+    twisted = representation_for(presentation(D), 2, matrices, rep.field, True)
+    args = [data_path("figure8.json"), "--hopf", "exterior:2",
+            "--rep", data_path("figure8_parabolic_rep.json"), "--twisted"]
+    # each run returns whether it completed
+    runs = {
+        "crosscheck": lambda: torsion.crosscheck(D, 2, matrices, True, rep.field).passed,
+        "evaluate_z": lambda: not evaluate_z(D, ExteriorAlgebra(2, twisted.ring), twisted).is_zero(),
+        "cli kuperberg": lambda: run_cli("kuperberg", *args)[0] == 0,
+        "cli crosscheck": lambda: run_cli("crosscheck", *args)[0] == 0,
+    }
+    for name, run in runs.items():
+        calls.clear()
+        assert run(), name
+        assert len(calls) == 1, name
 
 
 # both sides of the interpreter's nesting limit, where the decoder stops with a

@@ -3,7 +3,9 @@
 A generator object costs about as much as the arithmetic of a rational
 element, so these functions build their tuples with a list comprehension
 or map.  The source is parsed, not run: the test names the function and
-the line of any generator expression that comes back.
+the line of any generator expression that comes back.  NumberField.dot and
+FieldElement.__mul__ call the field's generated kernels, so the source
+that numberfield generates is parsed too, at every accepted degree.
 """
 
 import ast
@@ -21,6 +23,13 @@ HOT = {
               "LaurentRing.dot"],
     linalg: ["matmul", "inverse_and_det"],
 }
+
+
+# per degree, a sparse tail (x^d + 1) and a dense one (every coefficient nonzero)
+KERNEL_TAILS = [pytest.param(d, tail, id=f"degree{d}-{kind}")
+                for d in range(1, numberfield.MAX_POLY_DEGREE + 1)
+                for kind, tail in (("sparse", ((0, 1),)),
+                                   ("dense", tuple((j, (-1) ** j * 10**99 + j) for j in range(d))))]
 
 
 def functions(module):
@@ -44,4 +53,12 @@ def test_hot_function_builds_no_generator(module, name):
     assert name in defs, f"{module.__name__} has no function {name}"
     found = [f"{module.__name__}.{name} line {node.lineno}: generator expression"
              for node in ast.walk(defs[name]) if isinstance(node, ast.GeneratorExp)]
+    assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize("degree, tail", KERNEL_TAILS)
+def test_generated_kernels_build_no_generator(degree, tail):
+    source = numberfield._kernel_source(degree, tail)
+    found = [f"kernels of degree {degree} line {node.lineno}: generator expression"
+             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.GeneratorExp)]
     assert not found, "\n".join(found)

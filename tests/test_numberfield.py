@@ -1,3 +1,7 @@
+import copy
+import pickle
+import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +12,7 @@ from numberfield_reference import NumberField as ReferenceField
 from suturekup import NumberField, QQ
 from suturekup.hopf import Element, ExteriorAlgebra, TensorElement
 from suturekup.laurent import LaurentPoly, LaurentRing
-from suturekup.numberfield import _integer_root, echo, signed_sum
+from suturekup.numberfield import _integer_root, _kernels, echo, signed_sum
 from suturekup.words import GroupRingElement, Word
 
 GAUSS = NumberField([1, 0, 1])        # x^2 + 1
@@ -299,6 +303,65 @@ def test_dot_edge_cases(field):
     top = field.dot([g, g], [g, x])
     assert top == g * g + g * x
     assert_canonical(top)
+
+
+def _dense_tail(rng, d):
+    """d random coefficients of exactly 100 digits, either sign."""
+    return [rng.choice((-1, 1)) * rng.randrange(10**99, 10**100) for _ in range(d)]
+
+
+# the generated kernels over every accepted degree: x^d - 2 (Eisenstein, so
+# irreducible) from 2 to 16, the sparse x^16 + 1 and dense 100-digit tails
+_rng = random.Random(16)
+KERNEL_POLYS = {"QQ": [0, 1], "Q(xi)": [1, 1, 1], "x^16+1": [1] + [0] * 15 + [1],
+                **{f"x^{d}-2": [-2] + [0] * (d - 1) + [1] for d in range(2, 17)},
+                **{f"dense{d}": _dense_tail(_rng, d) + [1] for d in (2, 3, 16)}}
+
+
+@pytest.mark.parametrize("min_poly", KERNEL_POLYS.values(), ids=KERNEL_POLYS.keys())
+def test_kernels_match_fraction_reference(min_poly):
+    field, reference = NumberField(min_poly), ReferenceField(min_poly)
+    rng = random.Random(len(min_poly))
+    # mixed denominators, a sparse element and the zero element
+    coeffs = [[Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 7)))
+               for _ in range(field.degree)] for _ in range(5)]
+    coeffs += [[0] * (field.degree - 1) + [Fraction(-1, 3)], [0] * field.degree]
+    pairs = [(field.element(c), reference.element(c)) for c in coeffs]
+    assert_agrees(field.dot([], []), reference.zero)
+    for k in (1, 1, 2, 3, 6):
+        picks = [rng.choice(pairs) for _ in range(2 * k)]
+        xs, ys = picks[:k], picks[k:]
+        want = reference.zero
+        for (_, rx), (_, ry) in zip(xs, ys):
+            want = want + rx * ry
+        assert_agrees(field.dot([x for x, _ in xs], [y for y, _ in ys]), want)
+    for x, rx in pairs:
+        for y, ry in pairs:
+            assert_agrees(x * y, rx * ry)
+
+
+def test_kernels_compile_once_per_field_and_quickly():
+    # fields of one min_poly share the compiled kernel; the largest accepted,
+    # degree 16 with dense 100-digit coefficients, compiles in about 5 ms
+    assert NumberField([1, 1, 1])._dot is NumberField([1, 1, 1])._dot
+    rng = random.Random(0)
+    best = min(_compile_seconds(tuple(enumerate(_dense_tail(rng, 16)))) for _ in range(3))
+    assert best < 0.05
+
+
+def test_fields_pickle_and_copy_by_min_poly():
+    # a field holds its generated kernels, which pickle cannot name
+    for field in (QQ, NumberField([1, 1, 1]), NumberField([-2] + [0] * 15 + [1])):
+        x = field.element([Fraction(k - 2, k + 1) for k in range(field.degree)])
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and y.field == field and y * y == x * x
+            assert y.field.dot([y], [y]) == x * x
+
+
+def _compile_seconds(tail):
+    t0 = time.perf_counter()
+    _kernels(16, tail)
+    return time.perf_counter() - t0
 
 
 def _sparse_sums():
