@@ -273,9 +273,6 @@ class AxiomReport:
     def all_passed(self):
         return all(ok for _, ok, _ in self.checks)
 
-    def failures(self):
-        return [(n, w) for n, ok, w in self.checks if not ok]
-
     def lines(self):
         out = []
         for name, ok, witness in self.checks:

@@ -73,9 +73,6 @@ class EvaluationOptions(Record):
     __slots__ = ("homology_orientation_sign",)
     _defaults = {"homology_orientation_sign": 1}
 
-    def flipped(self) -> "EvaluationOptions":
-        return EvaluationOptions(-self.homology_orientation_sign)
-
 
 def _field_matrix(matrix, n, field):
     """A copy of matrix; EvaluationError unless it is n x n over field."""

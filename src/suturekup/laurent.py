@@ -178,7 +178,8 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     base = min(p.terms.keys())
     shifted = p.scale_monomial(tuple(-x for x in base))
     anchor = shifted.terms[(0,) * p.ring.nvars]
-    if anchor.leading_rational() < 0:
+    # the denominator is positive: the last nonzero numerator has the leading sign
+    if next(filter(None, reversed(anchor.num))) < 0:
         shifted = -shifted
     return shifted
 

@@ -91,11 +91,6 @@ class NumberField:
         p, q = (q, 1) if type(q) is int else _ratio(q)
         return _canonical(self, (p,) + (0,) * (self.degree - 1), q)
 
-    def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            raise ValueError("degree-1 field has no generator beyond Q")
-        return self.element([0, 1])
-
     # -- sums of products ----------------------------------------------------
 
     def dot(self, xs, ys) -> "FieldElement":
@@ -282,13 +277,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def leading_rational(self) -> Fraction:
-        """Coefficient of the highest power of x present (0 for the zero element)."""
-        for c in reversed(self.num):
-            if c:
-                return Fraction(c, self.den)
-        return Fraction(0)
 
     def __str__(self):
         terms = []

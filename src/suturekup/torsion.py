@@ -100,11 +100,6 @@ def _assemble(rows, cols, rep):
             for row in rows for r in range(rep.n)]
 
 
-def _fox_block(pres: Presentation, rep):
-    """The dn x dn matrix whose block (i, g) is rep(d rel_i / d gen_g), g closed."""
-    return _assemble(_fox_grid(pres, rep)[0], range(_square_size(pres)), rep)
-
-
 def _add_products(block, x, z, field):
     """block + x * z for blocks {e: M}, with no zero matrix; each entry is one field
     dot over its entry in block and every pair of terms whose exponents sum to its own."""

@@ -39,14 +39,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word.identity()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __len__(self):
         return len(self.letters)
 
@@ -136,19 +128,6 @@ class GroupRingElement(SparseSum):
 
     def _like(self, terms):
         return GroupRingElement(self.field, terms)
-
-    @classmethod
-    def from_word(cls, w: Word, field: NumberField = QQ, coeff=None):
-        c = field.one if coeff is None else coeff
-        return cls(field, {w: c})
-
-    @classmethod
-    def zero(cls, field: NumberField = QQ):
-        return cls(field, {})
-
-    @classmethod
-    def one(cls, field: NumberField = QQ):
-        return cls.from_word(Word.identity(), field)
 
     def __mul__(self, other):
         out = {}

@@ -90,7 +90,7 @@ def trefoil_braid_sl2(field=QQ):
 def figure_eight_sl2():
     """The parabolic representation over Q(xi), xi^2 + xi + 1 = 0."""
     field = NumberField([1, 1, 1])
-    xi = field.generator()
+    xi = field.element([0, 1])
     one, zero = field.one, field.zero
     X = [[one, one], [zero, one]]
     Y = [[one, zero], [-xi, one]]

@@ -2,8 +2,9 @@
 
 Run from the repository root as ``PYTHONPATH=src python3 tests/make_cli_golden.py``.
 Each entry holds the argv (file arguments written as ``{data}/NAME`` for the
-package data and ``{tests}/NAME`` for tests/data), the stdout and the exit
-code of one in-process ``suturekup`` call.  Regenerate only when a change of
+package data and ``{tests}/NAME`` for tests/data), the exit code, the stdout
+and the stderr of one in-process ``suturekup`` call; a file path in stderr is
+written back the same way.  Regenerate only when a change of
 output is intended, and say so where the change is recorded.
 """
 
@@ -13,7 +14,7 @@ import io
 import json
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -41,6 +42,13 @@ SNF_BRANCHES = ("{tests}/homology_column_swap.json", "{tests}/homology_offender_
 # second representation that pivot is singular and bareiss_det takes the blocks left
 FILL_IN = "{tests}/fill_in.json"
 FILL_IN_REPS = ("{tests}/fill_in_rep.json", "{tests}/fill_in_singular_rep.json")
+# bad input: each of these calls ends in one error line on stderr, with exit code 2
+# for unreadable or unusable input and 1 for an invalid diagram
+FIGURE8 = FIXTURES[1]
+BAD_REPS = ("missing", "malformed", "figure8_nan_rep", "figure8_singular_rep",
+            "figure8_rational_root_rep", "figure8_square_rep", "figure8_square_quartic_rep",
+            "figure8_entry_kind_rep", "figure8_no_meridian_rep")
+INVALID = "{tests}/trefoil_invalid.json"
 
 
 def resolve(arg: str) -> str:
@@ -51,15 +59,24 @@ def resolve(arg: str) -> str:
     return arg
 
 
+def unresolve(text: str) -> str:
+    """text with every resolved file path written back as {data}/NAME or {tests}/NAME."""
+    data = str(resources.files("suturekup").joinpath("data"))
+    return text.replace(data + os.sep, "{data}/").replace(str(TESTS_DATA) + os.sep, "{tests}/")
+
+
 def run(argv):
-    """(exit code, stdout) of one in-process CLI call."""
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main([resolve(a) for a in argv])
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
-    return code, buf.getvalue()
+            if isinstance(exc.code, str):
+                # what the interpreter prints when the message ends the process
+                print(exc.code, file=sys.stderr)
+    return code, out.getvalue(), unresolve(err.getvalue())
 
 
 def commands():
@@ -107,6 +124,9 @@ def commands():
     for rep in FILL_IN_REPS:
         out.append(["twisted-alexander", FILL_IN, rep])
         out.append(["crosscheck", FILL_IN, "--hopf", "exterior:2", "--rep", rep, "--twisted"])
+    for name in BAD_REPS:
+        out.append(["twisted-alexander", FIGURE8, f"{{tests}}/{name}.json"])
+    out.append(["kuperberg", INVALID, "--hopf", "exterior:1"])
     return out
 
 
@@ -114,8 +134,8 @@ def write_golden():
     os.environ.pop(SEED_ENV, None)
     records = []
     for argv in commands():
-        code, stdout = run(argv)
-        records.append({"argv": argv, "exit_code": code, "stdout": stdout})
+        code, stdout, stderr = run(argv)
+        records.append({"argv": argv, "exit_code": code, "stdout": stdout, "stderr": stderr})
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} commands to {GOLDEN}", file=sys.stderr)
 

@@ -63,11 +63,6 @@ class NumberField:
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
-    def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            raise ValueError("degree-1 field has no generator beyond Q")
-        return self.element([0, 1])
-
     # -- internal polynomial reduction ----------------------------------------
 
     def _reduce(self, vec):
@@ -205,18 +200,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return not any(self.vec[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return self.vec[0]
-
-    def leading_rational(self) -> Fraction:
-        """Coefficient of the highest power of x present (0 for the zero element)."""
-        for c in reversed(self.vec):
-            if c:
-                return c
-        return Fraction(0)
 
     def __str__(self):
         parts = []

@@ -33,7 +33,7 @@ from suturekup.hopf import Element, ExteriorAlgebra, HopfAutomorphism
 from suturekup.kuperberg import EvaluationOptions, Representation, evaluate_z
 from suturekup.laurent import LaurentPoly
 from suturekup.linalg import bareiss_det, inverse_and_det, matmul
-from suturekup.numberfield import FieldElement, echo
+from suturekup.numberfield import QQ, FieldElement, echo
 from suturekup.words import GroupRingElement, Word, fox_derivative
 
 
@@ -64,16 +64,12 @@ def fox_consistency(D: HeegaardDatum) -> bool:
     for j in range(D.d):
         rel = relator_word(D, j)
         for i in range(D.num_generators):
-            expected = GroupRingElement.zero()
+            expected = GroupRingElement(QQ)
             for cid in D.betas[j].crossings:
                 c = D.crossings[cid]
                 if D.generator_of(c) == i:
-                    coeff = (
-                        expected.field.one if c.sign == 1 else -expected.field.one
-                    )
-                    expected = expected + GroupRingElement.from_word(
-                        beta_subword(D, cid), coeff=coeff
-                    )
+                    coeff = QQ.one if c.sign == 1 else -QQ.one
+                    expected = expected + GroupRingElement(QQ, {beta_subword(D, cid): coeff})
             if fox_derivative(rel, i) != expected:
                 return False
     return True
@@ -406,13 +402,13 @@ def check_covariance_suite(D: HeegaardDatum, H: ExteriorAlgebra,
     for i in range(D.d):
         flipped = reverse_alpha(D, i)
         rep2 = with_generator_inverted(rep, i)
-        lhs = evaluate_z(flipped, H, rep2, opts.flipped())
+        lhs = evaluate_z(flipped, H, rep2, EvaluationOptions(-opts.homology_orientation_sign))
         rhs = bareiss_det(rep.word_matrix(Word.generator(i)), rep.ring) * base
         report.record(f"alpha reversal on curve {i}", lhs == rhs)
 
     for j in range(D.d):
         flipped = reverse_beta(D, j)
-        lhs = evaluate_z(flipped, H, rep, opts.flipped())
+        lhs = evaluate_z(flipped, H, rep, EvaluationOptions(-opts.homology_orientation_sign))
         report.record(f"beta reversal on curve {j}", lhs == base)
 
     if conjugator is not None:

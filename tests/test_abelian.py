@@ -90,7 +90,7 @@ def test_abelianize_free():
 
 
 def test_abelianize_torsion():
-    amap = abelianize(2, [Word.generator(0) ** 2, Word.generator(1) ** 3])
+    amap = abelianize(2, [Word.generator(0, 2), Word.generator(1, 3)])
     assert amap.rank == 0
     assert amap.torsion == [6]
 

@@ -23,7 +23,7 @@ from suturekup.files import load_diagram, load_representation
 from suturekup.kuperberg import representation_for
 from suturekup.laurent import LaurentRing
 from suturekup.linalg import SingularMatrix, bareiss_det, inverse_and_det
-from suturekup.torsion import _assemble, _fox_block, _fox_block_det, _fox_grid, _grid_det, _pivot
+from suturekup.torsion import _assemble, _fox_block_det, _fox_grid, _grid_det, _pivot
 
 XI = NumberField([1, 1, 1])
 CUBIC = NumberField([-2, 0, 0, 1])
@@ -205,7 +205,7 @@ def test_dense_shapes_leave_at_most_one_block_to_bareiss(d, n, monkeypatch):
         mats = [_invertible(rng, XI, n) for _ in range(pres.num_generators)]
         rep = representation_for(pres, n, mats, XI, twisted=True)
         for r in (rep, rep.inverse_transpose()):
-            want = real(_fox_block(pres, r), r.ring)
+            want = real(_scalar(_fox_grid(pres, r)[0], r), r.ring)
             monkeypatch.setattr(torsion, "bareiss_det", recording)
             assert _fox_block_det(pres, r) == want
             monkeypatch.setattr(torsion, "bareiss_det", real)
@@ -238,7 +238,7 @@ def test_one_occurrence_blocks_are_never_swept(d, n, monkeypatch):
         rep = representation_for(pres, n, mats, XI, twisted=True)
         for r in (rep, rep.inverse_transpose()):
             del swept[:], grids[:]
-            assert _fox_block_det(pres, r) == bareiss_det(_fox_block(pres, r), r.ring)
+            assert _fox_block_det(pres, r) == bareiss_det(_scalar(_fox_grid(pres, r)[0], r), r.ring)
             grid, origins = grids[0]
             singles = [m for (i, g) in origins for m in grid[i][g].values()]
             assert not [m for m in swept if any(m is single for single in singles)]
@@ -265,7 +265,8 @@ def test_lone_blocks_walk_no_inverse(monkeypatch):
             rep = representation_for(pres, n, mats, twisted=twisted)
             for r in (rep, rep.inverse_transpose()):
                 del walks[:]
-                assert _fox_block_det(pres, r) == bareiss_det(_fox_block(pres, r), r.ring)
+                scalar = _scalar(_fox_grid(pres, r)[0], r)
+                assert _fox_block_det(pres, r) == bareiss_det(scalar, r.ring)
                 assert len(walks) <= d - 1
                 lone += d == 1 and bool(_fox_grid(pres, r)[1])
     assert lone
@@ -279,7 +280,7 @@ def test_acceptance_data_match_the_scalar_fox_block():
             rep = representation_for(pres, n, mats, twisted=twisted)
             for r in (rep, rep.inverse_transpose()):
                 det = _fox_block_det(pres, r)
-                assert det == bareiss_det(_fox_block(pres, r), r.ring)
+                assert det == bareiss_det(_scalar(_fox_grid(pres, r)[0], r), r.ring)
                 nonzero += not det.is_zero()
     assert nonzero > 100
 
@@ -349,7 +350,7 @@ def test_fill_in_data_reach_the_sweep_and_the_remainder(rep_file, singular, monk
     rep = representation_for(pres, 2, loaded.matrices_for(pres.generator_names()),
                              loaded.field, twisted=True)
     for r in (rep, rep.inverse_transpose()):
-        want = real_bareiss(_fox_block(pres, r), r.ring)
+        want = real_bareiss(_scalar(_fox_grid(pres, r)[0], r), r.ring)
         monkeypatch.setattr(torsion, "inverse_and_det", inverse)
         monkeypatch.setattr(torsion, "bareiss_det", bareiss)
         monkeypatch.setattr(torsion, "_add_products", add_products)

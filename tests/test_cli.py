@@ -26,7 +26,6 @@ from suturekup.files import (
     presentation_to_data,
     representation_from_data,
 )
-from suturekup.fixtures import figure_eight, trefoil
 from suturekup.hopf import MAX_DIM, ExteriorAlgebra
 from suturekup.kuperberg import evaluate_z, representation_for
 
@@ -46,7 +45,7 @@ def run_cli(*argv):
 
 
 def test_diagram_roundtrip_byte_identical():
-    for D in (trefoil(), figure_eight()):
+    for D in (load_diagram(data_path("trefoil.json")), load_diagram(data_path("figure8.json"))):
         text = canonical_json(diagram_to_data(D))
         parsed = diagram_from_data(json.loads(text))
         again = canonical_json(diagram_to_data(parsed))
@@ -61,7 +60,7 @@ def test_shipped_fixtures_load():
 
 
 def test_presentation_file_roundtrip():
-    pres = presentation(trefoil())
+    pres = presentation(load_diagram(data_path("trefoil.json")))
     data = presentation_to_data(pres)
     back = presentation_from_data(data)
     assert back.relators == pres.relators

@@ -9,7 +9,7 @@ crosscheck computes.
 import random
 
 import pytest
-from conftest import figure_eight_sl2, random_invertible
+from conftest import data_path, figure_eight_sl2, random_invertible
 from contraction_reference import reference_evaluate_z
 
 from suturekup import (
@@ -24,7 +24,7 @@ from suturekup import (
 )
 from suturekup import linalg
 from suturekup.diagram import CLOSED
-from suturekup.fixtures import figure_eight
+from suturekup.files import load_diagram
 from suturekup.torsion import crosscheck
 
 
@@ -121,7 +121,7 @@ def test_contraction_calls_no_determinant(monkeypatch):
     # uses, or crosscheck would compare a routine with itself; it reads its
     # forms from matrix columns and expands no coproduct either
     field, mats = figure_eight_sl2()
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     pres = presentation(D)
     rep = Representation.twisted(mats, abelianize(pres.num_generators, pres.relators),
                                  2, field)

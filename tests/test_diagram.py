@@ -1,4 +1,5 @@
 import pytest
+from conftest import data_path
 from paper_laws import (
     Multipoint,
     basepoints_from_multipoint,
@@ -27,15 +28,15 @@ from suturekup.diagram import (
     HeegaardDatum,
     Presentation,
 )
-from suturekup.fixtures import figure_eight, trefoil
+from suturekup.files import load_diagram
 
 
 def test_trefoil_valid():
-    assert validate(trefoil()).valid
+    assert validate(load_diagram(data_path("trefoil.json"))).valid
 
 
 def test_figure_eight_valid():
-    assert validate(figure_eight()).valid
+    assert validate(load_diagram(data_path("figure8.json"))).valid
 
 
 def test_empty_datum_valid():
@@ -62,7 +63,7 @@ def test_missing_on_alpha_side_invalid():
 
 
 def test_trefoil_relator_and_subwords():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     names = presentation(D).generator_names()
     assert relator_word(D, 0).format(names) == "a*alpha*a^-1*alpha^-1*a^-1*alpha"
     assert beta_subword(D, "x1").format(names) == "a"
@@ -83,8 +84,8 @@ def test_beta_with_no_crossings():
 
 
 def test_fox_consistency_fixtures():
-    assert fox_consistency(trefoil())
-    assert fox_consistency(figure_eight())
+    assert fox_consistency(load_diagram(data_path("trefoil.json")))
+    assert fox_consistency(load_diagram(data_path("figure8.json")))
 
 
 def test_fox_consistency_random():
@@ -96,19 +97,19 @@ def test_fox_consistency_random():
 
 def test_trefoil_fox_derivative_matches_subwords():
     # the closed-generator Fox derivative is the signed sum of the subwords
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     rel = relator_word(D, 0)
     from suturekup import fox_derivative
 
-    total = GroupRingElement.zero()
+    total = GroupRingElement(QQ)
     for cid, sign in (("x1", 1), ("x2", -1), ("x3", 1)):
         coeff = QQ.one if sign == 1 else -QQ.one
-        total = total + GroupRingElement.from_word(beta_subword(D, cid), coeff=coeff)
+        total = total + GroupRingElement(QQ, {beta_subword(D, cid): coeff})
     assert fox_derivative(rel, 0) == total
 
 
 def test_basepoints_from_multipoint_rules():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     # x1 sits at cyclic position 1 and is positive: basepoint lands at 1
     m1 = Multipoint(("x1",))
     moved = basepoints_from_multipoint(D, m1)
@@ -123,7 +124,7 @@ def test_basepoints_from_multipoint_rules():
 
 
 def test_epsilon_class_properties():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     amap = abelianize(2, [relator_word(D, 0)])
     mps = enumerate_multipoints(D)
     assert len(mps) == 3
@@ -150,7 +151,7 @@ def test_epsilon_after_rebasing_vanishes():
 
 
 def test_move_basepoint_word():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     moved, word = move_basepoint(D, 0, 2)
     names = D.generator_names()
     # crossings passed: y1 (+), x1 (+)
@@ -162,7 +163,7 @@ def test_move_basepoint_word():
 
 
 def test_reverse_beta_negates_letters():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     rev = reverse_beta(D, 0)
     orig = relator_word(D, 0)
     new = relator_word(rev, 0)
@@ -180,7 +181,7 @@ def test_reverse_beta_negates_letters():
 
 
 def test_multipoint_validation():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     with pytest.raises(ValueError):
         Multipoint(("x1", "x2")).validate(D)
     with pytest.raises(ValueError):
@@ -203,9 +204,11 @@ def test_records_compare_by_value_within_their_class():
     assert Crossing("x1", CLOSED, 0, 0, 1) != Crossing("x1", CLOSED, 0, 0, -1)
     assert BetaCurve(("x1",), 0) == BetaCurve(("x1",))
     assert Multipoint(("x1",)) == Multipoint(("x1",))
-    assert trefoil() == trefoil() and trefoil() != figure_eight()
-    pres = presentation(trefoil())
-    assert pres == presentation(trefoil())
+    trefoil = load_diagram(data_path("trefoil.json"))
+    assert trefoil == load_diagram(data_path("trefoil.json"))
+    assert trefoil != load_diagram(data_path("figure8.json"))
+    pres = presentation(load_diagram(data_path("trefoil.json")))
+    assert pres == presentation(load_diagram(data_path("trefoil.json")))
     assert Presentation(1, 1, [Word.generator(0)]) != Presentation(1, 1, [Word.generator(0)], ["g"])
     # never equal to a tuple of the same values or to another record class
     assert Multipoint(("x1",)) != (("x1",),)
@@ -226,10 +229,11 @@ def test_frozen_records_hash_by_value_and_refuse_assignment():
 
 
 def test_mutable_records_are_unhashable():
-    for record in (trefoil(), Presentation(1, 1, [Word.generator(0)])):
+    for record in (load_diagram(data_path("trefoil.json")),
+                   Presentation(1, 1, [Word.generator(0)])):
         with pytest.raises(TypeError):
             hash(record)
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     D.alpha_names = ["u"]
     assert D.generator_names()[0] == "u"
 
@@ -274,11 +278,12 @@ def test_records_copy_and_pickle_by_value():
     import pickle
 
     for record in (Crossing("x1", CLOSED, 0, 0, 1), BetaCurve(("x1",), 0),
-                   Multipoint(("x1",)), figure_eight(), presentation(trefoil())):
+                   Multipoint(("x1",)), load_diagram(data_path("figure8.json")),
+                   presentation(load_diagram(data_path("trefoil.json")))):
         for clone in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert clone == record and type(clone) is type(record)
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     assert copy.deepcopy(D).alphas is not D.alphas and copy.copy(D).alphas is D.alphas
 
 

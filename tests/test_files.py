@@ -1,19 +1,20 @@
 import pytest
+from conftest import data_path
 
 from suturekup import ExteriorAlgebra, LaurentRing, NumberField, QQ, Representation
 from suturekup.files import (
     canonical_json,
     detect_input,
     diagram_from_data,
+    diagram_to_data,
+    load_diagram,
     representation_from_data,
 )
-from suturekup.fixtures import trefoil
-from suturekup.files import diagram_to_data
 
 
 def test_detect_input(tmp_path):
     d = tmp_path / "d.json"
-    d.write_text(canonical_json(diagram_to_data(trefoil())))
+    d.write_text(canonical_json(diagram_to_data(load_diagram(data_path("trefoil.json")))))
     assert detect_input(str(d)) == "diagram"
     p = tmp_path / "p.json"
     p.write_text(canonical_json({"generators": ["g"], "closed_count": 1,

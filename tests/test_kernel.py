@@ -32,13 +32,12 @@ from suturekup import (
     random_datum,
 )
 from suturekup.diagram import CLOSED
-from suturekup.files import load_representation
-from suturekup.fixtures import figure_eight, trefoil
+from suturekup.files import load_diagram, load_representation
 from suturekup.kuperberg import _pack, _unpack, degree_one_forms, evaluate_z, representation_for
 from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.linalg import matmul, transpose
 from suturekup.numberfield import FieldElement
-from suturekup.torsion import _fox_block, _fox_block_det, fox_matrix
+from suturekup.torsion import _assemble, _fox_block_det, _fox_grid, fox_matrix
 
 NONINTEGRAL_REP = os.path.join(os.path.dirname(__file__), "data", "figure8_nonintegral_rep.json")
 
@@ -59,7 +58,7 @@ def test_forms_are_the_transposed_fox_block(twisted):
         pres = presentation(D)
         rep = representation_for(pres, n, mats, twisted=twisted)
         H = ExteriorAlgebra(n, rep.ring)
-        block = _fox_block(pres, rep)
+        block = _assemble(_fox_grid(pres, rep)[0], range(pres.closed_count), rep)
         assert _form_matrix(degree_one_forms(D, rep), rep) == transpose(block), seed
         if evaluate_z(D, H, rep).is_zero():
             vacuous += 1
@@ -73,8 +72,9 @@ def test_walk_stays_at_field_level(monkeypatch):
     """The forms, the Fox blocks and the word images of the 50 acceptance data,
     twisted, come out the same with every Laurent product refused."""
     def walked(D, pres, rep):
-        return (degree_one_forms(D, rep), _fox_block(pres, rep),
-                _fox_block(pres, rep.inverse_transpose()),
+        closed, inverse = range(pres.closed_count), rep.inverse_transpose()
+        return (degree_one_forms(D, rep), _assemble(_fox_grid(pres, rep)[0], closed, rep),
+                _assemble(_fox_grid(pres, inverse)[0], closed, inverse),
                 [rep.word_matrix(rel) for rel in pres.relators])
 
     cases = []
@@ -106,7 +106,7 @@ def test_forms_are_the_transposed_fox_block_on_drawn_data(seed, d, l, crossings,
     mats = [random_invertible(rng, n) for _ in range(pres.num_generators)]
     rep = representation_for(pres, n, mats, twisted=twisted)
     forms = degree_one_forms(D, rep)
-    assert _form_matrix(forms, rep) == transpose(_fox_block(pres, rep))
+    assert _form_matrix(forms, rep) == transpose(_assemble(_fox_grid(pres, rep)[0], range(d), rep))
 
 
 @st.composite
@@ -180,7 +180,7 @@ def _nonintegral(D):
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
 def test_mixed_denominators_give_lowest_terms(twisted):
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     field, mats = _nonintegral(D)
     pres = presentation(D)
     rep = representation_for(pres, 2, mats, field, twisted)
@@ -213,9 +213,10 @@ def _counting(monkeypatch):
 def _integral_data(twisted):
     """(datum, n, matrices, field) with integer entries and nonzero Z."""
     rep_file = load_representation(data_path("figure8_parabolic_rep.json"))
-    out = [(trefoil(), 1, None, None), (figure_eight(), 1, None, None)]
+    figure_eight = load_diagram(data_path("figure8.json"))
+    out = [(load_diagram(data_path("trefoil.json")), 1, None, None), (figure_eight, 1, None, None)]
     if twisted:
-        out.append((figure_eight(), 2, rep_file.matrices_for(figure_eight().generator_names()),
+        out.append((figure_eight, 2, rep_file.matrices_for(figure_eight.generator_names()),
                     rep_file.field))
     rng, seed = random.Random(7), 9700
     while len(out) < 5:
@@ -241,9 +242,9 @@ def test_kernel_builds_field_elements_only_for_z(monkeypatch, twisted):
     """From the forms to Z the state holds ints: the kernel builds no FieldElement
     but Z's own coefficients, each brought to lowest terms once by _canonical."""
     assert not hasattr(kuperberg, "FieldElement")
-    field, mats = _nonintegral(figure_eight())
+    field, mats = _nonintegral(load_diagram(data_path("figure8.json")))
     # integral forms, and forms with denominators to rescale
-    data = _integral_data(twisted) + [(figure_eight(), 2, mats, field)]
+    data = _integral_data(twisted) + [(load_diagram(data_path("figure8.json")), 2, mats, field)]
     counts = _counting(monkeypatch)
     for D, n, mats, field in data:
         pres = presentation(D)

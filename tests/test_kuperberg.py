@@ -45,8 +45,7 @@ from suturekup import (
     twisted_torsion,
 )
 from suturekup.diagram import CLOSED, BetaCurve, Crossing, HeegaardDatum
-from suturekup.files import load_representation
-from suturekup.fixtures import figure_eight, trefoil
+from suturekup.files import load_diagram, load_representation
 from suturekup.kuperberg import EvaluationError, SingularRepresentationError, representation_for
 from suturekup.linalg import bareiss_det, identity, inverse_and_det, matmul
 
@@ -56,7 +55,7 @@ def laurent(ring, terms):
 
 
 def test_trefoil_twisted_value():
-    z = twisted_z(trefoil(), 1)
+    z = twisted_z(load_diagram(data_path("trefoil.json")), 1)
     ring = z.ring
     assert z == laurent(ring, {(-1,): 1, (0,): -1, (1,): 1})
     assert str(z) == "t^-1 - 1 + t"
@@ -64,7 +63,7 @@ def test_trefoil_twisted_value():
 
 
 def test_figure_eight_twisted_value():
-    z = twisted_z(figure_eight(), 1)
+    z = twisted_z(load_diagram(data_path("figure8.json")), 1)
     assert str(normalize_unit(z)) == "1 - 3*t + t^2"
 
 
@@ -114,7 +113,7 @@ def test_beta_with_only_arc_crossings_gives_zero():
 
 def test_identity_representation_is_untwisted_specialization():
     # rho == id gives the plain contraction, equal to the augmented twist
-    for D in (trefoil(), figure_eight()):
+    for D in (load_diagram(data_path("trefoil.json")), load_diagram(data_path("figure8.json"))):
         for n in (1, 2):
             H = ExteriorAlgebra(n)
             rep = Representation.trivial(D.num_generators, n)
@@ -126,7 +125,7 @@ def test_identity_representation_is_untwisted_specialization():
 def test_figure_eight_sl2_det_expression():
     # the five pi_1-reduced subword images sum to the Fox image; Z is its det
     field, mats = figure_eight_sl2()
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     pres = presentation(D)
     rep = Representation(field, 2, mats)
     assert rep.check_relators(pres) == []
@@ -152,7 +151,7 @@ def test_figure_eight_sl2_det_expression():
 
 
 def test_trefoil_braid_sl2_relator_compatible():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     mats = trefoil_braid_sl2()
     rep = Representation(QQ, 2, mats)
     assert rep.check_relators(presentation(D)) == []
@@ -160,7 +159,7 @@ def test_trefoil_braid_sl2_relator_compatible():
 
 def test_covariance_fixtures():
     rng = random.Random(1)
-    for D in (trefoil(), figure_eight()):
+    for D in (load_diagram(data_path("trefoil.json")), load_diagram(data_path("figure8.json"))):
         for n in (1, 2):
             mats = homology_diag_matrices(D, n)
             rep = Representation(QQ, n, mats)
@@ -184,7 +183,7 @@ def test_covariance_random_data():
 
 
 def test_covariance_twisted():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     pres = presentation(D)
     amap = abelianize(pres.num_generators, pres.relators)
     rep = Representation.twisted(None, amap, 2)
@@ -209,7 +208,7 @@ def test_conjugation_invariance_arbitrary_rep():
 
 
 def test_multipoint_relation_trefoil():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     mps = enumerate_multipoints(D)
     assert len(mps) >= 2
     pres = presentation(D)
@@ -227,7 +226,7 @@ def test_multipoint_relation_trefoil():
 
 
 def test_spinc_correction_same_multipoint_is_one():
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     mps = enumerate_multipoints(D, limit=3)
     pres = presentation(D)
     amap = abelianize(pres.num_generators, pres.relators)
@@ -238,7 +237,7 @@ def test_spinc_correction_same_multipoint_is_one():
 
 def test_spinc_correction_monomial_exponent():
     # for the n=1 twist the correction is t^k with k the h-image of the arcs
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     mps = enumerate_multipoints(D)
     pres = presentation(D)
     amap = abelianize(pres.num_generators, pres.relators)
@@ -281,7 +280,7 @@ def test_multipoint_relation_mismatched_permutations():
 
 
 def test_homology_orientation_sign():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     rep1 = Representation.trivial(2, 1)
     H1 = ExteriorAlgebra(1)
     plus = evaluate_z(D, H1, rep1)
@@ -295,7 +294,7 @@ def test_homology_orientation_sign():
 
 
 def test_missing_generator_rejected():
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     rep = Representation.trivial(1, 1)   # only one generator covered
     H = ExteriorAlgebra(1)
     with pytest.raises(Exception):
@@ -304,7 +303,7 @@ def test_missing_generator_rejected():
 
 def test_relator_check_warns_for_random_matrices():
     rng = random.Random(9)
-    D = trefoil()
+    D = load_diagram(data_path("trefoil.json"))
     pres = presentation(D)
     mats = [random_invertible(rng, 2) for _ in range(2)]
     rep = Representation(QQ, 2, mats)
@@ -313,7 +312,7 @@ def test_relator_check_warns_for_random_matrices():
 
 
 def test_twisted_ring_has_free_rank_variables():
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     z = twisted_z(D, 1)
     assert isinstance(z.ring, LaurentRing)
     assert z.ring.nvars == 1
@@ -397,33 +396,34 @@ def parabolic_matrices(alpha=None):
     rep_file = load_representation(data_path("figure8_parabolic_rep.json"))
     if alpha is not None:
         rep_file.matrices["alpha"] = alpha
-    return rep_file.matrices_for(figure_eight().generator_names())
+    return rep_file.matrices_for(load_diagram(data_path("figure8.json")).generator_names())
 
 
 def test_field_comes_from_the_entries():
     mats = parabolic_matrices()
-    report = crosscheck(figure_eight(), 2, mats, twisted=True)
+    report = crosscheck(load_diagram(data_path("figure8.json")), 2, mats, twisted=True)
     assert report.passed and str(report.z_value) == "1 - 6*t + 10*t^2 - 6*t^3 + t^4"
-    pres = presentation(figure_eight())
+    pres = presentation(load_diagram(data_path("figure8.json")))
     result = twisted_alexander_knot(pres, mats, parse_word("a", pres.generator_names()), 2)
     assert str(normalize_unit(result.quotient)) == "1 - 4*t + t^2"
-    m = [[XI.generator(), XI.one], [XI.one, XI.generator()]]
+    m = [[XI.element([0, 1]), XI.one], [XI.one, XI.element([0, 1])]]
     assert matmul(m, generator_images(Representation(XI, 2, [m]), -1)[0], XI) == identity(2, XI)
 
 
 def parabolic_twisted(dim):
     """evaluate_z's arguments on the figure-eight through its shipped matrices, twisted,
     with an exterior algebra of dimension dim over the representation's ring."""
-    D = figure_eight()
+    D = load_diagram(data_path("figure8.json"))
     rep = representation_for(presentation(D), 2, parabolic_matrices(), twisted=True)
     return D, ExteriorAlgebra(dim, rep.ring), rep, None
 
 
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda: crosscheck(figure_eight(), 2, parabolic_matrices(), twisted=True,
-                                    field=QQ), id="crosscheck-field-QQ"),
-    pytest.param(lambda: Representation(QQ, 2, [[[XI.generator(), XI.one],
-                                                   [XI.one, XI.generator()]]]),
+    pytest.param(lambda: crosscheck(load_diagram(data_path("figure8.json")), 2,
+                                    parabolic_matrices(), twisted=True, field=QQ),
+                 id="crosscheck-field-QQ"),
+    pytest.param(lambda: Representation(QQ, 2, [[[XI.element([0, 1]), XI.one],
+                                                   [XI.one, XI.element([0, 1])]]]),
                  id="constructor-QQ"),
     pytest.param(lambda: Representation.twisted([[[XI.one]], [[QQ.one]]], abelianize(2, []), 1),
                  id="mixed-fields"),
@@ -445,7 +445,7 @@ def test_entries_over_another_field_are_refused(build):
 def test_library_calls_name_the_singular_generator(call):
     mats = parabolic_matrices(alpha=[[XI.one, XI.one], [XI.one, XI.one]])
     with pytest.raises(SingularRepresentationError) as info:
-        call(figure_eight(), mats)
+        call(load_diagram(data_path("figure8.json")), mats)
     assert info.value.name == "alpha"
     assert "generator 'alpha' is not invertible" in str(info.value)
 
@@ -454,11 +454,12 @@ def test_library_calls_name_the_singular_generator(call):
     pytest.param(lambda pres, mats: twisted_torsion(pres, mats, n=1), id="twisted-torsion"),
     pytest.param(lambda pres, mats: twisted_alexander_knot(
         pres, mats, parse_word("a", pres.generator_names()), 1), id="twisted-alexander"),
-    pytest.param(lambda pres, mats: crosscheck(trefoil(), 1, mats), id="crosscheck"),
+    pytest.param(lambda pres, mats: crosscheck(load_diagram(data_path("trefoil.json")), 1, mats),
+                 id="crosscheck"),
 ])
 def test_library_calls_with_too_few_matrices_are_refused(call):
     with pytest.raises(EvaluationError, match="^representation does not cover all generators$"):
-        call(presentation(trefoil()), [[[QQ.one]]])
+        call(presentation(load_diagram(data_path("trefoil.json"))), [[[QQ.one]]])
 
 
 @pytest.mark.parametrize("mats", [
@@ -518,7 +519,7 @@ def test_identity_representations_skip_inversion(monkeypatch):
 ])
 def test_evaluate_z_refuses_bad_input(make, message):
     with pytest.raises(EvaluationError, match=message):
-        evaluate_z(*make(trefoil()))
+        evaluate_z(*make(load_diagram(data_path("trefoil.json"))))
 
 
 CUBIC = NumberField([-2, 0, 0, 1])
@@ -535,7 +536,7 @@ def random_field_matrix(rng, n, field):
 def field_representation(kind, field, rng, n=2, m=3):
     """A plain, twisted or trivial representation of m generators over field, or the
     inverse transpose of one (kind ending in "-T")."""
-    amap = abelianize(m, [Word.generator(0) * Word.generator(1) ** 2])
+    amap = abelianize(m, [Word.generator(0) * Word.generator(1, 2)])
     mats = [random_field_matrix(rng, n, field) for _ in range(m)]
     base = kind.removesuffix("-T")
     rep = {"plain": lambda: Representation(field, n, mats),

@@ -130,6 +130,27 @@ def test_printer_matches_reference(field, nvars, data):
     assert str(p) == repr(p) == reference_str(p)
 
 
+def fraction_rule_normalize(p):
+    """normalize_unit by its definition, with the sign read from Fractions: shift the
+    lex-smallest exponent vector to zero, and negate when the coefficient there has a
+    negative coefficient at its highest power of x."""
+    shifted = p.scale_monomial(tuple(-x for x in min(p.terms)))
+    top = [c for c in shifted.terms[(0,) * p.ring.nvars].vec if c][-1]
+    return -shifted if top < 0 else shifted
+
+
+@pytest.mark.parametrize("field", PRINT_FIELDS.values(), ids=PRINT_FIELDS.keys())
+@pytest.mark.parametrize("nvars", [1, 2])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_normalize_unit_sign_matches_fraction_rule(field, nvars, data):
+    ring = LaurentRing(field, nvars)
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    p = data.draw(st.dictionaries(exps, printed_coefficients(field), min_size=1, max_size=4)
+                  .map(ring.from_terms).filter(lambda q: not q.is_zero()))
+    assert normalize_unit(p) == normalize_unit(-p) == fraction_rule_normalize(p)
+
+
 def test_exact_division():
     p = poly(R1, {(0,): 1, (1,): -3, (2,): 1})
     q = poly(R1, {(-1,): 2})

@@ -53,10 +53,10 @@ def test_multiplication_associative(l1, l2):
 
 def test_fox_base_cases():
     g = Word.generator(0)
-    assert fox_derivative(g, 0) == GroupRingElement.one()
+    assert fox_derivative(g, 0) == GroupRingElement(QQ, {Word.identity(): QQ.one})
     assert fox_derivative(g, 1).is_zero()
     ginv = g.inverse()
-    assert fox_derivative(ginv, 0) == GroupRingElement.from_word(ginv, coeff=-QQ.one)
+    assert fox_derivative(ginv, 0) == GroupRingElement(QQ, {ginv: -QQ.one})
 
 
 def test_fox_leibniz_rule():
@@ -66,7 +66,7 @@ def test_fox_leibniz_rule():
         for g in range(3):
             lhs = fox_derivative(u * v, g)
             rhs = fox_derivative(u, g) + (
-                GroupRingElement.from_word(u) * fox_derivative(v, g)
+                GroupRingElement(QQ, {u: QQ.one}) * fox_derivative(v, g)
             )
             assert lhs == rhs
 
@@ -75,32 +75,31 @@ def test_fox_fundamental_identity():
     rng = random.Random(23)
     for _ in range(50):
         w = rand_word(rng)
-        total = GroupRingElement.zero()
+        one, total = GroupRingElement(QQ, {Word.identity(): QQ.one}), GroupRingElement(QQ)
         for g in range(3):
-            gw = GroupRingElement.from_word(Word.generator(g))
-            total = total + fox_derivative(w, g) * (gw - GroupRingElement.one())
-        expected = GroupRingElement.from_word(w) - GroupRingElement.one()
+            gw = GroupRingElement(QQ, {Word.generator(g): QQ.one})
+            total = total + fox_derivative(w, g) * (gw - one)
+        expected = GroupRingElement(QQ, {w: QQ.one}) - one
         assert total == expected
 
 
 def test_sigma_definition_and_involution():
     g, h = Word.generator(0), Word.generator(1)
-    e = GroupRingElement.from_word(g, coeff=QQ.from_rational(2)) - \
-        GroupRingElement.from_word(h)
+    two = QQ.from_rational(2)
+    e = GroupRingElement(QQ, {g: two, h: -QQ.one})
     s = sigma(e)
-    assert s == GroupRingElement.from_word(g.inverse(), coeff=QQ.from_rational(2)) - \
-        GroupRingElement.from_word(h.inverse())
+    assert s == GroupRingElement(QQ, {g.inverse(): two, h.inverse(): -QQ.one})
     assert sigma(s) == e
-    assert sigma(GroupRingElement.one()) == GroupRingElement.one()
+    assert sigma(GroupRingElement(QQ, {Word.identity(): QQ.one})) == GroupRingElement(QQ, {Word.identity(): QQ.one})
 
 
 def test_sigma_antihomomorphism():
     rng = random.Random(31)
     for _ in range(20):
-        e = GroupRingElement.from_word(rand_word(rng)) + \
-            GroupRingElement.from_word(rand_word(rng), coeff=QQ.from_rational(3))
-        f = GroupRingElement.from_word(rand_word(rng)) - \
-            GroupRingElement.from_word(rand_word(rng))
+        e = GroupRingElement(QQ, {rand_word(rng): QQ.one}) + \
+            GroupRingElement(QQ, {rand_word(rng): QQ.from_rational(3)})
+        f = GroupRingElement(QQ, {rand_word(rng): QQ.one}) - \
+            GroupRingElement(QQ, {rand_word(rng): QQ.one})
         assert sigma(e * f) == sigma(f) * sigma(e)
 
 
@@ -109,7 +108,7 @@ def test_word_parse_and_format():
     w = parse_word("a*alpha*a^-1*alpha^-1", names)
     assert w.format(names) == "a*alpha*a^-1*alpha^-1"
     assert not parse_word("1", names).letters
-    assert parse_word("a^3", names) == Word.generator(0) ** 3
+    assert parse_word("a^3", names) == Word.generator(0, 3)
     assert parse_word(w.format(names), names) == w
 
 
@@ -124,10 +123,9 @@ def test_word_exponent_bound():
 
 def test_word_exponent_grammar():
     names = ["a"]
-    a = Word.generator(0)
-    assert parse_word("a^+2", names) == a ** 2
-    assert parse_word("a^-007", names) == a ** -7
-    assert parse_word("a^" + "0" * 20 + "3", names) == a ** 3
+    assert parse_word("a^+2", names) == Word.generator(0, 2)
+    assert parse_word("a^-007", names) == Word.generator(0, -7)
+    assert parse_word("a^" + "0" * 20 + "3", names) == Word.generator(0, 3)
     for exp in ("1_000", "\u0663", "2.0", "--1", ""):
         with pytest.raises(ValueError, match="is not an integer"):
             parse_word(f"a^{exp}", names)
@@ -137,7 +135,7 @@ def test_word_whitespace_never_glues_tokens():
     names = ["a", "b", "ab", "alpha", "alpha1"]
     a, b = Word.generator(0), Word.generator(1)
     assert parse_word(" a * b ^ -1 ", names) == a * b.inverse()
-    assert parse_word("a*\tb ^2", names) == a * b ** 2
+    assert parse_word("a*\tb ^2", names) == a * Word.generator(1, 2)
     assert not parse_word(" 1 ", names).letters
     for word, name in (("a b", "a b"), ("alpha 1", "alpha 1"), ("b*al pha^2", "al pha")):
         with pytest.raises(ValueError, match=re.escape(f"generator name {name!r} holds "
