@@ -13,14 +13,10 @@ import re
 import sys
 from functools import cache
 
-from .abelian import abelianize
+# every command reads files; each imports the modules of its own computation
 from .diagram import HeegaardDatum, presentation, random_datum, validate, validation_error
 from .files import load_diagram, load_diagram_or_presentation, load_representation
-from .hopf import MAX_DIM, ExteriorAlgebra, verify_axioms
-from .kuperberg import EvaluationOptions, evaluate_valid_z, representation_for
-from .laurent import normalize_unit
-from .numberfield import MAX_DIGITS, QQ, echo
-from .torsion import crosscheck, crosscheck_valid, twisted_alexander_knot, twisted_torsion
+from .numberfield import MAX_DIGITS, MAX_DIM, QQ, echo
 from .words import parse_word
 
 SEED_ENV = "SUTURE_KUP_SEED"
@@ -80,6 +76,7 @@ def cmd_presentation(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .abelian import abelianize
     pres = _load_presentation_any(args.input)
     amap = abelianize(pres.num_generators, pres.relators)
     names = pres.generator_names()
@@ -91,6 +88,7 @@ def cmd_homology(args) -> int:
 
 
 def cmd_alexander(args) -> int:
+    from .torsion import twisted_torsion
     pres = _load_presentation_any(args.input)
     result = twisted_torsion(pres)
     print(result.normalized)
@@ -98,6 +96,8 @@ def cmd_alexander(args) -> int:
 
 
 def cmd_twisted_alexander(args) -> int:
+    from .laurent import normalize_unit
+    from .torsion import twisted_alexander_knot
     pres = _load_presentation_any(args.input)
     rep_file = load_representation(args.representation)
     if rep_file.meridian is None:
@@ -117,17 +117,19 @@ def cmd_twisted_alexander(args) -> int:
 
 
 def cmd_kuperberg(args) -> int:
+    from .kuperberg import EvaluationOptions, evaluate_valid_z, representation_for
     D = _valid(load_diagram(args.diagram))
     n = _parse_hopf(args.hopf)
     field, matrices = _load_representation_file(args, n, D.generator_names())
     opts = EvaluationOptions(homology_orientation_sign=args.sign)
     rep = representation_for(presentation(D), n, matrices, field, args.twisted)
-    value = evaluate_valid_z(D, ExteriorAlgebra(n, rep.ring), rep, opts)
+    value = evaluate_valid_z(D, rep, opts)
     print(value)
     return 0
 
 
 def cmd_crosscheck(args) -> int:
+    from .torsion import crosscheck, crosscheck_valid
     n = _parse_hopf(args.hopf)
     failures = 0
     if args.random:
@@ -154,6 +156,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .hopf import ExteriorAlgebra, verify_axioms
     n = _parse_hopf(args.hopf)
     if n > MAX_AXIOMS_DIM:
         raise ValueError(f"axioms takes --hopf exterior:N with N in 0..{MAX_AXIOMS_DIM}, not {n}")

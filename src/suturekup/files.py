@@ -9,8 +9,7 @@ from __future__ import annotations
 import json
 
 from .diagram import ARC, CLOSED, BetaCurve, Crossing, HeegaardDatum, Presentation, Record
-from .hopf import MAX_DIM
-from .numberfield import MAX_DIGITS, QQ, NumberField, echo
+from .numberfield import MAX_DIGITS, MAX_DIM, QQ, NumberField, echo
 from .words import parse_word
 
 
@@ -205,10 +204,24 @@ class RepresentationFile(Record):
         return [self.matrices[n] for n in names]
 
 
+# each min_poly's field, built once per process; only a list of ints is a key,
+# since [0, True] == [0, 1] and NumberField refuses the first
+_FIELDS = {(0, 1): QQ}
+
+
+def _field(poly):
+    """The NumberField of min_poly poly."""
+    if type(poly) is not list or any(type(c) is not int for c in poly):
+        return NumberField(poly)        # which refuses it
+    key = tuple(poly)
+    if key not in _FIELDS:
+        _FIELDS[key] = NumberField(poly)
+    return _FIELDS[key]
+
+
 def representation_from_data(data: dict) -> RepresentationFile:
     _check(data, REPRESENTATION, "representation")
-    poly = data.get("min_poly", [0, 1])     # [0, True] == [0, 1], and NumberField refuses it
-    field = QQ if poly == [0, 1] and list(map(type, poly)) == [int, int] else NumberField(poly)
+    field = _field(data.get("min_poly", [0, 1]))
     n = data["dimension"]
     if not 0 <= n <= MAX_DIM:
         raise ValueError(f"representation key 'dimension' must lie in 0..{MAX_DIM}, "

@@ -20,11 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from .numberfield import QQ, SparseSum, accumulate
-
-# the largest N of --hopf exterior:N and of a representation file's dimension:
-# the coproduct of the top label of ExteriorAlgebra(N) has 2^N terms
-MAX_DIM = 20
+from .numberfield import MAX_DIM, QQ, SparseSum, accumulate  # noqa: F401  (MAX_DIM re-exported)
 
 
 class Element(SparseSum):

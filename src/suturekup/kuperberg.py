@@ -40,7 +40,6 @@ from .diagram import (
     subword_length,
     validation_error,
 )
-from .hopf import ExteriorAlgebra, HopfAutomorphism
 from .laurent import LaurentPoly, LaurentRing
 from .linalg import SingularMatrix, identity, inverse_and_det, matmul, transpose
 from .numberfield import QQ, _canonical, accumulate, echo
@@ -241,6 +240,7 @@ def degree_one_forms(D: HeegaardDatum, rep: Representation):
     of the field coefficients c times t^e, e = () when rep is plain, and rep.wrap makes
     it a ring element.  As a dn x dn matrix, row (i, k) and column (j, r), the wrapped
     forms are the transpose of the Fox block through rep."""
+    from .hopf import ExteriorAlgebra, HopfAutomorphism
     n = rep.n
     # rho(subword_x) = t^e * M for each closed crossing x, from one prefix walk per beta
     F = ExteriorAlgebra(n, rep.field)
@@ -284,27 +284,28 @@ def _unpack(packed, nvars, width):
     return tuple(reversed(out))
 
 
-def evaluate_z(D: HeegaardDatum, H: ExteriorAlgebra, rep: Representation,
-               opts: EvaluationOptions | None = None):
-    """The invariant of the based, ordered, oriented datum; exact base-ring scalar."""
+def evaluate_z(D: HeegaardDatum, H, rep: Representation, opts: EvaluationOptions | None = None):
+    """The invariant of the based, ordered, oriented datum over the ExteriorAlgebra H;
+    exact base-ring scalar."""
     if error := validation_error(D):
         raise EvaluationError(error)
-    return evaluate_valid_z(D, H, rep, opts)
-
-
-def evaluate_valid_z(D, H, rep, opts=None):
-    """evaluate_z of a datum its caller has validated (each entry point validates once)."""
-    opts = opts or EvaluationOptions()
-    if rep.num_generators < D.num_generators:
-        raise EvaluationError("representation does not cover all generators")
     if rep.ring != H.ring:
         raise EvaluationError("representation ring does not match the algebra ring")
     if rep.n != H.n:
         raise EvaluationError(f"algebra dimension {H.n} does not match "
                               f"representation dimension {rep.n}")
+    return evaluate_valid_z(D, rep, opts)
+
+
+def evaluate_valid_z(D, rep, opts=None):
+    """evaluate_z of a datum its caller has validated (each entry point validates once),
+    over the exterior algebra of rep's dimension and ring."""
+    opts = opts or EvaluationOptions()
+    if rep.num_generators < D.num_generators:
+        raise EvaluationError("representation does not cover all generators")
 
     # the cointegral X_1...X_n of Lambda(V) has degree n
-    sign_factor = opts.homology_orientation_sign if H.n % 2 else 1
+    sign_factor = opts.homology_orientation_sign if rep.n % 2 else 1
     if opts.homology_orientation_sign not in (1, -1):
         raise EvaluationError("homology orientation sign must be +1 or -1")
 

@@ -18,7 +18,6 @@ per pair (_kernels).  D = 1 recovers the rationals.  Elements serialize as
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add, mul, neg
@@ -26,6 +25,9 @@ from operator import add, mul, neg
 
 # NumberField refuses a min_poly beyond these before its integer-root search
 MAX_POLY_DEGREE, MAX_POLY_DIGITS = 16, 100
+# the largest N of --hopf exterior:N and of a representation file's dimension:
+# the coproduct of the top label of ExteriorAlgebra(N) has 2^N terms
+MAX_DIM = 20
 
 
 class NumberField:
@@ -176,6 +178,7 @@ class FieldElement:
     @property
     def vec(self):
         """The coefficients of 1, x, ..., x^{D-1} as Fractions."""
+        from fractions import Fraction
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def __bool__(self):
@@ -215,6 +218,7 @@ class FieldElement:
             return field._mul(field, self, other)
         if isinstance(other, int):
             return _canonical(field, tuple([a * other for a in self.num]), self.den)
+        from fractions import Fraction
         if isinstance(other, Fraction):
             p = other.numerator
             return _canonical(field, tuple([a * p for a in self.num]),
@@ -369,6 +373,7 @@ def signed_sum(terms) -> str:
 
 def _ratio(q):
     """(numerator, denominator) of a rational number, or of anything Fraction accepts."""
+    from fractions import Fraction
     if not isinstance(q, Fraction):
         q = Fraction(q)
     return q.numerator, q.denominator

@@ -21,7 +21,6 @@ from math import inf
 from operator import add, mul, sub
 
 from .diagram import HeegaardDatum, Presentation, Record, presentation, validation_error
-from .hopf import ExteriorAlgebra
 from .kuperberg import EvaluationError, evaluate_valid_z, representation_for
 from .laurent import InexactDivision, divide_exact, normalize_unit
 from .linalg import SingularMatrix, bareiss_det, inverse_and_det, matmul
@@ -281,6 +280,6 @@ def crosscheck_valid(D, n, rho_matrices=None, twisted=False, field=None) -> Cros
     """crosscheck of a datum its caller has validated."""
     pres = presentation(D)
     rep = representation_for(pres, n, rho_matrices, field, twisted)
-    z = evaluate_valid_z(D, ExteriorAlgebra(n, rep.ring), rep)
+    z = evaluate_valid_z(D, rep)
     det = _fox_block_det(pres, rep)
     return CrosscheckReport(z, det)

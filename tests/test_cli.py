@@ -1,16 +1,15 @@
-import io
 import json
 import os
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
-from importlib import resources
 
 import pytest
+from conftest import data_path
+from make_cli_golden import run
 
 import suturekup
-from suturekup import cli, diagram, hopf, presentation, torsion, validate
+from suturekup import diagram, hopf, presentation, torsion, validate
 from suturekup.cli import MAX_AXIOMS_DIM, build_parser, main
 from suturekup.files import (
     DIAGRAM,
@@ -28,20 +27,6 @@ from suturekup.files import (
 )
 from suturekup.hopf import MAX_DIM, ExteriorAlgebra
 from suturekup.kuperberg import evaluate_z, representation_for
-
-
-def data_path(name):
-    return str(resources.files("suturekup").joinpath("data", name))
-
-
-def run_cli(*argv):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 1
-    return code, buf.getvalue()
 
 
 def test_diagram_roundtrip_byte_identical():
@@ -87,7 +72,7 @@ def test_representation_file_parse():
 
 
 def test_cmd_validate():
-    code, out = run_cli("validate", data_path("trefoil.json"))
+    code, out, _ = run(["validate", data_path("trefoil.json")])
     assert code == 0
     assert out == "valid\n"
 
@@ -103,7 +88,7 @@ def test_cmd_validate_rejects_bad_diagram(tmp_path):
     }
     p = tmp_path / "bad.json"
     p.write_text(canonical_json(bad))
-    code, out = run_cli("validate", str(p))
+    code, out, _ = run(["validate", str(p)])
     assert code == 1
     assert "error" in out
 
@@ -156,12 +141,12 @@ def test_each_entry_point_validates_the_datum_once(monkeypatch):
     runs = {
         "crosscheck": lambda: torsion.crosscheck(D, 2, matrices, True, rep.field).passed,
         "evaluate_z": lambda: not evaluate_z(D, ExteriorAlgebra(2, twisted.ring), twisted).is_zero(),
-        "cli kuperberg": lambda: run_cli("kuperberg", *args)[0] == 0,
-        "cli crosscheck": lambda: run_cli("crosscheck", *args)[0] == 0,
+        "cli kuperberg": lambda: run(["kuperberg", *args])[0] == 0,
+        "cli crosscheck": lambda: run(["crosscheck", *args])[0] == 0,
     }
-    for name, run in runs.items():
+    for name, completes in runs.items():
         calls.clear()
-        assert run(), name
+        assert completes(), name
         assert len(calls) == 1, name
 
 
@@ -204,30 +189,30 @@ def test_nested_crossing_or_matrix_entry_at_any_depth_is_one_line_error(tmp_path
 
 
 def test_cmd_kuperberg_trefoil_exact_output():
-    code, out = run_cli(
-        "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1", "--twisted")
+    code, out, _ = run([
+        "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1", "--twisted"])
     assert code == 0
     assert out == "t^-1 - 1 + t\n"
 
 
 def test_cmd_kuperberg_untwisted():
-    code, out = run_cli(
-        "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1")
+    code, out, _ = run([
+        "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1"])
     assert code == 0
     assert out == "1\n"
 
 
 def test_cmd_alexander_both_input_kinds():
-    code, out = run_cli("alexander", data_path("figure8.json"))
+    code, out, _ = run(["alexander", data_path("figure8.json")])
     assert (code, out) == (0, "1 - 3*t + t^2\n")
-    code, out = run_cli("alexander", data_path("figure8_wirtinger.json"))
+    code, out, _ = run(["alexander", data_path("figure8_wirtinger.json")])
     assert (code, out) == (0, "1 - 3*t + t^2\n")
 
 
 def test_cmd_twisted_alexander(tmp_path):
-    code, out = run_cli(
+    code, out, _ = run([
         "twisted-alexander", data_path("trefoil.json"),
-        data_path("trefoil_trivial_rep.json"))
+        data_path("trefoil_trivial_rep.json")])
     assert code == 0
     assert "torsion: 1 - t + t^2" in out
     assert "boundary_factor: 1 - t" in out
@@ -235,9 +220,9 @@ def test_cmd_twisted_alexander(tmp_path):
 
 
 def test_cmd_crosscheck_diagram():
-    code, out = run_cli(
+    code, out, _ = run([
         "crosscheck", data_path("figure8.json"), "--hopf", "exterior:2",
-        "--twisted")
+        "--twisted"])
     assert code == 0
     assert out.startswith("PASS\n")
 
@@ -253,17 +238,17 @@ def test_cmd_crosscheck_with_rep_file(tmp_path):
     }
     p = tmp_path / "rep.json"
     p.write_text(canonical_json(rep))
-    code, out = run_cli(
+    code, out, _ = run([
         "crosscheck", data_path("figure8.json"), "--hopf", "exterior:2",
-        "--rep", str(p))
+        "--rep", str(p)])
     assert code == 0
     assert out.startswith("PASS\n")
 
 
 def test_cmd_twisted_alexander_parabolic_rep():
-    code, out = run_cli(
+    code, out, _ = run([
         "twisted-alexander", data_path("figure8.json"),
-        data_path("figure8_parabolic_rep.json"))
+        data_path("figure8_parabolic_rep.json")])
     assert code == 0
     assert "torsion: 1 - 6*t + 10*t^2 - 6*t^3 + t^4" in out
     assert "boundary_factor: 1 - 2*t + t^2" in out
@@ -271,43 +256,43 @@ def test_cmd_twisted_alexander_parabolic_rep():
 
 
 def test_cmd_kuperberg_parabolic_rep():
-    code, out = run_cli(
+    code, out, _ = run([
         "kuperberg", data_path("figure8.json"), "--hopf", "exterior:2",
-        "--rep", data_path("figure8_parabolic_rep.json"), "--twisted")
+        "--rep", data_path("figure8_parabolic_rep.json"), "--twisted"])
     assert code == 0
     assert out == "1 - 6*t + 10*t^2 - 6*t^3 + t^4\n"
 
 
 def test_cmd_crosscheck_random_uses_seed_env(monkeypatch):
     monkeypatch.setenv("SUTURE_KUP_SEED", "5")
-    code1, out1 = run_cli("crosscheck", "--hopf", "exterior:2", "--random", "4")
-    code2, out2 = run_cli("crosscheck", "--hopf", "exterior:2", "--random", "4")
+    code1, out1, _ = run(["crosscheck", "--hopf", "exterior:2", "--random", "4"])
+    code2, out2, _ = run(["crosscheck", "--hopf", "exterior:2", "--random", "4"])
     assert code1 == code2 == 0
     assert out1 == out2
     assert "seed 5" in out1
     monkeypatch.setenv("SUTURE_KUP_SEED", "9")
-    _, out3 = run_cli("crosscheck", "--hopf", "exterior:2", "--random", "4")
+    _, out3, _ = run(["crosscheck", "--hopf", "exterior:2", "--random", "4"])
     assert "seed 9" in out3
 
 
-def test_cmd_crosscheck_negative_random_is_usage_error(capsys):
-    code, out = run_cli("crosscheck", "--hopf", "exterior:1", "--random", "-3")
+def test_cmd_crosscheck_negative_random_is_usage_error():
+    code, out, err = run(["crosscheck", "--hopf", "exterior:1", "--random", "-3"])
     assert code == 2
     assert out == ""
-    assert "--random N must not be negative, not -3" in capsys.readouterr().err
+    assert "--random N must not be negative, not -3" in err
 
 
-def test_cmd_crosscheck_without_input_is_usage_error(capsys):
-    code, out = run_cli("crosscheck", "--hopf", "exterior:1")
+def test_cmd_crosscheck_without_input_is_usage_error():
+    code, out, err = run(["crosscheck", "--hopf", "exterior:1"])
     assert code == 2
     assert out == ""
-    assert "crosscheck needs a diagram file or --random N" in capsys.readouterr().err
+    assert "crosscheck needs a diagram file or --random N" in err
 
 
 @pytest.mark.parametrize("twisted", [[], ["--twisted"]], ids=["plain", "twisted"])
 def test_cmd_crosscheck_at_dimension_zero(twisted):
     # Lambda(V) on no generators: Z is the empty product, det the empty determinant
-    code, out = run_cli("crosscheck", data_path("figure8.json"), "--hopf", "exterior:0", *twisted)
+    code, out, _ = run(["crosscheck", data_path("figure8.json"), "--hopf", "exterior:0", *twisted])
     assert (code, out) == (0, "PASS\nZ = 1\ndet = 1\n")
 
 
@@ -317,38 +302,38 @@ def test_cmd_crosscheck_at_dimension_zero(twisted):
     pytest.param([data_path("figure8.json"), "--rep", data_path("figure8_parabolic_rep.json")],
                  id="diagram-and-rep"),
 ])
-def test_cmd_crosscheck_random_with_inputs_is_usage_error(capsys, inputs):
-    code, out = run_cli("crosscheck", "--random", "2", "--hopf", "exterior:2", *inputs)
+def test_cmd_crosscheck_random_with_inputs_is_usage_error(inputs):
+    code, out, err = run(["crosscheck", "--random", "2", "--hopf", "exterior:2", *inputs])
     assert code == 2
     assert out == ""
-    assert "--random N takes no diagram file and no --rep" in capsys.readouterr().err
+    assert "--random N takes no diagram file and no --rep" in err
 
 
 def test_cmd_axioms():
-    code, out = run_cli("axioms", "--hopf", "exterior:3")
+    code, out, _ = run(["axioms", "--hopf", "exterior:3"])
     assert code == 0
     assert "FAIL" not in out
     assert "normalization mu(c) = 1" in out
 
 
 def test_cmd_homology():
-    code, out = run_cli("homology", data_path("trefoil.json"))
+    code, out, _ = run(["homology", data_path("trefoil.json")])
     assert code == 0
     assert "rank: 1" in out
     assert "alpha -> (1)" in out and "a -> (1)" in out
 
 
 def test_cmd_presentation():
-    code, out = run_cli("presentation", data_path("trefoil.json"))
+    code, out, _ = run(["presentation", data_path("trefoil.json")])
     assert code == 0
     assert "relator 1: a*alpha*a^-1*alpha^-1*a^-1*alpha" in out
 
 
 def test_cmd_kuperberg_with_rep_and_sign():
-    code, out = run_cli(
+    code, out, _ = run([
         "kuperberg", data_path("trefoil.json"), "--hopf", "exterior:1",
         "--rep", data_path("trefoil_trivial_rep.json"), "--twisted",
-        "--sign", "-1")
+        "--sign", "-1"])
     assert code == 0
     assert out == "-t^-1 + 1 - t\n"
 
@@ -583,8 +568,8 @@ def test_spaces_around_star_and_caret_are_accepted(tmp_path):
     outputs = []
     for meridian in ("a^-1*alpha*a", " a ^ -1 * alpha * a "):
         rep["meridian"] = meridian
-        outputs.append(run_cli("twisted-alexander", data_path("figure8.json"),
-                               write_json(tmp_path, rep)))
+        outputs.append(run(["twisted-alexander", data_path("figure8.json"),
+                               write_json(tmp_path, rep)]))
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
@@ -810,14 +795,14 @@ def test_axioms_above_its_cap_is_one_line_error(monkeypatch, capsys, dim):
     def refuse(*args):
         raise AssertionError("an exterior algebra was built")
 
-    monkeypatch.setattr(cli, "ExteriorAlgebra", refuse)
+    monkeypatch.setattr(hopf, "ExteriorAlgebra", refuse)
     assert_one_line_error(capsys, ["axioms", "--hopf", f"exterior:{dim}"],
                           "axioms", "--hopf", f"0..{MAX_AXIOMS_DIM}, not {dim}")
 
 
 def test_axioms_at_its_cap_is_accepted(monkeypatch):
-    monkeypatch.setattr(cli, "verify_axioms", lambda H: hopf.AxiomReport())
-    assert run_cli("axioms", "--hopf", f"exterior:{MAX_AXIOMS_DIM}") == (0, "")
+    monkeypatch.setattr(hopf, "verify_axioms", lambda H: hopf.AxiomReport())
+    assert run(["axioms", "--hopf", f"exterior:{MAX_AXIOMS_DIM}"])[:2] == (0, "")
 
 
 @pytest.mark.parametrize("seed, shown", [("abc", "'abc'"), ("1" * 5000, "'" + "1" * 40 + "...'")],

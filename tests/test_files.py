@@ -28,12 +28,31 @@ def test_detect_input(tmp_path):
 
 @pytest.mark.parametrize("extra", [{}, {"min_poly": [0, 1]}], ids=["absent", "linear"])
 def test_rational_representation_shares_qq(extra):
-    # Q is one constant; a field of higher degree is built per file
+    # Q is one constant, and a field of higher degree is built once per process
     doc = {"dimension": 1, "generators": {"a": [["2"]]}, **extra}
     assert representation_from_data(doc).field is QQ
     doc["min_poly"] = [1, 1, 1]
     field = representation_from_data(doc).field
-    assert field == NumberField([1, 1, 1]) and field is not representation_from_data(doc).field
+    assert field == NumberField([1, 1, 1])
+    assert representation_from_data(dict(doc, generators={"b": [["x"]]})).field is field
+    doc["min_poly"] = [1, 0, 1]
+    other = representation_from_data(doc).field
+    assert other == NumberField([1, 0, 1]) and other is not field
+
+
+@pytest.mark.parametrize("valid, refused", [
+    ([0, 1], [0, True]),
+    ([1, 1, 1], [1, True, 1]),
+    ([1, 1], [1.0, 1]),
+    ([1, 1, 1], "x^2 + x + 1"),
+], ids=["bool-equal-to-q", "bool-equal-to-xi", "float", "string"])
+def test_min_poly_equal_to_a_shared_one_is_still_refused(valid, refused):
+    # each refused min_poly equals, or reads as, one whose field is already shared
+    doc = {"dimension": 1, "min_poly": valid, "generators": {"a": [["2"]]}}
+    representation_from_data(doc)
+    with pytest.raises(ValueError) as err:
+        representation_from_data(dict(doc, min_poly=refused))
+    assert str(err.value) == f"min_poly must be a list of integers, not {refused!r}"
 
 
 def counting_parse(monkeypatch):

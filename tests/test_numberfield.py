@@ -10,6 +10,7 @@ from hypothesis import assume, given, strategies as st
 from numberfield_reference import NumberField as ReferenceField
 
 from suturekup import NumberField, QQ
+from suturekup.files import representation_from_data
 from suturekup.hopf import Element, ExteriorAlgebra, TensorElement
 from suturekup.laurent import LaurentPoly, LaurentRing
 from suturekup.numberfield import _integer_root, _kernels, echo, signed_sum
@@ -343,12 +344,16 @@ def test_kernels_compile_once_per_field_and_quickly():
 
 
 def test_fields_pickle_and_copy_by_min_poly():
-    # a field holds its generated kernels, which pickle cannot name
-    for field in (QQ, NumberField([1, 1, 1]), NumberField([-2] + [0] * 15 + [1])):
+    # a field holds its generated kernels, which pickle cannot name; the field
+    # representation documents share copies to an equal one and stays shared
+    doc = {"dimension": 1, "min_poly": [1, 1, 1], "generators": {"a": [["x"]]}}
+    shared = representation_from_data(doc).field
+    for field in (QQ, NumberField([1, 1, 1]), shared, NumberField([-2] + [0] * 15 + [1])):
         x = field.element([Fraction(k - 2, k + 1) for k in range(field.degree)])
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert y == x and y.field == field and y * y == x * x
             assert y.field.dot([y], [y]) == x * x
+    assert representation_from_data(doc).field is shared
 
 
 def _compile_seconds(tail):
